@@ -44,7 +44,7 @@ from .dataio import (
     load_sizes,
     write_scatter_csv,
 )
-from .eigen import EigenSpectrum, symmetric_eigensystem, symmetric_eigenvalues
+from .eigen import EigenSpectrum, symmetric_eigenvalues
 from .errors import (
     InputError,
     MoranSarError,
@@ -117,8 +117,8 @@ __all__ = [
     "theoretical_coefficients", "delta_inner", "lag_energy_gap",
     "exact_fit_energy_gap", "centered_fit", "inverse_slope_relation",
     # eigensolver and bounds
-    "EigenSpectrum", "symmetric_eigenvalues", "symmetric_eigensystem",
-    "Containment", "RhoInterval", "MoranRangeVerdict", "QuadraticRangeVerdict",
+    "EigenSpectrum", "symmetric_eigenvalues", "Containment", "RhoInterval",
+    "MoranRangeVerdict", "QuadraticRangeVerdict",
     "OuterRangeVerdict", "BoundsReport", "range_moran", "range_quadratic",
     "range_outer", "bounds_report", "reciprocal_interval",
     # inference and diagnostics

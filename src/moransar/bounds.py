@@ -7,7 +7,9 @@ Three containments, each a Rayleigh-quotient consequence:
    eigenvalues of W'W. The empirical form divides I^2 by R2 and is the
    Rayleigh quotient of W'W itself, so it always holds; the theoretical
    form drops the R2 factor and is only guaranteed from above (it equals
-   the empirical form exactly when R2 = 1).
+   the empirical form exactly when R2 = 1). W is symmetric, so W'W = W^2
+   and its spectrum is the squared spectrum of W: one eigensolve of W
+   serves the first two ranges.
 3. I^2/n lies in [0, (Wz)'(Wz)], the analytic spectrum of the rank-1
    outer product of the lag.
 
@@ -150,6 +152,22 @@ def range_moran(
     )
 
 
+def _squared_spectrum(spectrum: EigenSpectrum) -> EigenSpectrum:
+    """Spectrum of W'W = W^2 from the spectrum of a symmetric W.
+
+    Nothing is solved, so sweeps is 0. The residual bounds the
+    off-diagonal mass of W^2 in the basis that left W with residual r:
+    (D + E)^2 - D^2 = DE + ED + E^2 has norm at most 2 max|lambda| r + r^2.
+    """
+    values = np.sort(spectrum.values**2)
+    values.flags.writeable = False
+    r = spectrum.max_offdiag_residual
+    lam = max(abs(spectrum.smallest), abs(spectrum.largest))
+    return EigenSpectrum(
+        values=values, max_offdiag_residual=2.0 * lam * r + r * r, sweeps=0
+    )
+
+
 def range_quadratic(
     weights: WeightMatrix,
     wz: SpatialLag,
@@ -159,6 +177,10 @@ def range_quadratic(
     spectrum: EigenSpectrum | None = None,
 ) -> QuadraticRangeVerdict:
     """Second range: eigenvalues of W'W bracket the lag-energy quotient.
+
+    W is symmetric, so the spectrum of W'W is the squared spectrum of W.
+    When ``spectrum`` (of W'W) is not given it is derived that way from
+    an eigensolve of W; W'W itself is never solved.
 
     The empirical left-hand side equals the Rayleigh quotient of W'W at z
     and is always contained. The theoretical side is smaller by
@@ -173,8 +195,7 @@ def range_quadratic(
     if n is None:
         n = weights.n
     if spectrum is None:
-        gram = weights.matrix.T @ weights.matrix
-        spectrum = symmetric_eigenvalues(gram)
+        spectrum = _squared_spectrum(symmetric_eigenvalues(weights.matrix))
     mean_sq = (wz.total / n) ** 2
     lhs_theoretical = mean_sq + i_value**2 / n**2
     lhs_empirical = mean_sq + i_value**2 / (r_squared * n**2)
@@ -203,9 +224,15 @@ def range_outer(wz: SpatialLag, i_value: float, n: int) -> OuterRangeVerdict:
 
 
 def bounds_report(
-    z: StandardizedVector, weights: WeightMatrix, r_squared: float
+    z: StandardizedVector,
+    weights: WeightMatrix,
+    r_squared: float,
+    spectrum: EigenSpectrum | None = None,
 ) -> BoundsReport:
     """Evaluate all three ranges for one dataset.
+
+    W is solved once (or its spectrum is passed in); the second range
+    uses the squared spectrum, so no eigensolve of W'W runs.
 
     The magnitude |I| is reported alongside as a correlation-style
     reading; it is informational and never enforced, since the spectral
@@ -214,8 +241,12 @@ def bounds_report(
     wz = spatial_lag(weights, z)
     i_value = moran_index(z, weights)
     n = z.n
-    range1 = range_moran(weights, i_value, n, r_squared=r_squared)
-    range2 = range_quadratic(weights, wz, i_value, r_squared, n)
+    if spectrum is None:
+        spectrum = symmetric_eigenvalues(weights.matrix)
+    range1 = range_moran(weights, i_value, n, r_squared=r_squared, spectrum=spectrum)
+    range2 = range_quadratic(
+        weights, wz, i_value, r_squared, n, spectrum=_squared_spectrum(spectrum)
+    )
     range3 = range_outer(wz, i_value, n)
     return BoundsReport(
         range1=range1,

@@ -263,16 +263,30 @@ def format_sig(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _json_float(value: float) -> float | str:
+    """A float, or for the non-finite ones the string float() reads back.
+
+    Strict JSON has no Infinity or NaN literal.
+    """
+    if np.isfinite(value):
+        return value
+    if np.isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0.0 else "-Infinity"
+
+
 def _plain(obj):
-    """Recursive conversion to JSON-serializable structures."""
+    """Recursive conversion to strict-JSON-serializable structures."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
     if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj.tolist()]
+        return [_json_float(float(v)) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _plain(obj.item())
+    if isinstance(obj, float):
+        return _json_float(obj)
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -330,7 +344,7 @@ def emit_report(
     if "json" in formats:
         path = out_dir / "report.json"
         with open(path, "w") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
+            json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
         written["json"] = path
 

@@ -185,8 +185,11 @@ def instance_checks(
                          (moran.i_value / n) * fit.rho_hat - fit.r_squared,
                          REL_TOL * max(1.0, fit.r_squared)))
 
-    report = bounds_report(z, weights, fit.r_squared)
+    spec_w = symmetric_eigenvalues(weights.matrix)
+    report = bounds_report(z, weights, fit.r_squared, spectrum=spec_w)
     checks.extend(bounds_checks(report))
+    # the direct solves below are independent oracles for what the bounds
+    # derive: the rank-1 outer spectrum, and spec(W'W) as squares of spec(W)
     checks.append(
         _check(
             "outer_lambda_analytic",
@@ -196,7 +199,6 @@ def instance_checks(
         )
     )
 
-    spec_w = symmetric_eigenvalues(weights.matrix)
     spec_gram = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
     squared = np.sort(spec_w.values**2)
     checks.append(

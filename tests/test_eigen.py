@@ -1,10 +1,14 @@
 """The built-in Jacobi eigensolver against external and analytic oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from moransar.eigen import symmetric_eigensystem, symmetric_eigenvalues
+from moransar.bounds import bounds_report
+from moransar.eigen import MAX_SWEEPS, _round_robin, symmetric_eigenvalues
 from moransar.errors import NotSymmetric
+from moransar.sar import fit_sar_ols
 from moransar.spatial_data import weights_from_distances
 
 from conftest import prepare
@@ -99,19 +103,57 @@ class TestInvariants:
         assert spectrum.max_offdiag_residual >= 0.0
 
 
-class TestEigensystem:
-    def test_reconstruction(self):
-        m = random_symmetric(8, 15)
-        spectrum, vectors = symmetric_eigensystem(m)
-        rebuilt = vectors @ np.diag(spectrum.values) @ vectors.T
-        scale = max(1.0, float(np.abs(m).max()))
-        assert np.max(np.abs(rebuilt - m)) <= 1e-10 * scale
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_pair_once_per_sweep(self, n):
+        rounds_p, rounds_q = _round_robin(n)
+        pairs = sorted(zip(rounds_p.ravel().tolist(), rounds_q.ravel().tolist()))
+        assert pairs == list(itertools.combinations(range(n), 2))
 
-    def test_orthonormal_columns(self):
-        m = random_symmetric(9, 10)
-        _, vectors = symmetric_eigensystem(m)
-        gram = vectors.T @ vectors
-        assert np.max(np.abs(gram - np.eye(10))) <= 1e-10
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rounds_are_disjoint(self, n):
+        for p, q in zip(*_round_robin(n)):
+            assert np.all(p < q)
+            touched = np.concatenate([p, q]).tolist()
+            assert len(set(touched)) == len(touched)
+
+
+class TestLargeClustered:
+    def test_n150_weight_matrix(self):
+        # six tight clusters give many near-equal off-diagonal weights,
+        # the regime the benchmark's large analysis runs in
+        rng = np.random.default_rng(150)
+        centers = rng.uniform(0.0, 10.0, size=(6, 2))
+        points = centers[np.arange(150) % 6] + rng.normal(0.0, 0.8, size=(150, 2))
+        diff = points[:, None, :] - points[None, :, :]
+        w = weights_from_distances(np.sqrt((diff * diff).sum(axis=-1))).matrix
+        spectrum = symmetric_eigenvalues(w)
+        assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(w))) <= 1e-12
+        assert spectrum.sweeps < MAX_SWEEPS
+
+
+class TestDerivedGramSpectrum:
+    def test_range2_endpoints_match_direct_solve(self, deck):
+        for raw, dist in deck[:10]:
+            z, weights, lag = prepare(raw, dist)
+            fit = fit_sar_ols(z, lag)
+            report = bounds_report(z, weights, fit.r_squared)
+            direct = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
+            tol = 1e-12 * direct.largest
+            for verdict in (report.range2.theoretical, report.range2.empirical):
+                assert abs(verdict.lower - direct.smallest) <= tol
+                assert abs(verdict.upper - direct.largest) <= tol
+
+
+class TestDeterminism:
+    def test_repeat_solve_is_bit_identical(self, deck):
+        raw, dist = deck[3]
+        _, weights, _ = prepare(raw, dist)
+        first = symmetric_eigenvalues(weights.matrix)
+        second = symmetric_eigenvalues(weights.matrix)
+        assert first.values.tobytes() == second.values.tobytes()
+        assert first.max_offdiag_residual == second.max_offdiag_residual
+        assert first.sweeps == second.sweeps
 
 
 class TestInputValidation:

@@ -181,6 +181,25 @@ class TestEmit:
         assert keep_a == keep_b
         assert len(keep_a) == len(a.splitlines()) - 1
 
+    def test_non_finite_values_are_strict_json(self, fixtures_dir, tmp_path):
+        # the exact two-site fit has R2 = 1, so its t statistics are infinite
+        report = analyze(
+            AnalysisConfig(
+                sizes_path=str(fixtures_dir / "two_site_sizes.csv"),
+                dist_path=str(fixtures_dir / "two_site_distances.csv"),
+                permutations=9,
+            )
+        )
+        written = emit_report(report, {"json"}, tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        blob = json.loads(written["json"].read_text(), parse_constant=reject)
+        statistic = blob["inference"]["i_t_test"]["statistic"]
+        assert statistic == "-Infinity"
+        assert float(statistic) == report.inference.i_t_test.statistic
+
     def test_svg_output(self, noisy_files, tmp_path):
         raw, dist, _, _ = noisy_files
         report = analyze(config_for(noisy_files))
