@@ -59,7 +59,6 @@ from .inference import (
     dw_interpret,
     geary_pairwise,
     permutation_test,
-    residual_moran,
     slope_t_test,
     spatial_durbin_watson,
 )
@@ -76,8 +75,6 @@ from .sar import (
     TheoreticalCoefficients,
     centered_fit,
     closed_form_from_moran,
-    delta_inner,
-    exact_fit_energy_gap,
     fit_sar_ols,
     inverse_slope_relation,
     lag_energy_gap,
@@ -87,12 +84,14 @@ from .simulate import simulate_sar
 from .spatial_data import (
     ProximityMatrix,
     RawSizeVector,
+    SpatialInputs,
     SpatialLag,
     StandardizedVector,
     WeightMatrix,
     global_normalize,
     inverse_distance_proximity,
     log_transform,
+    prepare,
     spatial_lag,
     standardize,
     symmetrize,
@@ -105,8 +104,9 @@ __all__ = [
     "__version__",
     # spatial data
     "RawSizeVector", "StandardizedVector", "ProximityMatrix", "WeightMatrix",
-    "SpatialLag", "log_transform", "standardize", "inverse_distance_proximity",
-    "symmetrize", "global_normalize", "spatial_lag", "weights_from_distances",
+    "SpatialLag", "SpatialInputs", "log_transform", "standardize",
+    "inverse_distance_proximity", "symmetrize", "global_normalize",
+    "spatial_lag", "weights_from_distances", "prepare",
     # autocorrelation
     "MoranResult", "TrendLine", "ScatterDataset", "moran_index",
     "moran_double_sum", "inner_regression", "eigen_check",
@@ -114,8 +114,8 @@ __all__ = [
     "MODE_AUTOCORRELATION", "MODE_AUTOREGRESSION",
     # autoregression
     "SarFit", "TheoreticalCoefficients", "fit_sar_ols", "closed_form_from_moran",
-    "theoretical_coefficients", "delta_inner", "lag_energy_gap",
-    "exact_fit_energy_gap", "centered_fit", "inverse_slope_relation",
+    "theoretical_coefficients", "lag_energy_gap", "centered_fit",
+    "inverse_slope_relation",
     # eigensolver and bounds
     "EigenSpectrum", "symmetric_eigenvalues", "Containment", "RhoInterval",
     "MoranRangeVerdict", "QuadraticRangeVerdict",
@@ -123,9 +123,8 @@ __all__ = [
     "range_outer", "bounds_report", "reciprocal_interval",
     # inference and diagnostics
     "SignificanceResult", "DwResult", "DwCriticalValues", "BUNDLED_DW_CRITICAL",
-    "slope_t_test", "permutation_test", "residual_moran",
-    "spatial_durbin_watson", "geary_pairwise", "dw_interpret",
-    "critical_values_for",
+    "slope_t_test", "permutation_test", "spatial_durbin_watson",
+    "geary_pairwise", "dw_interpret", "critical_values_for",
     # pipeline and I/O
     "AnalysisConfig", "AnalysisReport", "analyze", "analyze_data",
     "emit_report", "report_to_dict", "load_sizes", "load_distances",

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRegression, DimensionMismatch, ZeroVariance
-from .regression import OlsLine, fit_line
+from .regression import fit_line
 from .spatial_data import (
     ProximityMatrix,
     RawSizeVector,
-    SpatialLag,
+    SpatialInputs,
     StandardizedVector,
     WeightMatrix,
-    spatial_lag,
 )
 
 MODE_AUTOCORRELATION = "autocorrelation"
@@ -117,7 +116,7 @@ def moran_double_sum(raw: RawSizeVector, proximity: ProximityMatrix) -> float:
     return n * cross / (s0 * denom)
 
 
-def inner_regression(z: StandardizedVector, weights: WeightMatrix) -> MoranResult:
+def inner_regression(inputs: SpatialInputs) -> MoranResult:
     """Fit n*Wz on z with an intercept; the slope estimates Moran's index.
 
     The intercept estimates the entry sum of Wz, and the residuals are
@@ -126,8 +125,8 @@ def inner_regression(z: StandardizedVector, weights: WeightMatrix) -> MoranResul
     Raises:
         DegenerateRegression: if z or the lag is constant.
     """
-    lag = spatial_lag(weights, z)
-    line = fit_line(z.values, z.n * lag.values)
+    z = inputs.z
+    line = fit_line(z.values, z.n * inputs.lag.values)
     return MoranResult(
         i_value=line.slope,
         intercept=line.intercept,
@@ -142,41 +141,37 @@ def inner_regression(z: StandardizedVector, weights: WeightMatrix) -> MoranResul
     )
 
 
-def eigen_check(z: StandardizedVector, weights: WeightMatrix) -> float:
+def eigen_check(inputs: SpatialInputs) -> float:
     """Residual of the outer-product eigen relation.
 
     z is an eigenvector of the rank-1 matrix (z z') W with eigenvalue I,
     so ((z z') W) z - I z vanishes identically; the returned max-norm
     residual measures only floating-point error and stays below 1e-10.
     """
-    zv = z.values
-    i_value = moran_index(z, weights)
-    outer = np.outer(zv, zv) @ weights.matrix
-    return float(np.max(np.abs(outer @ zv - i_value * zv)))
+    zv = inputs.z.values
+    outer = np.outer(zv, zv) @ inputs.weights.matrix
+    return float(np.max(np.abs(outer @ zv - inputs.i_value * zv)))
 
 
-def rank_one_identity_slack(z: StandardizedVector, weights: WeightMatrix) -> float:
+def rank_one_identity_slack(inputs: SpatialInputs) -> float:
     """Scalar companion to eigen_check: |I^2 - ((Wz).z) * I|.
 
     Left-multiplying the eigen relation by (Wz)' collapses it to a scalar
     identity between I squared and the lag/vector inner product times I.
     """
-    zv = z.values
-    wz = weights.matrix @ zv
-    i_value = float(zv @ wz)
-    return abs(i_value * i_value - float(wz @ zv) * i_value)
+    i_value = inputs.i_value
+    lag_dot_z = float(inputs.lag.values @ inputs.z.values)
+    return abs(i_value * i_value - lag_dot_z * i_value)
 
 
 def scatter_dataset(
-    z: StandardizedVector,
-    weights: WeightMatrix,
+    inputs: SpatialInputs,
     mode: str = MODE_AUTOCORRELATION,
 ) -> ScatterDataset:
     """Build the normalized scatterplot dataset for either model direction.
 
     Args:
-        z: standardized size vector.
-        weights: globally normalized weight matrix.
+        inputs: the prepared z, W, lag and index.
         mode: "autocorrelation" plots (z, n*Wz) with slope-I lines;
             "autoregression" plots (Wz, z) with the autoregressive fit
             as the empirical line.
@@ -186,8 +181,7 @@ def scatter_dataset(
     """
     from .sar import fit_sar_ols, theoretical_coefficients
 
-    lag = spatial_lag(weights, z)
-    i_value = moran_index(z, weights)
+    z, lag, i_value = inputs.z, inputs.lag, inputs.i_value
     if mode == MODE_AUTOCORRELATION:
         points = np.column_stack([z.values, z.n * lag.values])
         theoretical = TrendLine(slope=i_value, intercept=0.0, label="through-origin")
@@ -218,15 +212,3 @@ def scatter_dataset(
             y_label="z",
         )
     raise ValueError(f"unknown scatter mode: {mode!r}")
-
-
-def lag_residual_norm(z: StandardizedVector, weights: WeightMatrix) -> float:
-    """Diagnostic only: max-norm of n*Wz - I*z.
-
-    The constant-free proportionality between the lag and the vector is
-    exact only for a perfectly collinear pair; this exposes how far a
-    given dataset is from that idealization, with no accuracy claim.
-    """
-    lag = spatial_lag(weights, z)
-    i_value = moran_index(z, weights)
-    return float(np.max(np.abs(z.n * lag.values - i_value * z.values)))

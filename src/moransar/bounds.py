@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocorr import moran_index
 from .eigen import EigenSpectrum, symmetric_eigenvalues
 from .errors import ZeroRSquared
-from .spatial_data import SpatialLag, StandardizedVector, WeightMatrix, spatial_lag
+from .spatial_data import SpatialInputs, SpatialLag
 
 CONTAINMENT_TOL = 1e-10  # relative forgiveness at interval endpoints
 
@@ -123,21 +122,16 @@ def reciprocal_interval(lower: float, upper: float, scale: float = 1.0) -> RhoIn
 
 
 def range_moran(
-    weights: WeightMatrix,
     i_value: float,
-    n: int | None = None,
+    n: int,
+    spectrum: EigenSpectrum,
     r_squared: float | None = None,
-    spectrum: EigenSpectrum | None = None,
 ) -> MoranRangeVerdict:
-    """First range: extreme eigenvalues of W bracket I/n.
+    """First range: extreme eigenvalues of W (``spectrum``) bracket I/n.
 
     Also reports the implied slope regions: reciprocals of the eigenvalue
     interval for the errorless model, scaled by R2 for the fitted one.
     """
-    if n is None:
-        n = weights.n
-    if spectrum is None:
-        spectrum = symmetric_eigenvalues(weights.matrix)
     containment = _contain(spectrum.smallest, spectrum.largest, i_value / n)
     rho_theoretical = reciprocal_interval(spectrum.smallest, spectrum.largest, 1.0)
     rho_empirical = None
@@ -169,18 +163,16 @@ def _squared_spectrum(spectrum: EigenSpectrum) -> EigenSpectrum:
 
 
 def range_quadratic(
-    weights: WeightMatrix,
     wz: SpatialLag,
     i_value: float,
     r_squared: float,
-    n: int | None = None,
-    spectrum: EigenSpectrum | None = None,
+    n: int,
+    spectrum: EigenSpectrum,
 ) -> QuadraticRangeVerdict:
     """Second range: eigenvalues of W'W bracket the lag-energy quotient.
 
-    W is symmetric, so the spectrum of W'W is the squared spectrum of W.
-    When ``spectrum`` (of W'W) is not given it is derived that way from
-    an eigensolve of W; W'W itself is never solved.
+    ``spectrum`` is that of W'W. W is symmetric, so bounds_report passes
+    the squared spectrum of W; W'W itself is never solved.
 
     The empirical left-hand side equals the Rayleigh quotient of W'W at z
     and is always contained. The theoretical side is smaller by
@@ -192,10 +184,6 @@ def range_quadratic(
     """
     if r_squared < 1e-15:
         raise ZeroRSquared("R2 is zero; the empirical range divides by it")
-    if n is None:
-        n = weights.n
-    if spectrum is None:
-        spectrum = _squared_spectrum(symmetric_eigenvalues(weights.matrix))
     mean_sq = (wz.total / n) ** 2
     lhs_theoretical = mean_sq + i_value**2 / n**2
     lhs_empirical = mean_sq + i_value**2 / (r_squared * n**2)
@@ -224,8 +212,7 @@ def range_outer(wz: SpatialLag, i_value: float, n: int) -> OuterRangeVerdict:
 
 
 def bounds_report(
-    z: StandardizedVector,
-    weights: WeightMatrix,
+    inputs: SpatialInputs,
     r_squared: float,
     spectrum: EigenSpectrum | None = None,
 ) -> BoundsReport:
@@ -238,15 +225,11 @@ def bounds_report(
     reading; it is informational and never enforced, since the spectral
     intervals are the operative bounds.
     """
-    wz = spatial_lag(weights, z)
-    i_value = moran_index(z, weights)
-    n = z.n
+    wz, i_value, n = inputs.lag, inputs.i_value, inputs.n
     if spectrum is None:
-        spectrum = symmetric_eigenvalues(weights.matrix)
-    range1 = range_moran(weights, i_value, n, r_squared=r_squared, spectrum=spectrum)
-    range2 = range_quadratic(
-        weights, wz, i_value, r_squared, n, spectrum=_squared_spectrum(spectrum)
-    )
+        spectrum = symmetric_eigenvalues(inputs.weights.matrix)
+    range1 = range_moran(i_value, n, spectrum, r_squared=r_squared)
+    range2 = range_quadratic(wz, i_value, r_squared, n, _squared_spectrum(spectrum))
     range3 = range_outer(wz, i_value, n)
     return BoundsReport(
         range1=range1,

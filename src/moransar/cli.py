@@ -5,6 +5,11 @@ Verbs: analyze (full report), scatter (plot data and SVG), bounds
 the CI hook). Exit codes: 0 success, 1 input problem, 2 numerical
 failure, 3 I/O failure. The seed comes from --seed, falling back to the
 MORANSAR_SEED environment variable, then 0.
+
+Each verb is a thin wrapper over the library. analyze turns its flags
+into an AnalysisConfig, which validates them, and runs pipeline.analyze
+and pipeline.emit_report; scatter, bounds and simulate read one
+spatial_data.prepare bundle.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .autocorr import MODE_AUTOCORRELATION, MODE_AUTOREGRESSION, scatter_dataset
 from .bounds import bounds_report
 from .dataio import (
     align_to_ids,
-    load_critical_values,
     load_distances,
     load_sizes,
     write_distance_matrix,
@@ -29,20 +33,10 @@ from .dataio import (
     write_sizes,
 )
 from .errors import InputError, NumericalError
-from .pipeline import (
-    _sha256_file,
-    analyze_data,
-    emit_report,
-    scatter_datasets_for,
-)
+from .pipeline import AnalysisConfig, analyze, emit_report
 from .sar import fit_sar_ols
 from .simulate import simulate_sar
-from .spatial_data import (
-    log_transform,
-    spatial_lag,
-    standardize,
-    weights_from_distances,
-)
+from .spatial_data import prepare
 from .svgplot import render_svg
 from .verification import run_suite
 
@@ -81,48 +75,32 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
                         help="reject asymmetric distances instead of averaging")
 
 
-def _load_inputs(args):
-    raw = load_sizes(args.sizes)
-    ids, distances = load_distances(args.dist, args.dist_format)
-    return align_to_ids(raw, ids), distances
+def _symmetrize_policy(args) -> str:
+    return "strict" if args.strict_symmetry else "auto"
 
 
 def _prepared(args):
-    raw, distances = _load_inputs(args)
-    symmetrize = "strict" if args.strict_symmetry else "auto"
-    if args.log:
-        raw = log_transform(raw)
-    z = standardize(raw)
-    weights = weights_from_distances(distances, symmetrize_policy=symmetrize)
-    return raw, distances, z, weights
+    raw = load_sizes(args.sizes)
+    ids, distances = load_distances(args.dist, args.dist_format)
+    return prepare(align_to_ids(raw, ids), distances, apply_log=args.log,
+                   symmetrize=_symmetrize_policy(args))
 
 
 def cmd_analyze(args) -> int:
-    raw, distances = _load_inputs(args)
-    symmetrize = "strict" if args.strict_symmetry else "auto"
-    dw_table = None
-    if args.dw_critical is not None:
-        dw_table = load_critical_values(args.dw_critical)
-    seed = _resolve_seed(args.seed)
-    report = analyze_data(
-        raw,
-        distances,
-        apply_log=args.log,
+    config = AnalysisConfig(
+        sizes_path=args.sizes,
+        dist_path=args.dist,
+        log_transform=args.log,
         permutations=args.permutations,
-        seed=seed,
+        seed=_resolve_seed(args.seed),
         alpha=args.alpha,
-        symmetrize=symmetrize,
-        dw_table=dw_table,
-        sizes_sha256=_sha256_file(args.sizes),
-        dist_sha256=_sha256_file(args.dist),
+        outputs=frozenset({"json", "csv", "svg"} if args.svg else {"json", "csv"}),
+        dist_format=args.dist_format,
+        symmetrize=_symmetrize_policy(args),
+        dw_critical_path=args.dw_critical,
     )
-    formats = {"json", "csv"}
-    datasets = None
-    if args.svg:
-        formats.add("svg")
-        datasets = scatter_datasets_for(raw, distances, apply_log=args.log,
-                                        symmetrize=symmetrize)
-    written = emit_report(report, formats, args.out, datasets)
+    report = analyze(config)
+    written = emit_report(report, config.outputs, args.out)
 
     passed = sum(1 for c in report.identities if c.passed)
     print(f"n={report.provenance.n}  I={report.moran.i_value:.6g}  "
@@ -141,9 +119,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    raw, _distances, z, weights = _prepared(args)
     mode = MODE_NAMES[args.mode]
-    dataset = scatter_dataset(z, weights, mode)
+    dataset = scatter_dataset(_prepared(args), mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"scatter_{mode}.csv"
@@ -157,10 +134,9 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _raw, _distances, z, weights = _prepared(args)
-    lag = spatial_lag(weights, z)
-    fit = fit_sar_ols(z, lag)
-    report = bounds_report(z, weights, fit.r_squared)
+    inputs = _prepared(args)
+    fit = fit_sar_ols(inputs.z, inputs.lag)
+    report = bounds_report(inputs, fit.r_squared)
 
     def verdict(c) -> str:
         word = "contained" if c.contained else "OUTSIDE"
@@ -212,9 +188,7 @@ def cmd_simulate(args) -> int:
     write_sizes(raw, sizes_path)
     write_distance_matrix(ids, distances, dist_path)
 
-    z = standardize(raw)
-    weights = weights_from_distances(distances)
-    i_value = float(z.values @ (weights.matrix @ z.values))
+    i_value = prepare(raw, distances).i_value
     print(f"simulated n={args.n} with a={args.a} rho={args.rho} "
           f"noise_sd={args.noise_sd} seed={seed}")
     print(f"realized Moran index: {i_value:.6g}")

@@ -18,7 +18,7 @@ class InputError(MoranSarError):
 
 
 class NumericalError(MoranSarError):
-    """A numerical contract was violated (convergence, identity slack)."""
+    """A numerical contract was violated (eigensolver convergence)."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +156,3 @@ class NoConvergence(NumericalError):
             f"Jacobi sweeps did not converge after {sweeps} sweeps "
             f"(off-diagonal residual {residual:.3e})"
         )
-
-
-class IdentityViolation(NumericalError):
-    """An exact algebraic identity exceeded its numeric tolerance."""
-
-    def __init__(self, name: str, slack: float, tolerance: float):
-        self.name = name
-        self.slack = slack
-        self.tolerance = tolerance
-        super().__init__(f"identity '{name}' violated: |slack|={slack:.3e} > {tolerance:.1e}")

@@ -210,16 +210,6 @@ def _standardize_residuals(residuals: np.ndarray, n_expected: int) -> np.ndarray
     return (e - e.mean()) / sigma
 
 
-def residual_moran(residuals: np.ndarray, weights: WeightMatrix) -> float:
-    """Index of the standardized residuals: e'We with population-sigma e.
-
-    Raises:
-        ZeroVariance: if the residuals are constant.
-    """
-    e = _standardize_residuals(residuals, weights.n)
-    return float(e @ (weights.matrix @ e))
-
-
 def spatial_durbin_watson(residuals: np.ndarray, weights: WeightMatrix) -> DwResult:
     """Spatial Durbin-Watson statistic of the residuals.
 

@@ -5,6 +5,12 @@ standardization, weight normalization, index + autoregression, bounds
 and diagnostics), embeds every identity check with its slack, and
 serializes deterministically: same inputs and seed give byte-identical
 JSON except for the isolated timestamp field.
+
+``analyze`` (files) and ``analyze_data`` (arrays) are the only analysis
+path; the CLI's ``analyze`` verb wraps them. The first steps run once,
+in ``spatial_data.prepare``, and the report keeps the resulting inputs
+(outside the JSON) so that ``emit_report`` draws the scatterplot SVGs
+from the report itself.
 """
 
 from __future__ import annotations
@@ -41,14 +47,7 @@ from .inference import (
     spatial_durbin_watson,
 )
 from .sar import SarFit, fit_sar_ols
-from .spatial_data import (
-    RawSizeVector,
-    StandardizedVector,
-    log_transform,
-    spatial_lag,
-    standardize,
-    weights_from_distances,
-)
+from .spatial_data import RawSizeVector, SpatialInputs, StandardizedVector, prepare
 from .svgplot import render_svg
 from .verification import IdentityCheck, bounds_checks, core_identity_checks
 
@@ -117,6 +116,8 @@ class AnalysisReport:
     diagnostics: DwDiagnostics
     identities: tuple[IdentityCheck, ...]
     provenance: Provenance
+    # z, W, lag and I for the plots; not serialized
+    inputs: SpatialInputs = field(repr=False, metadata={"json": False})
 
     @property
     def all_identities_pass(self) -> bool:
@@ -145,14 +146,11 @@ def analyze_data(
     dist_sha256: str = "",
 ) -> AnalysisReport:
     """Run the full analysis on in-memory inputs."""
-    if apply_log:
-        raw = log_transform(raw)
-    z = standardize(raw)
-    weights = weights_from_distances(distances, symmetrize_policy=symmetrize)
-    lag = spatial_lag(weights, z)
-    moran = inner_regression(z, weights)
-    fit = fit_sar_ols(z, lag)
-    bounds = bounds_report(z, weights, fit.r_squared)
+    inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
+    z, weights = inputs.z, inputs.weights
+    moran = inner_regression(inputs)
+    fit = fit_sar_ols(z, inputs.lag)
+    bounds = bounds_report(inputs, fit.r_squared)
 
     i_perm = None
     if permutations >= 1:
@@ -167,9 +165,7 @@ def analyze_data(
 
     diagnostics = _diagnose(fit, weights, alpha, permutations, seed, dw_table)
 
-    identities = tuple(
-        core_identity_checks(z, weights, lag, moran, fit) + bounds_checks(bounds)
-    )
+    identities = tuple(core_identity_checks(inputs, moran, fit) + bounds_checks(bounds))
 
     provenance = Provenance(
         sizes_sha256=sizes_sha256,
@@ -188,6 +184,7 @@ def analyze_data(
         diagnostics=diagnostics,
         identities=identities,
         provenance=provenance,
+        inputs=inputs,
     )
 
 
@@ -279,7 +276,9 @@ def _plain(obj):
     """Recursive conversion to strict-JSON-serializable structures."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            f.name: _plain(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.metadata.get("json", True)
         }
     if isinstance(obj, np.ndarray):
         return [_json_float(float(v)) for v in obj.tolist()]
@@ -330,12 +329,11 @@ def emit_report(
     report: AnalysisReport,
     formats: frozenset[str] | set[str],
     out_dir: str | Path,
-    scatter_datasets: dict[str, object] | None = None,
 ) -> dict[str, Path]:
     """Write the requested artifacts into out_dir; returns written paths.
 
-    formats is a subset of {json, csv, svg}; svg requires
-    scatter_datasets (mode name to dataset).
+    formats is a subset of {json, csv, svg}; svg draws one scatterplot
+    per model direction from the report's inputs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -358,26 +356,9 @@ def emit_report(
         written["csv"] = path
 
     if "svg" in formats:
-        for mode, dataset in (scatter_datasets or {}).items():
+        for mode in (MODE_AUTOCORRELATION, MODE_AUTOREGRESSION):
             path = out_dir / f"scatter_{mode}.svg"
-            render_svg(dataset, path)
+            render_svg(scatter_dataset(report.inputs, mode), path)
             written[f"svg_{mode}"] = path
 
     return written
-
-
-def scatter_datasets_for(
-    raw: RawSizeVector,
-    distances: np.ndarray,
-    apply_log: bool = False,
-    symmetrize: str = "auto",
-) -> dict[str, object]:
-    """Both scatterplot datasets for one input pair."""
-    if apply_log:
-        raw = log_transform(raw)
-    z = standardize(raw)
-    weights = weights_from_distances(distances, symmetrize_policy=symmetrize)
-    return {
-        MODE_AUTOCORRELATION: scatter_dataset(z, weights, MODE_AUTOCORRELATION),
-        MODE_AUTOREGRESSION: scatter_dataset(z, weights, MODE_AUTOREGRESSION),
-    }

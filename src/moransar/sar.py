@@ -119,13 +119,6 @@ def theoretical_coefficients(
     return TheoreticalCoefficients(a=-wz_sum / i_value, rho=n / i_value)
 
 
-def delta_inner(z: StandardizedVector, fit: SarFit) -> float:
-    """Inner product z'eps; equals n(1 - R2) within 1e-9."""
-    if fit.residuals.shape[0] != z.n:
-        raise DimensionMismatch("residual vector does not match z")
-    return float(z.values @ fit.residuals)
-
-
 def lag_energy_gap(
     z: StandardizedVector, wz: SpatialLag, i_value: float, r_squared: float
 ) -> float:
@@ -143,18 +136,6 @@ def lag_energy_gap(
         raise ZeroRSquared("R2 is zero; lag-energy identity degenerates")
     energy = z.n * float(wz.values @ wz.values)
     return energy - wz.total**2 - i_value**2 / r_squared
-
-
-def exact_fit_energy_gap(z: StandardizedVector, wz: SpatialLag, i_value: float) -> float:
-    """Signed discrepancy of the errorless-model energy relation.
-
-    Returns n*(Wz)'(Wz) - I^2 - ((Wz)'o)^2. Zero only when z and Wz are
-    exactly collinear (R2 = 1); on noisy data the R2-corrected form in
-    lag_energy_gap holds instead.
-    """
-    _check_lengths(z, wz)
-    energy = z.n * float(wz.values @ wz.values)
-    return energy - i_value**2 - wz.total**2
 
 
 def centered_fit(z: StandardizedVector, wz: SpatialLag) -> SarFit:

@@ -4,8 +4,11 @@ Everything downstream works on two objects built here: a standardized
 size vector z (zero mean, unit population standard deviation, so that
 z.z = n) and a globally normalized symmetric weight matrix W (zero
 diagonal, all entries summing to 1, built from reciprocal distances).
-All constructors validate their invariants and freeze the underlying
-arrays, so instances are safe to share between concurrent tasks.
+``prepare`` builds both once, together with the proximity matrix V, the
+lag Wz and the index I = z'Wz, into one SpatialInputs bundle that every
+consumer reads. All constructors validate their invariants and freeze
+the underlying arrays, so instances are safe to share between
+concurrent tasks.
 """
 
 from __future__ import annotations
@@ -173,6 +176,26 @@ class SpatialLag:
         return self.values.size
 
 
+@dataclass(frozen=True)
+class SpatialInputs:
+    """The prepared inputs of one analysis, built once by ``prepare``.
+
+    Holds the standardized vector z, the proximity matrix V, the weights
+    W = V / sum(V), the lag Wz, and Moran's index I = z'Wz. Downstream
+    code reads these instead of deriving them again.
+    """
+
+    z: StandardizedVector
+    proximity: ProximityMatrix
+    weights: WeightMatrix
+    lag: SpatialLag
+    i_value: float
+
+    @property
+    def n(self) -> int:
+        return self.z.n
+
+
 def _worst_asymmetry(m: np.ndarray):
     d = np.abs(m - m.T)
     i, j = np.unravel_index(np.argmax(d), d.shape)
@@ -324,3 +347,34 @@ def weights_from_distances(
 ) -> WeightMatrix:
     """Distance matrix straight to the globally normalized weight matrix."""
     return global_normalize(inverse_distance_proximity(distances, symmetrize_policy))
+
+
+def prepare(
+    raw: RawSizeVector,
+    distances: np.ndarray,
+    *,
+    apply_log: bool = False,
+    symmetrize: str = "auto",
+) -> SpatialInputs:
+    """Sizes and distances to the SpatialInputs every analysis step reads.
+
+    Optionally log-transforms the sizes, then standardizes them, builds
+    and normalizes the proximity matrix (``symmetrize`` is the asymmetry
+    policy of inverse_distance_proximity), and takes the lag and I once.
+
+    Raises:
+        InputError subclasses from the steps above.
+    """
+    if apply_log:
+        raw = log_transform(raw)
+    z = standardize(raw)
+    proximity = inverse_distance_proximity(distances, symmetrize)
+    weights = global_normalize(proximity)
+    lag = spatial_lag(weights, z)
+    return SpatialInputs(
+        z=z,
+        proximity=proximity,
+        weights=weights,
+        lag=lag,
+        i_value=float(z.values @ lag.values),
+    )

@@ -20,22 +20,13 @@ from .autocorr import (
     eigen_check,
     inner_regression,
     moran_double_sum,
-    moran_index,
     rank_one_identity_slack,
 )
 from .bounds import BoundsReport, bounds_report
 from .eigen import symmetric_eigenvalues
 from .errors import ZeroVariance
 from .inference import geary_pairwise, spatial_durbin_watson
-from .spatial_data import (
-    RawSizeVector,
-    SpatialLag,
-    StandardizedVector,
-    WeightMatrix,
-    spatial_lag,
-    standardize,
-    weights_from_distances,
-)
+from .spatial_data import RawSizeVector, SpatialInputs, prepare
 
 REL_TOL = 1e-9
 ORACLE_TOL = 1e-12
@@ -71,14 +62,12 @@ def _containment_check(name: str, containment) -> IdentityCheck:
 
 
 def core_identity_checks(
-    z: StandardizedVector,
-    weights: WeightMatrix,
-    lag: SpatialLag,
+    inputs: SpatialInputs,
     moran: MoranResult,
     fit: sar_mod.SarFit,
 ) -> list[IdentityCheck]:
     """The relations embedded in every analysis report."""
-    n = z.n
+    z, weights, lag, n = inputs.z, inputs.weights, inputs.lag, inputs.n
     checks = [
         _check(
             "slope_product",  # rho_hat * I - n * R2
@@ -98,8 +87,8 @@ def core_identity_checks(
         _check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
         _check("residual_orthogonality_ones", float(fit.residuals.sum()), REL_TOL),
         _check("paired_p", moran.slope_p_value - fit.p_slope, REL_TOL),
-        _check("eigen_relation", eigen_check(z, weights), EIGEN_TOL),
-        _check("rank_one_scalar", rank_one_identity_slack(z, weights), EIGEN_TOL),
+        _check("eigen_relation", eigen_check(inputs), EIGEN_TOL),
+        _check("rank_one_scalar", rank_one_identity_slack(inputs), EIGEN_TOL),
     ]
     if not fit.degenerate:
         dw = spatial_durbin_watson(fit.residuals, weights)
@@ -140,25 +129,23 @@ def instance_checks(
     raw: RawSizeVector, distances: np.ndarray
 ) -> list[IdentityCheck]:
     """Run every check on one (sizes, distances) instance."""
-    weights = weights_from_distances(distances)
-    z = standardize(raw)
-    lag = spatial_lag(weights, z)
-    moran = inner_regression(z, weights)
+    inputs = prepare(raw, distances)
+    z, weights, lag, n = inputs.z, inputs.weights, inputs.lag, inputs.n
+    moran = inner_regression(inputs)
     fit = sar_mod.fit_sar_ols(z, lag)
-    n = z.n
 
-    checks = core_identity_checks(z, weights, lag, moran, fit)
+    checks = core_identity_checks(inputs, moran, fit)
 
     checks.append(
         _check(
             "oracle_double_sum",
-            moran.i_value - moran_double_sum(raw, _proximity_of(distances)),
+            moran.i_value - moran_double_sum(raw, inputs.proximity),
             ORACLE_TOL * max(1.0, abs(moran.i_value)),
         )
     )
     checks.append(
         _check("quadratic_vs_regression",
-               moran.i_value - moran_index(z, weights), ORACLE_TOL)
+               moran.i_value - inputs.i_value, ORACLE_TOL)
     )
 
     if not fit.zero_moran:
@@ -186,7 +173,7 @@ def instance_checks(
                          REL_TOL * max(1.0, fit.r_squared)))
 
     spec_w = symmetric_eigenvalues(weights.matrix)
-    report = bounds_report(z, weights, fit.r_squared, spectrum=spec_w)
+    report = bounds_report(inputs, fit.r_squared, spectrum=spec_w)
     checks.extend(bounds_checks(report))
     # the direct solves below are independent oracles for what the bounds
     # derive: the rank-1 outer spectrum, and spec(W'W) as squares of spec(W)
@@ -212,12 +199,6 @@ def instance_checks(
     return checks
 
 
-def _proximity_of(distances: np.ndarray):
-    from .spatial_data import inverse_distance_proximity
-
-    return inverse_distance_proximity(distances)
-
-
 def random_instance(master_seed: int, k: int) -> tuple[RawSizeVector, np.ndarray]:
     """Deterministic random (sizes, distances) pair number k of a deck."""
     rng = np.random.default_rng([master_seed, k])
@@ -237,12 +218,11 @@ def _fixture_checks() -> list[IdentityCheck]:
     # two sites at distance 2, sizes 1 and 3
     raw = RawSizeVector.from_values([1.0, 3.0])
     dist = np.array([[0.0, 2.0], [2.0, 0.0]])
-    weights = weights_from_distances(dist)
-    z = standardize(raw)
-    lag = spatial_lag(weights, z)
-    moran = inner_regression(z, weights)
-    fit = sar_mod.fit_sar_ols(z, lag)
-    dw = spatial_durbin_watson(z.values, weights)
+    inputs = prepare(raw, dist)
+    weights = inputs.weights
+    moran = inner_regression(inputs)
+    fit = sar_mod.fit_sar_ols(inputs.z, inputs.lag)
+    dw = spatial_durbin_watson(inputs.z.values, weights)
     checks += [
         _check("two_site_index", moran.i_value + 1.0, EIGEN_TOL),
         _check("two_site_rho", fit.rho_hat + 2.0, EIGEN_TOL),
@@ -260,11 +240,9 @@ def _fixture_checks() -> list[IdentityCheck]:
     # three sites on a line, unit spacing, sizes 1, 2, 3
     raw3 = RawSizeVector.from_values([1.0, 2.0, 3.0])
     dist3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    weights3 = weights_from_distances(dist3)
-    z3 = standardize(raw3)
-    lag3 = spatial_lag(weights3, z3)
-    moran3 = inner_regression(z3, weights3)
-    fit3 = sar_mod.fit_sar_ols(z3, lag3)
+    inputs3 = prepare(raw3, dist3)
+    moran3 = inner_regression(inputs3)
+    fit3 = sar_mod.fit_sar_ols(inputs3.z, inputs3.lag)
     checks += [
         _check("chain_index", moran3.i_value + 0.3, EIGEN_TOL),
         _check("chain_rho", fit3.rho_hat + 10.0, EIGEN_TOL),

@@ -5,12 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moransar.spatial_data import (
-    RawSizeVector,
-    spatial_lag,
-    standardize,
-    weights_from_distances,
-)
+from moransar.spatial_data import RawSizeVector
 from moransar.verification import random_instance
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -22,14 +17,6 @@ TWO_SITE_DIST = [[0.0, 2.0], [2.0, 0.0]]
 # three sites on a line, unit spacing, sizes 1, 2, 3: I = -0.3, rho = -10
 CHAIN_SIZES = [1.0, 2.0, 3.0]
 CHAIN_DIST = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
-
-
-def prepare(raw, distances):
-    """Standardize and normalize one instance; returns (z, weights, lag)."""
-    z = standardize(raw)
-    weights = weights_from_distances(np.asarray(distances, dtype=float))
-    lag = spatial_lag(weights, z)
-    return z, weights, lag
 
 
 @pytest.fixture

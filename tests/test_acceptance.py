@@ -35,7 +35,7 @@ from moransar.inference import (
 from moransar.pipeline import analyze_data, summary_rows
 from moransar.sar import closed_form_from_moran, fit_sar_ols, lag_energy_gap
 from moransar.simulate import simulate_sar
-from moransar.spatial_data import RawSizeVector, inverse_distance_proximity
+from moransar.spatial_data import RawSizeVector, inverse_distance_proximity, prepare
 from moransar.verification import random_instance
 
 from conftest import (
@@ -44,7 +44,6 @@ from conftest import (
     FIXTURES_DIR,
     TWO_SITE_DIST,
     TWO_SITE_SIZES,
-    prepare,
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -65,10 +64,8 @@ def deck1000():
 def prepared1000(deck1000):
     out = []
     for raw, dist in deck1000:
-        z, weights, lag = prepare(raw, dist)
-        moran = inner_regression(z, weights)
-        fit = fit_sar_ols(z, lag)
-        out.append((raw, dist, z, weights, lag, moran, fit))
+        p = prepare(raw, dist)
+        out.append((raw, dist, p, inner_regression(p), fit_sar_ols(p.z, p.lag)))
     return out
 
 
@@ -116,8 +113,9 @@ def test_criterion_3_identity_deck(deck1000):
         worst[name] = max(worst.get(name, 0.0), abs(value))
 
     for raw, dist in deck1000:
-        z, weights, lag = prepare(raw, dist)
-        moran = inner_regression(z, weights)
+        p = prepare(raw, dist)
+        z, lag = p.z, p.lag
+        moran = inner_regression(p)
         fit = fit_sar_ols(z, lag)
         n = z.n
         note("slope_product",
@@ -142,7 +140,7 @@ def test_criterion_3_identity_deck(deck1000):
 
 def test_criterion_4_double_sum_oracle(prepared1000):
     worst = 0.0
-    for raw, dist, z, weights, lag, moran, fit in prepared1000:
+    for raw, dist, _, moran, _ in prepared1000:
         oracle = moran_double_sum(raw, inverse_distance_proximity(dist))
         worst = max(worst, abs(moran.i_value - oracle))
     _verdict(
@@ -156,9 +154,10 @@ def test_criterion_5_spectral_suite(prepared1000):
     worst_eigen = worst_outer = worst_gram = 0.0
     contained = True
     theoretical_low_misses = 0
-    for raw, dist, z, weights, lag, moran, fit in prepared1000:
-        worst_eigen = max(worst_eigen, abs(eigen_check(z, weights)))
-        report = bounds_report(z, weights, fit.r_squared)
+    for _, _, p, _, fit in prepared1000:
+        weights, lag = p.weights, p.lag
+        worst_eigen = max(worst_eigen, abs(eigen_check(p)))
+        report = bounds_report(p, fit.r_squared)
         contained = contained and report.range1.containment.contained
         contained = contained and report.range2.empirical.contained
         contained = contained and report.range3.containment.contained
@@ -178,7 +177,8 @@ def test_criterion_5_spectral_suite(prepared1000):
         )
 
     raw2 = RawSizeVector.from_values(TWO_SITE_SIZES)
-    z2, w2, _ = prepare(raw2, TWO_SITE_DIST)
+    p = prepare(raw2, TWO_SITE_DIST)
+    z2, w2 = p.z, p.weights
     boundary_exact = moran_index(z2, w2) / 2.0 == symmetric_eigenvalues(w2.matrix).smallest
 
     ok = (
@@ -201,8 +201,9 @@ def test_criterion_5_spectral_suite(prepared1000):
 def test_criterion_6_exact_small_fixtures():
     tol = 1e-10
     raw2 = RawSizeVector.from_values(TWO_SITE_SIZES)
-    z2, w2, lag2 = prepare(raw2, TWO_SITE_DIST)
-    moran2 = inner_regression(z2, w2)
+    p = prepare(raw2, TWO_SITE_DIST)
+    z2, w2, lag2 = p.z, p.weights, p.lag
+    moran2 = inner_regression(p)
     fit2 = fit_sar_ols(z2, lag2)
     dw2 = spatial_durbin_watson(z2.values, w2)
     two_site = [
@@ -215,8 +216,9 @@ def test_criterion_6_exact_small_fixtures():
     ]
 
     raw3 = RawSizeVector.from_values(CHAIN_SIZES)
-    z3, w3, lag3 = prepare(raw3, CHAIN_DIST)
-    moran3 = inner_regression(z3, w3)
+    p = prepare(raw3, CHAIN_DIST)
+    z3, w3, lag3 = p.z, p.weights, p.lag
+    moran3 = inner_regression(p)
     fit3 = fit_sar_ols(z3, lag3)
     chain = [
         abs(moran3.i_value + 0.3),
@@ -234,9 +236,10 @@ def test_criterion_6_exact_small_fixtures():
 
 def test_criterion_7_diagnostics(prepared1000):
     worst = 0.0
-    for raw, dist, z, weights, lag, moran, fit in prepared1000:
+    for _, _, p, _, fit in prepared1000:
         if fit.degenerate:
             continue
+        weights = p.weights
         dw = spatial_durbin_watson(fit.residuals, weights)
         worst = max(worst, abs(dw.dw - 2.0 * geary_pairwise(fit.residuals, weights)))
 
@@ -262,7 +265,8 @@ def test_criterion_7_diagnostics(prepared1000):
 
 def test_criterion_8_permutation_consistency():
     raw2 = RawSizeVector.from_values(TWO_SITE_SIZES)
-    z2, w2, _ = prepare(raw2, TWO_SITE_DIST)
+    p = prepare(raw2, TWO_SITE_DIST)
+    z2, w2 = p.z, p.weights
     p2 = permutation_test(z2, w2, m=999)
     p2_sampled = permutation_test(z2, w2, m=1, seed=0)
 
@@ -272,7 +276,8 @@ def test_criterion_8_permutation_consistency():
     dist5[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
     dist5 = dist5 + dist5.T
     raw5 = RawSizeVector.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
-    z5, w5, _ = prepare(raw5, dist5)
+    p = prepare(raw5, dist5)
+    z5, w5 = p.z, p.weights
     exact = permutation_test(z5, w5, m=999)
     estimate = permutation_test(z5, w5, m=999, seed=3)
     gap = abs(exact.p_value - estimate.p_value)
@@ -281,12 +286,14 @@ def test_criterion_8_permutation_consistency():
     # index is permutation-invariant, so the sampled pseudo-p must be
     # exactly 1 for every seed, agreeing with the enumeration
     dist_eq = np.ones((5, 5)) - np.eye(5)
-    z5e, w5e, _ = prepare(raw5, dist_eq)
+    p = prepare(raw5, dist_eq)
+    z5e, w5e = p.z, p.weights
     forced = permutation_test(z5e, w5e, m=119, seed=7)
     forced_exact = permutation_test(z5e, w5e, m=999)
 
     raw8, dist8 = random_instance(0, 1)
-    z8, w8, _ = prepare(raw8, dist8)
+    p = prepare(raw8, dist8)
+    z8, w8 = p.z, p.weights
     one = permutation_test(z8, w8, m=999, seed=11, workers=1)
     four = permutation_test(z8, w8, m=999, seed=11, workers=4)
     workers_identical = json.dumps(dataclasses.asdict(one)) == json.dumps(

@@ -8,7 +8,6 @@ from moransar.autocorr import (
     MODE_AUTOREGRESSION,
     eigen_check,
     inner_regression,
-    lag_residual_norm,
     moran_double_sum,
     moran_index,
     rank_one_identity_slack,
@@ -17,48 +16,58 @@ from moransar.autocorr import (
 from moransar.errors import DimensionMismatch, ZeroVariance
 from moransar.spatial_data import (
     RawSizeVector,
+    SpatialInputs,
+    SpatialLag,
     WeightMatrix,
     inverse_distance_proximity,
+    prepare,
     standardize,
     weights_from_distances,
 )
-
-from conftest import prepare
 
 
 def zero_index_pair():
     """Hand-built W making z'Wz exactly zero for sizes [1, 2, 3].
 
     z = (-sqrt(1.5), 0, sqrt(1.5)); every cross term in z'Wz carries
-    either the middle zero or the zeroed (1,3) weight.
+    either the middle zero or the zeroed (1,3) weight. No distance
+    matrix yields this W, so the inputs are assembled by hand and carry
+    no proximity matrix.
     """
     z = standardize(RawSizeVector.from_values([1.0, 2.0, 3.0]))
     w = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.1], [0.0, 0.1, 0.0]])
-    return z, WeightMatrix(matrix=w, total_proximity=1.0)
+    weights = WeightMatrix(matrix=w, total_proximity=1.0)
+    wz = w @ z.values
+    inputs = SpatialInputs(
+        z=z, proximity=None, weights=weights,
+        lag=SpatialLag(values=wz, total=float(wz.sum())),
+        i_value=float(z.values @ wz),
+    )
+    return z, weights, inputs
 
 
 class TestMoranIndex:
     def test_two_site_exact(self, two_site):
-        z, weights, _ = prepare(*two_site)
-        assert moran_index(z, weights) == -1.0
+        p = prepare(*two_site)
+        assert moran_index(p.z, p.weights) == -1.0
 
     def test_chain_exact(self, chain):
-        z, weights, _ = prepare(*chain)
-        assert moran_index(z, weights) == pytest.approx(-0.3, abs=1e-15)
+        p = prepare(*chain)
+        assert moran_index(p.z, p.weights) == pytest.approx(-0.3, abs=1e-15)
 
     def test_complete_graph_analytic(self):
         # equal distances: W = (J - Id)/(n(n-1)), so I = -1/(n-1)
         for n in (3, 5, 9):
             raw = RawSizeVector.from_values(np.arange(1.0, n + 1.0) ** 2)
             d = np.ones((n, n)) - np.eye(n)
-            z, weights, _ = prepare(raw, d)
-            assert moran_index(z, weights) == pytest.approx(
+            p = prepare(raw, d)
+            assert moran_index(p.z, p.weights) == pytest.approx(
                 -1.0 / (n - 1), abs=1e-13
             )
 
     def test_dimension_mismatch(self, two_site, chain):
-        z2, _, _ = prepare(*two_site)
-        _, w3, _ = prepare(*chain)
+        z2 = prepare(*two_site).z
+        w3 = prepare(*chain).weights
         with pytest.raises(DimensionMismatch):
             moran_index(z2, w3)
 
@@ -66,8 +75,8 @@ class TestMoranIndex:
 class TestDoubleSumOracle:
     def test_agrees_with_quadratic_form(self, deck):
         for raw, dist in deck:
-            z, weights, _ = prepare(raw, dist)
-            quad = moran_index(z, weights)
+            p = prepare(raw, dist)
+            quad = moran_index(p.z, p.weights)
             classic = moran_double_sum(raw, inverse_distance_proximity(dist))
             assert abs(quad - classic) <= 1e-12 * max(1.0, abs(quad))
 
@@ -90,26 +99,25 @@ class TestDoubleSumOracle:
 class TestInnerRegression:
     def test_slope_is_the_index(self, deck):
         for raw, dist in deck[:10]:
-            z, weights, _ = prepare(raw, dist)
-            moran = inner_regression(z, weights)
-            assert abs(moran.i_value - moran_index(z, weights)) <= 1e-12
+            p = prepare(raw, dist)
+            moran = inner_regression(p)
+            assert abs(moran.i_value - moran_index(p.z, p.weights)) <= 1e-12
 
     def test_intercept_is_lag_sum(self, deck):
         for raw, dist in deck[:10]:
-            z, weights, lag = prepare(raw, dist)
-            moran = inner_regression(z, weights)
-            assert moran.intercept == pytest.approx(lag.total, abs=1e-12)
+            p = prepare(raw, dist)
+            moran = inner_regression(p)
+            assert moran.intercept == pytest.approx(p.lag.total, abs=1e-12)
 
     def test_r_squared_is_squared_correlation(self, deck):
         raw, dist = deck[2]
-        z, weights, lag = prepare(raw, dist)
-        moran = inner_regression(z, weights)
-        r = np.corrcoef(z.values, lag.values)[0, 1]
+        p = prepare(raw, dist)
+        moran = inner_regression(p)
+        r = np.corrcoef(p.z.values, p.lag.values)[0, 1]
         assert moran.r_squared == pytest.approx(r * r, abs=1e-12)
 
     def test_two_site_degenerate(self, two_site):
-        z, weights, _ = prepare(*two_site)
-        moran = inner_regression(z, weights)
+        moran = inner_regression(prepare(*two_site))
         assert moran.degenerate
         assert moran.i_value == -1.0
         assert moran.r_squared == 1.0
@@ -118,25 +126,19 @@ class TestInnerRegression:
 class TestEigenRelation:
     def test_residual_small_on_deck(self, deck):
         for raw, dist in deck:
-            z, weights, _ = prepare(raw, dist)
-            assert eigen_check(z, weights) <= 1e-10
+            assert eigen_check(prepare(raw, dist)) <= 1e-10
 
     def test_rank_one_scalar_small(self, deck):
         for raw, dist in deck[:10]:
-            z, weights, _ = prepare(raw, dist)
-            assert rank_one_identity_slack(z, weights) <= 1e-10
-
-    def test_lag_residual_norm_finite(self, deck):
-        raw, dist = deck[0]
-        z, weights, _ = prepare(raw, dist)
-        assert np.isfinite(lag_residual_norm(z, weights))
+            assert rank_one_identity_slack(prepare(raw, dist)) <= 1e-10
 
 
 class TestScatterDataset:
     def test_autocorrelation_geometry(self, deck):
         raw, dist = deck[3]
-        z, weights, lag = prepare(raw, dist)
-        ds = scatter_dataset(z, weights, MODE_AUTOCORRELATION)
+        p = prepare(raw, dist)
+        z, weights, lag = p.z, p.weights, p.lag
+        ds = scatter_dataset(p, MODE_AUTOCORRELATION)
         assert ds.points.shape == (z.n, 2)
         np.testing.assert_array_equal(ds.points[:, 0], z.values)
         np.testing.assert_array_equal(ds.points[:, 1], z.n * lag.values)
@@ -152,8 +154,9 @@ class TestScatterDataset:
         from moransar.spatial_data import spatial_lag
 
         raw, dist = deck[4]
-        z, weights, lag = prepare(raw, dist)
-        ds = scatter_dataset(z, weights, MODE_AUTOREGRESSION)
+        p = prepare(raw, dist)
+        z, weights, lag = p.z, p.weights, p.lag
+        ds = scatter_dataset(p, MODE_AUTOREGRESSION)
         np.testing.assert_array_equal(ds.points[:, 0], lag.values)
         np.testing.assert_array_equal(ds.points[:, 1], z.values)
         fit = fit_sar_ols(z, spatial_lag(weights, z))
@@ -163,13 +166,12 @@ class TestScatterDataset:
         assert ds.theoretical_line.slope == pytest.approx(z.n / i_value, rel=1e-14)
 
     def test_zero_index_drops_theoretical_line(self):
-        z, weights = zero_index_pair()
+        z, weights, inputs = zero_index_pair()
         assert moran_index(z, weights) == 0.0
-        ds = scatter_dataset(z, weights, MODE_AUTOREGRESSION)
+        ds = scatter_dataset(inputs, MODE_AUTOREGRESSION)
         assert ds.theoretical_line is None
         assert ds.empirical_line is not None
 
     def test_unknown_mode(self, two_site):
-        z, weights, _ = prepare(*two_site)
         with pytest.raises(ValueError):
-            scatter_dataset(z, weights, "histogram")
+            scatter_dataset(prepare(*two_site), "histogram")

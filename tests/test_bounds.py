@@ -10,15 +10,14 @@ from moransar.bounds import bounds_report, range_outer, reciprocal_interval
 from moransar.eigen import symmetric_eigenvalues
 from moransar.errors import ZeroRSquared
 from moransar.sar import fit_sar_ols
+from moransar.spatial_data import prepare
 from moransar.verification import random_instance
-
-from conftest import prepare
 
 
 def report_for(raw, dist):
-    z, weights, lag = prepare(raw, dist)
-    fit = fit_sar_ols(z, lag)
-    return z, weights, lag, fit, bounds_report(z, weights, fit.r_squared)
+    p = prepare(raw, dist)
+    fit = fit_sar_ols(p.z, p.lag)
+    return p.z, p.weights, p.lag, fit, bounds_report(p, fit.r_squared)
 
 
 class TestGuaranteedContainments:
@@ -170,6 +169,5 @@ class TestChainNumbers:
 
 class TestValidation:
     def test_zero_r_squared_rejected(self, chain):
-        z, weights, _ = prepare(*chain)
         with pytest.raises(ZeroRSquared):
-            bounds_report(z, weights, 0.0)
+            bounds_report(prepare(*chain), 0.0)

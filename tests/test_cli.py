@@ -122,12 +122,21 @@ class TestAnalyzeVerb:
         with pytest.warns(UserWarning):
             assert main(args) == 0
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1.5"),
+                                             ("--permutations", "-3")])
+    def test_out_of_range_values_are_input_errors(self, fixtures_dir, tmp_path,
+                                                  capsys, flag, value):
+        rc = main(chain_analyze(fixtures_dir, tmp_path, flag, value))
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_numerical_failure_exits_2(self, fixtures_dir, tmp_path, monkeypatch,
                                        capsys):
         def explode(*a, **k):
             raise NoConvergence(residual=1.0, sweeps=100)
 
-        monkeypatch.setattr(cli, "analyze_data", explode)
+        monkeypatch.setattr(cli, "analyze", explode)
         rc = main(chain_analyze(fixtures_dir, tmp_path))
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err

@@ -22,9 +22,7 @@ from moransar.errors import (
     NonSquare,
     ParseError,
 )
-from moransar.spatial_data import RawSizeVector
-
-from conftest import prepare
+from moransar.spatial_data import RawSizeVector, prepare
 
 
 def write(path, text):
@@ -228,8 +226,9 @@ class TestWriters:
         np.testing.assert_array_equal(back, d)
 
     def test_scatter_csv(self, tmp_path, chain):
-        z, weights, _ = prepare(*chain)
-        ds = scatter_dataset(z, weights, MODE_AUTOCORRELATION)
+        inputs = prepare(*chain)
+        z = inputs.z
+        ds = scatter_dataset(inputs, MODE_AUTOCORRELATION)
         p = tmp_path / "scatter.csv"
         write_scatter_csv(ds, p)
         text = p.read_text().splitlines()

@@ -9,9 +9,7 @@ from moransar.bounds import bounds_report
 from moransar.eigen import MAX_SWEEPS, _round_robin, symmetric_eigenvalues
 from moransar.errors import NotSymmetric
 from moransar.sar import fit_sar_ols
-from moransar.spatial_data import weights_from_distances
-
-from conftest import prepare
+from moransar.spatial_data import prepare, weights_from_distances
 
 
 def random_symmetric(seed, n, scale=1.0):
@@ -39,7 +37,7 @@ class TestAgainstNumpyOracle:
 
     def test_weight_matrices_from_deck(self, deck):
         for raw, dist in deck[:8]:
-            _, weights, _ = prepare(raw, dist)
+            weights = prepare(raw, dist).weights
             spectrum = symmetric_eigenvalues(weights.matrix)
             ref = np.linalg.eigvalsh(weights.matrix)
             assert np.max(np.abs(spectrum.values - ref)) <= 1e-12
@@ -89,7 +87,7 @@ class TestInvariants:
 
     def test_gram_spectrum_is_squared_spectrum(self, deck):
         raw, dist = deck[0]
-        _, weights, _ = prepare(raw, dist)
+        weights = prepare(raw, dist).weights
         w = weights.matrix
         spec_w = symmetric_eigenvalues(w)
         spec_gram = symmetric_eigenvalues(w.T @ w)
@@ -135,9 +133,10 @@ class TestLargeClustered:
 class TestDerivedGramSpectrum:
     def test_range2_endpoints_match_direct_solve(self, deck):
         for raw, dist in deck[:10]:
-            z, weights, lag = prepare(raw, dist)
-            fit = fit_sar_ols(z, lag)
-            report = bounds_report(z, weights, fit.r_squared)
+            p = prepare(raw, dist)
+            weights = p.weights
+            fit = fit_sar_ols(p.z, p.lag)
+            report = bounds_report(p, fit.r_squared)
             direct = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
             tol = 1e-12 * direct.largest
             for verdict in (report.range2.theoretical, report.range2.empirical):
@@ -148,7 +147,7 @@ class TestDerivedGramSpectrum:
 class TestDeterminism:
     def test_repeat_solve_is_bit_identical(self, deck):
         raw, dist = deck[3]
-        _, weights, _ = prepare(raw, dist)
+        weights = prepare(raw, dist).weights
         first = symmetric_eigenvalues(weights.matrix)
         second = symmetric_eigenvalues(weights.matrix)
         assert first.values.tobytes() == second.values.tobytes()

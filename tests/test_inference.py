@@ -22,14 +22,11 @@ from moransar.inference import (
     dw_interpret,
     geary_pairwise,
     permutation_test,
-    residual_moran,
     slope_t_test,
     spatial_durbin_watson,
 )
 from moransar.sar import fit_sar_ols
-from moransar.spatial_data import RawSizeVector
-
-from conftest import prepare
+from moransar.spatial_data import RawSizeVector, prepare
 
 
 def small_instance(n, seed):
@@ -76,7 +73,8 @@ class TestPermutationTest:
     def test_two_sites_p_is_one_exactly(self, two_site):
         # permuting two labels either fixes z or flips its sign; the
         # index is unchanged either way, so every relabeling ties
-        z, weights, _ = prepare(*two_site)
+        p = prepare(*two_site)
+        z, weights = p.z, p.weights
         exhaustive = permutation_test(z, weights, m=999, seed=0)
         assert exhaustive.p_value == 1.0
         assert exhaustive.exhaustive
@@ -87,7 +85,8 @@ class TestPermutationTest:
 
     def test_exhaustive_when_enumeration_is_cheaper(self, deck):
         raw, dist = next((r, d) for r, d in deck if r.n <= 5)
-        z, weights, _ = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights = p.z, p.weights
         out = permutation_test(z, weights, m=999, seed=3)
         assert out.exhaustive
         assert out.permutations_used == math.factorial(z.n)
@@ -102,7 +101,8 @@ class TestPermutationTest:
         iu = np.triu_indices(4, k=1)
         d[iu] = rng.uniform(0.5, 2.0, size=6)
         d = d + d.T
-        z, weights, _ = prepare(raw, d)
+        p = prepare(raw, d)
+        z, weights = p.z, p.weights
         out = permutation_test(z, weights, m=999)
         i_obs = float(z.values @ (weights.matrix @ z.values))
         tol = 1e-12 * max(1.0, abs(i_obs))
@@ -117,7 +117,8 @@ class TestPermutationTest:
         # Monte-Carlo path (n! > m) against the exact enumeration,
         # within four binomial standard deviations
         raw, dist = small_instance(6, seed=40)
-        z, weights, _ = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights = p.z, p.weights
         exact = permutation_test(z, weights, m=720, seed=0)
         assert exact.exhaustive
         sampled = permutation_test(z, weights, m=499, seed=21)
@@ -127,7 +128,8 @@ class TestPermutationTest:
 
     def test_worker_count_independence(self, deck):
         raw, dist = next((r, d) for r, d in deck if r.n >= 8)
-        z, weights, _ = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights = p.z, p.weights
         serial = permutation_test(z, weights, m=499, seed=11, workers=1)
         threaded = permutation_test(z, weights, m=499, seed=11, workers=4)
         assert json.dumps(dataclasses.asdict(serial)) == json.dumps(
@@ -136,7 +138,8 @@ class TestPermutationTest:
 
     def test_seed_changes_draws(self, deck):
         raw, dist = next((r, d) for r, d in deck if r.n >= 10)
-        z, weights, _ = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights = p.z, p.weights
         a = permutation_test(z, weights, m=199, seed=1)
         b = permutation_test(z, weights, m=199, seed=2)
         assert a.statistic == b.statistic
@@ -144,7 +147,8 @@ class TestPermutationTest:
 
     def test_one_sided_variants(self):
         raw, dist = small_instance(6, seed=41)
-        z, weights, _ = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights = p.z, p.weights
         greater = permutation_test(z, weights, m=720, sidedness="greater")
         less = permutation_test(z, weights, m=720, sidedness="less")
         assert 0.0 < greater.p_value <= 1.0
@@ -153,7 +157,8 @@ class TestPermutationTest:
         assert greater.p_value + less.p_value >= 1.0
 
     def test_input_validation(self, two_site):
-        z, weights, _ = prepare(*two_site)
+        p = prepare(*two_site)
+        z, weights = p.z, p.weights
         with pytest.raises(InputError):
             permutation_test(z, weights, m=0)
         with pytest.raises(InputError):
@@ -165,7 +170,8 @@ class TestPermutationTest:
 class TestResidualDiagnostics:
     def test_dw_equals_twice_geary(self, deck):
         for raw, dist in deck[:12]:
-            z, weights, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, weights, lag = p.z, p.weights, p.lag
             fit = fit_sar_ols(z, lag)
             if fit.degenerate:
                 continue
@@ -175,30 +181,22 @@ class TestResidualDiagnostics:
 
     def test_dw_of_z_on_two_sites(self, two_site):
         # feeding z itself as the residual vector gives DW = 2 exactly
-        z, weights, _ = prepare(*two_site)
+        p = prepare(*two_site)
+        z, weights = p.z, p.weights
         dw = spatial_durbin_watson(z.values, weights)
         assert dw.dw == 2.0
         assert dw.i_e == -1.0
 
-    def test_residual_moran_matches_quadratic_form(self, deck):
-        raw, dist = deck[0]
-        z, weights, lag = prepare(raw, dist)
-        fit = fit_sar_ols(z, lag)
-        e = fit.residuals
-        sigma = float(np.sqrt(np.mean((e - e.mean()) ** 2)))
-        ze = (e - e.mean()) / sigma
-        expected = float(ze @ (weights.matrix @ ze))
-        assert residual_moran(e, weights) == pytest.approx(expected, abs=1e-14)
-
     def test_constant_residuals_rejected(self, two_site):
-        _, weights, _ = prepare(*two_site)
+        weights = prepare(*two_site).weights
         with pytest.raises(ZeroVariance):
-            residual_moran(np.zeros(2), weights)
+            spatial_durbin_watson(np.zeros(2), weights)
 
     def test_scale_invariance_of_dw(self, deck):
         # standardizing inside makes the statistic scale-free
         raw, dist = deck[1]
-        z, weights, lag = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights, lag = p.z, p.weights, p.lag
         fit = fit_sar_ols(z, lag)
         a = spatial_durbin_watson(fit.residuals, weights)
         b = spatial_durbin_watson(fit.residuals * 37.0, weights)

@@ -15,7 +15,6 @@ from moransar.pipeline import (
     emit_report,
     format_sig,
     report_to_dict,
-    scatter_datasets_for,
     summary_rows,
 )
 from moransar.spatial_data import log_transform
@@ -201,13 +200,35 @@ class TestEmit:
         assert float(statistic) == report.inference.i_t_test.statistic
 
     def test_svg_output(self, noisy_files, tmp_path):
-        raw, dist, _, _ = noisy_files
         report = analyze(config_for(noisy_files))
-        datasets = scatter_datasets_for(raw, dist)
-        written = emit_report(report, {"svg"}, tmp_path, datasets)
+        written = emit_report(report, {"svg"}, tmp_path)
         assert len(written) == 2
         for path in written.values():
             assert path.read_text().startswith("<?xml")
+
+
+class TestCliMatchesLibrary:
+    def test_same_files_from_cli_and_library(self, noisy_files, tmp_path):
+        from moransar.cli import main
+
+        _, _, sizes, dist = noisy_files
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        rc = main(["analyze", "--sizes", sizes, "--dist", dist, "--log", "--svg",
+                   "--permutations", "49", "--seed", "5", "--out", str(cli_dir)])
+        assert rc == 0
+        config = config_for(noisy_files, log_transform=True,
+                            outputs=frozenset({"json", "csv", "svg"}))
+        emit_report(analyze(config), config.outputs, lib_dir)
+
+        names = ["report.json", "summary.csv", "scatter_autocorrelation.svg",
+                 "scatter_autoregression.svg"]
+        assert sorted(p.name for p in cli_dir.iterdir()) == sorted(names)
+        for name in names:
+            a, b = ((d / name).read_bytes() for d in (cli_dir, lib_dir))
+            if name == "report.json":
+                a, b = ([l for l in x.splitlines() if b'"timestamp"' not in l]
+                        for x in (a, b))
+            assert a == b, name
 
 
 class TestConfigValidation:

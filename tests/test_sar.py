@@ -16,23 +16,20 @@ from moransar.errors import (
 from moransar.sar import (
     centered_fit,
     closed_form_from_moran,
-    delta_inner,
-    exact_fit_energy_gap,
     fit_sar_ols,
     inverse_slope_relation,
     lag_energy_gap,
     theoretical_coefficients,
 )
-from moransar.spatial_data import RawSizeVector, SpatialLag, standardize
+from moransar.spatial_data import RawSizeVector, SpatialLag, prepare, standardize
 from moransar.verification import random_instance
-
-from conftest import prepare
 
 
 class TestFitAgainstClosedForm:
     def test_normal_equations_match_closed_form(self, deck):
         for raw, dist in deck:
-            z, weights, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, weights, lag = p.z, p.weights, p.lag
             fit = fit_sar_ols(z, lag)
             i_value = moran_index(z, weights)
             a_cf, rho_cf = closed_form_from_moran(
@@ -42,7 +39,8 @@ class TestFitAgainstClosedForm:
             assert fit.a_hat == pytest.approx(a_cf, rel=1e-9, abs=1e-12)
 
     def test_two_site_exact(self, two_site):
-        z, _, lag = prepare(*two_site)
+        p = prepare(*two_site)
+        z, lag = p.z, p.lag
         fit = fit_sar_ols(z, lag)
         assert fit.rho_hat == -2.0
         assert fit.a_hat == 0.0
@@ -51,7 +49,8 @@ class TestFitAgainstClosedForm:
         assert fit.degenerate
 
     def test_chain_exact(self, chain):
-        z, _, lag = prepare(*chain)
+        p = prepare(*chain)
+        z, lag = p.z, p.lag
         fit = fit_sar_ols(z, lag)
         assert fit.rho_hat == pytest.approx(-10.0, abs=1e-10)
         assert fit.r_squared == 1.0
@@ -62,7 +61,8 @@ class TestFitAgainstClosedForm:
         n = 6
         raw = RawSizeVector.from_values([1.0, 5.0, 2.0, 8.0, 3.0, 9.0])
         d = np.ones((n, n)) - np.eye(n)
-        z, weights, lag = prepare(raw, d)
+        p = prepare(raw, d)
+        z, weights, lag = p.z, p.weights, p.lag
         fit = fit_sar_ols(z, lag)
         assert fit.rho_hat == pytest.approx(-n * (n - 1), rel=1e-12)
         assert fit.a_hat == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +74,8 @@ class TestIdentities:
     def test_slope_product(self, deck):
         # rho_hat * I = n * R2
         for raw, dist in deck:
-            z, weights, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, weights, lag = p.z, p.weights, p.lag
             fit = fit_sar_ols(z, lag)
             i_value = moran_index(z, weights)
             target = z.n * fit.r_squared
@@ -83,17 +84,18 @@ class TestIdentities:
     def test_delta_identity(self, deck):
         # z'eps = n(1 - R2)
         for raw, dist in deck:
-            z, _, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, lag = p.z, p.lag
             fit = fit_sar_ols(z, lag)
             assert fit.delta == pytest.approx(
                 z.n * (1.0 - fit.r_squared), abs=1e-9 * z.n
             )
-            assert delta_inner(z, fit) == fit.delta
 
     def test_lag_energy_identity(self, deck):
         # n (Wz)'(Wz) = ((Wz)'o)^2 + I^2/R2
         for raw, dist in deck:
-            z, weights, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, weights, lag = p.z, p.weights, p.lag
             fit = fit_sar_ols(z, lag)
             i_value = moran_index(z, weights)
             gap = lag_energy_gap(z, lag, i_value, fit.r_squared)
@@ -102,33 +104,17 @@ class TestIdentities:
 
     def test_residual_orthogonality(self, deck):
         for raw, dist in deck[:10]:
-            z, _, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, lag = p.z, p.lag
             fit = fit_sar_ols(z, lag)
             assert abs(float(lag.values @ fit.residuals)) <= 1e-9
             assert abs(float(fit.residuals.sum())) <= 1e-9
 
-    def test_exact_fit_gap_separates_the_two_energy_forms(self, chain, deck):
-        # without the R2 factor the decomposition closes only for a
-        # perfect fit; on noisy data the R2-corrected form is the one
-        # that holds, and the uncorrected gap is visibly nonzero
-        z, weights, lag = prepare(*chain)
-        i_value = moran_index(z, weights)
-        assert abs(exact_fit_energy_gap(z, lag, i_value)) <= 1e-12
-
-        raw, dist = deck[0]
-        z, weights, lag = prepare(raw, dist)
-        fit = fit_sar_ols(z, lag)
-        i_value = moran_index(z, weights)
-        assert fit.r_squared < 0.999
-        corrected = lag_energy_gap(z, lag, i_value, fit.r_squared)
-        uncorrected = exact_fit_energy_gap(z, lag, i_value)
-        assert abs(uncorrected) > 1e3 * abs(corrected)
-
     def test_paired_p_values(self, deck):
         for raw, dist in deck[:10]:
-            z, weights, lag = prepare(raw, dist)
-            moran = inner_regression(z, weights)
-            fit = fit_sar_ols(z, lag)
+            p = prepare(raw, dist)
+            moran = inner_regression(p)
+            fit = fit_sar_ols(p.z, p.lag)
             assert moran.slope_p_value == pytest.approx(fit.p_slope, abs=1e-12)
 
     @given(scale=st.floats(min_value=1e-4, max_value=1e4))
@@ -136,13 +122,13 @@ class TestIdentities:
     def test_scale_invariance(self, scale):
         # positive rescaling of the sizes changes nothing downstream
         raw, dist = random_instance(0, 7)
-        z0, _, lag0 = prepare(raw, dist)
-        fit0 = fit_sar_ols(z0, lag0)
+        p0 = prepare(raw, dist)
+        fit0 = fit_sar_ols(p0.z, p0.lag)
         scaled = RawSizeVector.from_values(raw.values * scale)
-        z1, weights1, lag1 = prepare(scaled, dist)
-        fit1 = fit_sar_ols(z1, lag1)
-        assert moran_index(z1, weights1) == pytest.approx(
-            moran_index(*prepare(raw, dist)[:2]), abs=1e-10
+        p1 = prepare(scaled, dist)
+        fit1 = fit_sar_ols(p1.z, p1.lag)
+        assert moran_index(p1.z, p1.weights) == pytest.approx(
+            moran_index(p0.z, p0.weights), abs=1e-10
         )
         assert fit1.rho_hat == pytest.approx(fit0.rho_hat, rel=1e-10)
         assert fit1.a_hat == pytest.approx(fit0.a_hat, rel=1e-8, abs=1e-10)
@@ -152,7 +138,8 @@ class TestIdentities:
 
 class TestTheoreticalCoefficients:
     def test_rho_is_n_over_index(self, chain):
-        z, weights, lag = prepare(*chain)
+        p = prepare(*chain)
+        z, weights, lag = p.z, p.weights, p.lag
         i_value = moran_index(z, weights)
         coeffs = theoretical_coefficients(i_value, lag.total, z.n)
         assert coeffs.rho == pytest.approx(z.n / i_value, abs=0.0)
@@ -170,19 +157,20 @@ class TestTheoreticalCoefficients:
 
 class TestDegenerateInputs:
     def test_constant_lag_rejected(self, chain):
-        z, _, _ = prepare(*chain)
+        z = prepare(*chain).z
         flat = SpatialLag(values=np.zeros(3), total=0.0)
         with pytest.raises(DegenerateLag):
             fit_sar_ols(z, flat)
 
     def test_length_mismatch(self, chain, two_site):
-        z3, _, _ = prepare(*chain)
-        _, _, lag2 = prepare(*two_site)
+        z3 = prepare(*chain).z
+        lag2 = prepare(*two_site).lag
         with pytest.raises(DimensionMismatch):
             fit_sar_ols(z3, lag2)
 
     def test_zero_r_squared_rejected_in_energy_gap(self, chain):
-        z, weights, lag = prepare(*chain)
+        p = prepare(*chain)
+        z, weights, lag = p.z, p.weights, p.lag
         with pytest.raises(ZeroRSquared):
             lag_energy_gap(z, lag, -0.3, 0.0)
 
@@ -190,7 +178,8 @@ class TestDegenerateInputs:
 class TestCenteredFit:
     def test_same_slope_zero_intercept(self, deck):
         for raw, dist in deck[:10]:
-            z, _, lag = prepare(raw, dist)
+            p = prepare(raw, dist)
+            z, lag = p.z, p.lag
             fit = fit_sar_ols(z, lag)
             cen = centered_fit(z, lag)
             assert cen.rho_hat == pytest.approx(fit.rho_hat, rel=1e-12)
@@ -200,7 +189,8 @@ class TestCenteredFit:
 class TestInverseSlopeRelation:
     def test_product_is_squared_correlation(self, deck):
         raw, dist = deck[5]
-        z, _, lag = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, lag = p.z, p.lag
         b, b_prime, product = inverse_slope_relation(lag.values, z.values)
         r = np.corrcoef(lag.values, z.values)[0, 1]
         assert product == pytest.approx(r * r, abs=1e-12)
@@ -208,7 +198,8 @@ class TestInverseSlopeRelation:
 
     def test_forward_slope_is_rho(self, deck):
         raw, dist = deck[5]
-        z, _, lag = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, lag = p.z, p.lag
         fit = fit_sar_ols(z, lag)
         b, _, _ = inverse_slope_relation(lag.values, z.values)
         assert b == pytest.approx(fit.rho_hat, rel=1e-12)

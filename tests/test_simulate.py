@@ -14,8 +14,6 @@ from moransar.eigen import symmetric_eigenvalues
 from moransar.simulate import simulate_sar
 from moransar.spatial_data import standardize, weights_from_distances
 
-from conftest import prepare
-
 
 def ring_distances(n, seed=0):
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from moransar.errors import (
     ZeroDistance,
     ZeroVariance,
 )
+from moransar.autocorr import moran_index
 from moransar.spatial_data import (
     ProximityMatrix,
     RawSizeVector,
@@ -21,13 +22,12 @@ from moransar.spatial_data import (
     global_normalize,
     inverse_distance_proximity,
     log_transform,
+    prepare,
     spatial_lag,
     standardize,
     symmetrize,
     weights_from_distances,
 )
-
-from conftest import prepare
 
 
 class TestRawSizeVector:
@@ -211,7 +211,8 @@ class TestWeights:
 class TestSpatialLag:
     def test_matches_matrix_product(self, deck):
         raw, dist = deck[0]
-        z, weights, lag = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights, lag = p.z, p.weights, p.lag
         np.testing.assert_array_equal(lag.values, weights.matrix @ z.values)
         assert lag.total == pytest.approx(float(lag.values.sum()), abs=0.0)
 
@@ -226,6 +227,43 @@ class TestSpatialLag:
     def test_lag_sum_is_weighted_column_sums(self, deck):
         # o'Wz: the lag total is the column-sum weighting of z
         raw, dist = deck[1]
-        z, weights, lag = prepare(raw, dist)
+        p = prepare(raw, dist)
+        z, weights, lag = p.z, p.weights, p.lag
         expected = float(weights.matrix.sum(axis=0) @ z.values)
         assert lag.total == pytest.approx(expected, abs=1e-15)
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("apply_log", [False, True])
+    def test_bundle_matches_the_separate_steps(self, deck, apply_log):
+        for raw, dist in deck:
+            p = prepare(raw, dist, apply_log=apply_log)
+            z = standardize(log_transform(raw) if apply_log else raw)
+            weights = weights_from_distances(dist)
+            np.testing.assert_array_equal(p.z.values, z.values)
+            np.testing.assert_array_equal(p.weights.matrix, weights.matrix)
+            np.testing.assert_array_equal(
+                p.proximity.matrix, inverse_distance_proximity(dist).matrix
+            )
+            assert p.i_value == moran_index(p.z, p.weights)
+            np.testing.assert_array_equal(
+                p.lag.values, spatial_lag(p.weights, p.z).values
+            )
+            assert p.lag.total == spatial_lag(p.weights, p.z).total
+            assert p.n == raw.n
+
+    @pytest.mark.parametrize("apply_log", [False, True])
+    def test_arrays_are_read_only(self, deck, apply_log):
+        raw, dist = deck[0]
+        p = prepare(raw, dist, apply_log=apply_log)
+        for array in (p.z.values, p.proximity.matrix, p.weights.matrix, p.lag.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_strict_policy_reaches_the_proximity_step(self, chain):
+        raw, dist = chain
+        skewed = dist.copy()
+        skewed[0, 1] = 1.5
+        with pytest.raises(AsymmetricInput):
+            prepare(raw, skewed, symmetrize="strict")

@@ -13,9 +13,8 @@ from moransar.autocorr import (
     scatter_dataset,
 )
 from moransar.errors import InputError
+from moransar.spatial_data import prepare
 from moransar.svgplot import HEIGHT, WIDTH, render_svg
-
-from conftest import prepare
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -31,8 +30,7 @@ class TestTwoSitePlot:
     def test_two_points_one_merged_line(self, tmp_path, two_site):
         # the empirical line of the two-site fixture has zero intercept,
         # so it coincides with the through-origin line and is drawn once
-        z, weights, _ = prepare(*two_site)
-        ds = scatter_dataset(z, weights, MODE_AUTOCORRELATION)
+        ds = scatter_dataset(prepare(*two_site), MODE_AUTOCORRELATION)
         path = tmp_path / "two.svg"
         render_svg(ds, path)
         root, points, trends = parse(path)
@@ -47,12 +45,11 @@ class TestTwoSitePlot:
 class TestNoisyPlot:
     def test_two_distinct_lines_with_parseable_coefficients(self, tmp_path, deck):
         raw, dist = deck[0]
-        z, weights, lag = prepare(raw, dist)
-        ds = scatter_dataset(z, weights, MODE_AUTOCORRELATION)
+        ds = scatter_dataset(prepare(raw, dist), MODE_AUTOCORRELATION)
         path = tmp_path / "noisy.svg"
         render_svg(ds, path)
         _, points, trends = parse(path)
-        assert len(points) == z.n
+        assert len(points) == ds.n
         assert len(trends) == 2
         by_label = {t.get("data-label"): t for t in trends}
         theo = by_label["through-origin"]
@@ -64,8 +61,7 @@ class TestNoisyPlot:
 
     def test_autoregression_mode(self, tmp_path, deck):
         raw, dist = deck[1]
-        z, weights, _ = prepare(raw, dist)
-        ds = scatter_dataset(z, weights, MODE_AUTOREGRESSION)
+        ds = scatter_dataset(prepare(raw, dist), MODE_AUTOREGRESSION)
         path = tmp_path / "sar.svg"
         render_svg(ds, path)
         _, _, trends = parse(path)
@@ -74,8 +70,7 @@ class TestNoisyPlot:
 
     def test_geometry_stays_in_viewport(self, tmp_path, deck):
         raw, dist = deck[2]
-        z, weights, _ = prepare(raw, dist)
-        ds = scatter_dataset(z, weights, MODE_AUTOCORRELATION)
+        ds = scatter_dataset(prepare(raw, dist), MODE_AUTOCORRELATION)
         path = tmp_path / "box.svg"
         render_svg(ds, path)
         _, points, trends = parse(path)
@@ -91,8 +86,7 @@ class TestNoisyPlot:
 
 class TestLegendAndLabels:
     def test_legend_states_equations(self, tmp_path, chain):
-        z, weights, _ = prepare(*chain)
-        ds = scatter_dataset(z, weights, MODE_AUTOCORRELATION)
+        ds = scatter_dataset(prepare(*chain), MODE_AUTOCORRELATION)
         path = tmp_path / "legend.svg"
         render_svg(ds, path)
         text = path.read_text()

@@ -4,6 +4,7 @@ import numpy as np
 
 from moransar.autocorr import inner_regression
 from moransar.sar import fit_sar_ols
+from moransar.spatial_data import prepare
 from moransar.verification import (
     IdentityCheck,
     SuiteResult,
@@ -12,8 +13,6 @@ from moransar.verification import (
     random_instance,
     run_suite,
 )
-
-from conftest import prepare
 
 
 class TestRandomInstance:
@@ -45,10 +44,10 @@ class TestRandomInstance:
 class TestChecks:
     def test_core_checks_pass_on_a_noisy_instance(self, deck):
         raw, dist = deck[0]
-        z, weights, lag = prepare(raw, dist)
-        moran = inner_regression(z, weights)
-        fit = fit_sar_ols(z, lag)
-        checks = core_identity_checks(z, weights, lag, moran, fit)
+        p = prepare(raw, dist)
+        moran = inner_regression(p)
+        fit = fit_sar_ols(p.z, p.lag)
+        checks = core_identity_checks(p, moran, fit)
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert {"slope_product", "residual_inner", "lag_energy",
