@@ -4,7 +4,8 @@ The index is computed as the quadratic form z'Wz, cross-checked by the
 classical double-sum statistic, and recovered a third time as the slope
 of the with-intercept regression of n*Wz on z. Because z has zero mean,
 all three agree to machine precision; the regression additionally yields
-the intercept (the entry sum of Wz), residuals, and a p-value.
+the intercept (the entry sum of Wz), residuals, and the t-test p-values
+of both coefficients.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRegression, DimensionMismatch, ZeroVariance
+from .errors import DimensionMismatch, ZeroVariance
+from .inference import slope_t_test
 from .regression import fit_line
+from .sar import SarFit, theoretical_coefficients
 from .spatial_data import (
     ProximityMatrix,
     RawSizeVector,
@@ -125,18 +128,18 @@ def inner_regression(inputs: SpatialInputs) -> MoranResult:
     Raises:
         DegenerateRegression: if z or the lag is constant.
     """
-    z = inputs.z
-    line = fit_line(z.values, z.n * inputs.lag.values)
+    z, n = inputs.z, inputs.n
+    line = fit_line(z.values, n * inputs.lag.values)
     return MoranResult(
         i_value=line.slope,
         intercept=line.intercept,
         r_squared=line.r_squared,
         residuals_e=line.residuals,
-        slope_p_value=line.p_slope,
+        slope_p_value=slope_t_test(line.slope, line.se_slope, n).p_value,
         se_slope=line.se_slope,
-        intercept_p_value=line.p_intercept,
+        intercept_p_value=slope_t_test(line.intercept, line.se_intercept, n).p_value,
         se_intercept=line.se_intercept,
-        n=z.n,
+        n=n,
         degenerate=line.degenerate,
     )
 
@@ -166,12 +169,15 @@ def rank_one_identity_slack(inputs: SpatialInputs) -> float:
 
 def scatter_dataset(
     inputs: SpatialInputs,
+    fit: SarFit,
     mode: str = MODE_AUTOCORRELATION,
 ) -> ScatterDataset:
     """Build the normalized scatterplot dataset for either model direction.
 
     Args:
         inputs: the prepared z, W, lag and index.
+        fit: the autoregressive fit of these inputs (``fit_sar_ols``);
+            only the autoregression mode reads it.
         mode: "autocorrelation" plots (z, n*Wz) with slope-I lines;
             "autoregression" plots (Wz, z) with the autoregressive fit
             as the empirical line.
@@ -179,8 +185,6 @@ def scatter_dataset(
     Raises:
         ValueError: on an unknown mode.
     """
-    from .sar import fit_sar_ols, theoretical_coefficients
-
     z, lag, i_value = inputs.z, inputs.lag, inputs.i_value
     if mode == MODE_AUTOCORRELATION:
         points = np.column_stack([z.values, z.n * lag.values])
@@ -195,7 +199,6 @@ def scatter_dataset(
             y_label="n Wz",
         )
     if mode == MODE_AUTOREGRESSION:
-        fit = fit_sar_ols(z, lag)
         theoretical = None
         if abs(i_value) >= 1e-12:
             coeffs = theoretical_coefficients(i_value, lag.total, z.n)

@@ -20,7 +20,7 @@ eigensolvers appear only in tests, as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class RhoInterval:
 class MoranRangeVerdict:
     containment: Containment
     rho_theoretical: RhoInterval
-    rho_empirical: RhoInterval | None
+    rho_empirical: RhoInterval
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ class BoundsReport:
     range3: OuterRangeVerdict
     abs_index: float
     pearson_analogy_ok: bool  # |I| <= 1, informational only
+    # the solved spectrum of W, for oracles that check it; not serialized
+    spectrum: EigenSpectrum = field(repr=False, metadata={"json": False})
 
 
 def _contain(lower: float, upper: float, value: float) -> Containment:
@@ -125,24 +127,18 @@ def range_moran(
     i_value: float,
     n: int,
     spectrum: EigenSpectrum,
-    r_squared: float | None = None,
+    r_squared: float,
 ) -> MoranRangeVerdict:
     """First range: extreme eigenvalues of W (``spectrum``) bracket I/n.
 
     Also reports the implied slope regions: reciprocals of the eigenvalue
     interval for the errorless model, scaled by R2 for the fitted one.
     """
-    containment = _contain(spectrum.smallest, spectrum.largest, i_value / n)
-    rho_theoretical = reciprocal_interval(spectrum.smallest, spectrum.largest, 1.0)
-    rho_empirical = None
-    if r_squared is not None:
-        rho_empirical = reciprocal_interval(
-            spectrum.smallest, spectrum.largest, r_squared
-        )
+    lower, upper = spectrum.smallest, spectrum.largest
     return MoranRangeVerdict(
-        containment=containment,
-        rho_theoretical=rho_theoretical,
-        rho_empirical=rho_empirical,
+        containment=_contain(lower, upper, i_value / n),
+        rho_theoretical=reciprocal_interval(lower, upper, 1.0),
+        rho_empirical=reciprocal_interval(lower, upper, r_squared),
     )
 
 
@@ -211,30 +207,23 @@ def range_outer(wz: SpatialLag, i_value: float, n: int) -> OuterRangeVerdict:
     )
 
 
-def bounds_report(
-    inputs: SpatialInputs,
-    r_squared: float,
-    spectrum: EigenSpectrum | None = None,
-) -> BoundsReport:
+def bounds_report(inputs: SpatialInputs, r_squared: float) -> BoundsReport:
     """Evaluate all three ranges for one dataset.
 
-    W is solved once (or its spectrum is passed in); the second range
-    uses the squared spectrum, so no eigensolve of W'W runs.
+    W is solved once, and the report keeps that spectrum; the second
+    range uses its squares, so no eigensolve of W'W runs.
 
     The magnitude |I| is reported alongside as a correlation-style
     reading; it is informational and never enforced, since the spectral
     intervals are the operative bounds.
     """
     wz, i_value, n = inputs.lag, inputs.i_value, inputs.n
-    if spectrum is None:
-        spectrum = symmetric_eigenvalues(inputs.weights.matrix)
-    range1 = range_moran(i_value, n, spectrum, r_squared=r_squared)
-    range2 = range_quadratic(wz, i_value, r_squared, n, _squared_spectrum(spectrum))
-    range3 = range_outer(wz, i_value, n)
+    spectrum = symmetric_eigenvalues(inputs.weights.matrix)
     return BoundsReport(
-        range1=range1,
-        range2=range2,
-        range3=range3,
+        range1=range_moran(i_value, n, spectrum, r_squared),
+        range2=range_quadratic(wz, i_value, r_squared, n, _squared_spectrum(spectrum)),
+        range3=range_outer(wz, i_value, n),
         abs_index=abs(i_value),
         pearson_analogy_ok=abs(i_value) <= 1.0 + 1e-12,
+        spectrum=spectrum,
     )

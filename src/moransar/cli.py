@@ -120,7 +120,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_scatter(args) -> int:
     mode = MODE_NAMES[args.mode]
-    dataset = scatter_dataset(_prepared(args), mode)
+    inputs = _prepared(args)
+    dataset = scatter_dataset(inputs, fit_sar_ols(inputs.z, inputs.lag), mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"scatter_{mode}.csv"

@@ -1,11 +1,14 @@
 """Significance tests and residual diagnostics.
 
-Slope t-tests reproduce the paired p-values of the two regression
-directions (the t statistic is direction-symmetric). The permutation
-test is randomization inference for the index itself: it enumerates all
-n! relabelings when that is no more work than the requested sample size,
-otherwise draws Monte-Carlo permutations from per-permutation seeds that
-are spawned up front, so the worker count cannot change the answer.
+``slope_t_test`` is the one coefficient t-test: the inner regression and
+both SAR fits fill their p-value fields from it, so a report gives each
+coefficient a single p-value. It reproduces the paired p-values of the
+two regression directions (the t statistic is direction-symmetric). The
+permutation test is two-sided randomization inference for the index
+itself: it enumerates all n! relabelings when that is no more work than
+the requested sample size, otherwise draws Monte-Carlo permutations from
+per-permutation seeds that are spawned up front, so the worker count
+cannot change the answer.
 
 Residual diagnostics standardize the residuals by their population
 standard deviation and report the residual index alongside the spatial
@@ -75,10 +78,12 @@ BUNDLED_DW_CRITICAL: dict[tuple[int, float], DwCriticalValues] = {
 
 
 def slope_t_test(slope: float, se: float, n: int) -> SignificanceResult:
-    """Two-tailed t-test for a regression slope with n-2 degrees of freedom.
+    """Two-tailed t-test for a regression coefficient with n-2 degrees of freedom.
 
-    An exact fit (se = 0) cannot be tested; it is reported as p = 0 with
-    the degenerate flag rather than dividing by zero.
+    Used for slopes and intercepts alike. An exact fit (se = 0) cannot be
+    tested; it is reported with the degenerate flag rather than dividing
+    by zero, as p = 0 for a nonzero coefficient and p = 1 for an exactly
+    zero one.
 
     Raises:
         DegenerateSE: if se is negative, or se > 0 with n < 3 (no
@@ -105,36 +110,25 @@ def slope_t_test(slope: float, se: float, n: int) -> SignificanceResult:
     )
 
 
-def _exceeds(i_star: float, i_obs: float, sidedness: str) -> bool:
-    tol = TIE_TOL * max(1.0, abs(i_obs))
-    if sidedness == "two-sided":
-        return abs(i_star) >= abs(i_obs) - tol
-    if sidedness == "greater":
-        return i_star >= i_obs - tol
-    if sidedness == "less":
-        return i_star <= i_obs + tol
-    raise InputError(f"unknown sidedness: {sidedness!r}")
-
-
 def permutation_test(
     z: StandardizedVector,
     weights: WeightMatrix,
     m: int = 999,
     seed: int | None = None,
-    sidedness: str = "two-sided",
     workers: int = 1,
 ) -> SignificanceResult:
-    """Randomization p-value for the index under relabeling.
+    """Two-sided randomization p-value for the index under relabeling.
 
-    When n! <= m the test enumerates every permutation and returns the
-    exact randomization p (#extreme / n!). Otherwise it samples m
-    permutations and returns the pseudo-p (1 + #extreme) / (m + 1).
-    Per-permutation seeds are spawned from the master seed before any
-    work is dispatched, so the result is bit-identical for any worker
-    count.
+    A relabeling counts as extreme when its |I| reaches |I_obs| within a
+    relative tie tolerance of 1e-12. When n! <= m the test enumerates
+    every permutation and returns the exact randomization p
+    (#extreme / n!). Otherwise it samples m permutations and returns the
+    pseudo-p (1 + #extreme) / (m + 1). Per-permutation seeds are spawned
+    from the master seed before any work is dispatched, so the result is
+    bit-identical for any worker count.
 
     Raises:
-        InputError: if m < 1 or workers < 1 or sidedness is unknown.
+        InputError: if m < 1 or workers < 1.
         DimensionMismatch: if z and weights disagree on n.
     """
     if m < 1:
@@ -143,12 +137,12 @@ def permutation_test(
         raise InputError(f"worker count must be at least 1, got {workers}")
     if weights.n != z.n:
         raise DimensionMismatch("weight matrix does not match vector length")
-    _exceeds(0.0, 0.0, sidedness)  # reject bad sidedness before any work
 
     w = weights.matrix
     zv = z.values
     n = z.n
     i_obs = float(zv @ (w @ zv))
+    threshold = abs(i_obs) - TIE_TOL * max(1.0, abs(i_obs))
 
     n_fact = math.factorial(n)
     if n_fact <= m:
@@ -157,7 +151,7 @@ def permutation_test(
         count = 0
         for perm in itertools.permutations(range(n)):
             zp = zv[list(perm)]
-            if _exceeds(float(zp @ (w @ zp)), i_obs, sidedness):
+            if abs(float(zp @ (w @ zp))) >= threshold:
                 count += 1
         return SignificanceResult(
             statistic=i_obs,
@@ -175,7 +169,7 @@ def permutation_test(
         for k in chunk:
             rng = np.random.default_rng(child_seeds[k])
             zp = zv[rng.permutation(n)]
-            if _exceeds(float(zp @ (w @ zp)), i_obs, sidedness):
+            if abs(float(zp @ (w @ zp))) >= threshold:
                 hits += 1
         return hits
 

@@ -40,6 +40,7 @@ from .inference import (
     DwCriticalValues,
     DwResult,
     SignificanceResult,
+    _standardize_residuals,
     critical_values_for,
     dw_interpret,
     permutation_test,
@@ -47,7 +48,13 @@ from .inference import (
     spatial_durbin_watson,
 )
 from .sar import SarFit, fit_sar_ols
-from .spatial_data import RawSizeVector, SpatialInputs, StandardizedVector, prepare
+from .spatial_data import (
+    SYMMETRIZE_POLICIES,
+    RawSizeVector,
+    SpatialInputs,
+    StandardizedVector,
+    prepare,
+)
 from .svgplot import render_svg
 from .verification import IdentityCheck, bounds_checks, core_identity_checks
 
@@ -66,17 +73,22 @@ class AnalysisConfig:
     dw_critical_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.permutations < 0:
-            raise InputError(f"permutations must be nonnegative, got {self.permutations}")
+        _check_options(self.alpha, self.permutations, self.symmetrize)
         unknown = set(self.outputs) - {"json", "csv", "svg"}
         if unknown:
             raise InputError(f"unknown output formats: {sorted(unknown)}")
         if self.dist_format not in ("matrix", "long"):
             raise InputError(f"dist_format must be 'matrix' or 'long', got {self.dist_format!r}")
-        if self.symmetrize not in ("auto", "strict"):
-            raise InputError(f"symmetrize must be 'auto' or 'strict', got {self.symmetrize!r}")
+
+
+def _check_options(alpha: float, permutations: int, symmetrize: str) -> None:
+    """The option checks shared by AnalysisConfig and analyze_data."""
+    if not (0.0 < alpha < 1.0):
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    if permutations < 0:
+        raise InputError(f"permutations must be nonnegative, got {permutations}")
+    if symmetrize not in SYMMETRIZE_POLICIES:
+        raise InputError(f"symmetrize must be 'auto' or 'strict', got {symmetrize!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,12 @@ def analyze_data(
     sizes_sha256: str = "",
     dist_sha256: str = "",
 ) -> AnalysisReport:
-    """Run the full analysis on in-memory inputs."""
+    """Run the full analysis on in-memory inputs.
+
+    Raises:
+        InputError: on an out-of-range option or bad data.
+    """
+    _check_options(alpha, permutations, symmetrize)
     inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
     z, weights = inputs.z, inputs.weights
     moran = inner_regression(inputs)
@@ -213,9 +230,7 @@ def _diagnose(
 
     residual_perm = None
     if permutations >= 1:
-        e = fit.residuals
-        sigma = float(np.sqrt(np.mean((e - e.mean()) ** 2)))
-        z_e = StandardizedVector(values=(e - e.mean()) / sigma)
+        z_e = StandardizedVector(values=_standardize_residuals(fit.residuals, weights.n))
         # distinct child seed so this test never shares draws with the
         # size-vector permutation test
         residual_perm = permutation_test(
@@ -358,7 +373,7 @@ def emit_report(
     if "svg" in formats:
         for mode in (MODE_AUTOCORRELATION, MODE_AUTOREGRESSION):
             path = out_dir / f"scatter_{mode}.svg"
-            render_svg(scatter_dataset(report.inputs, mode), path)
+            render_svg(scatter_dataset(report.inputs, report.sar, mode), path)
             written[f"svg_{mode}"] = path
 
     return written

@@ -5,6 +5,8 @@ are the same two-parameter least-squares problem read in opposite
 directions, so both modules delegate here. Standard errors use the
 with-intercept formulas with n - 2 degrees of freedom, which makes the
 slope t-test symmetric between the two directions (identical p-values).
+This module only fits; every coefficient p-value comes from
+``inference.slope_t_test``, the one caller of ``two_tailed_t_p``.
 """
 
 from __future__ import annotations
@@ -13,19 +15,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DegenerateRegression
 
 # Residual RMS below this fraction of the dependent scale is an exact
-# fit: residuals are reported as zeros and p-values flagged degenerate
-# instead of dividing 0 by 0.
+# fit: residuals and standard errors are reported as zeros and the line
+# is flagged degenerate instead of dividing 0 by 0.
 EXACT_FIT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OlsLine:
-    """One fitted line y = intercept + slope * x with inference."""
+    """One fitted line y = intercept + slope * x with its standard errors."""
 
     slope: float
     intercept: float
@@ -33,10 +35,8 @@ class OlsLine:
     r_squared: float
     se_slope: float
     se_intercept: float
-    p_slope: float
-    p_intercept: float
     n: int
-    degenerate: bool  # exact fit: standard errors are 0, p-values forced
+    degenerate: bool  # exact fit: standard errors are 0
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> OlsLine:
@@ -79,8 +79,6 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> OlsLine:
             r_squared=1.0,
             se_slope=0.0,
             se_intercept=0.0,
-            p_slope=0.0,
-            p_intercept=0.0,
             n=n,
             degenerate=True,
         )
@@ -88,8 +86,6 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> OlsLine:
     sigma2 = sse / (n - 2)
     se_slope = math.sqrt(sigma2 / sxx)
     se_intercept = math.sqrt(sigma2 * (1.0 / n + xbar * xbar / sxx))
-    p_slope = two_tailed_t_p(slope / se_slope, n - 2)
-    p_intercept = two_tailed_t_p(intercept / se_intercept, n - 2)
     return OlsLine(
         slope=slope,
         intercept=intercept,
@@ -97,13 +93,16 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> OlsLine:
         r_squared=r_squared,
         se_slope=se_slope,
         se_intercept=se_intercept,
-        p_slope=p_slope,
-        p_intercept=p_intercept,
         n=n,
         degenerate=False,
     )
 
 
 def two_tailed_t_p(t: float, df: int) -> float:
-    """Two-tailed Student-t tail probability."""
-    return float(2.0 * stats.t.sf(abs(t), df))
+    """Two-tailed Student-t tail probability.
+
+    ``special.stdtr`` is the CDF that ``scipy.stats.t.sf`` evaluates, so
+    the result is the same to the bit; importing ``scipy.special`` alone
+    keeps the much larger ``scipy.stats`` out of start-up.
+    """
+    return float(2.0 * special.stdtr(df, -abs(t)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateLag, DimensionMismatch, ZeroMoran, ZeroRSquared, ZeroVariance
+from .inference import slope_t_test
 from .regression import fit_line
 from .spatial_data import SpatialLag, StandardizedVector
 
@@ -33,7 +34,7 @@ class SarFit:
     p_slope: float
     p_intercept: float
     n: int
-    degenerate: bool = False   # exact collinear fit; p-values not meaningful
+    degenerate: bool = False   # exact collinear fit; standard errors are 0
     zero_moran: bool = False   # |I| below 1e-12; Moran cross-checks skipped
 
 
@@ -63,26 +64,29 @@ def fit_sar_ols(z: StandardizedVector, wz: SpatialLag) -> SarFit:
         DegenerateLag: if the lag vector is constant.
         DimensionMismatch: if z and wz disagree on length.
     """
+    return _fit_on(z, wz, wz.values)
+
+
+def _fit_on(z: StandardizedVector, wz: SpatialLag, x: np.ndarray) -> SarFit:
+    """Regress z on x (the lag, or a shift of it) and test both coefficients."""
     _check_lengths(z, wz)
-    x = wz.values
     if np.ptp(x) == 0.0:
         raise DegenerateLag("spatial lag is constant; slope is undefined")
     line = fit_line(x, z.values)
-    delta = float(z.values @ line.residuals)
-    i_value = float(z.values @ x)
+    n = z.n
     return SarFit(
         a_hat=line.intercept,
         rho_hat=line.slope,
         residuals=line.residuals,
-        delta=delta,
+        delta=float(z.values @ line.residuals),
         r_squared=line.r_squared,
         se_slope=line.se_slope,
         se_intercept=line.se_intercept,
-        p_slope=line.p_slope,
-        p_intercept=line.p_intercept,
-        n=z.n,
+        p_slope=slope_t_test(line.slope, line.se_slope, n).p_value,
+        p_intercept=slope_t_test(line.intercept, line.se_intercept, n).p_value,
+        n=n,
         degenerate=line.degenerate,
-        zero_moran=abs(i_value) < ZERO_MORAN_TOL,
+        zero_moran=abs(float(z.values @ wz.values)) < ZERO_MORAN_TOL,
     )
 
 
@@ -148,27 +152,7 @@ def centered_fit(z: StandardizedVector, wz: SpatialLag) -> SarFit:
     Raises:
         DegenerateLag: if the lag vector is constant.
     """
-    _check_lengths(z, wz)
-    x = wz.values - wz.values.mean()
-    if np.ptp(x) == 0.0:
-        raise DegenerateLag("spatial lag is constant; slope is undefined")
-    line = fit_line(x, z.values)
-    delta = float(z.values @ line.residuals)
-    i_value = float(z.values @ wz.values)
-    return SarFit(
-        a_hat=line.intercept,
-        rho_hat=line.slope,
-        residuals=line.residuals,
-        delta=delta,
-        r_squared=line.r_squared,
-        se_slope=line.se_slope,
-        se_intercept=line.se_intercept,
-        p_slope=line.p_slope,
-        p_intercept=line.p_intercept,
-        n=z.n,
-        degenerate=line.degenerate,
-        zero_moran=abs(i_value) < ZERO_MORAN_TOL,
-    )
+    return _fit_on(z, wz, wz.values - wz.values.mean())
 
 
 def inverse_slope_relation(

@@ -39,6 +39,9 @@ DATA_TOL = 1e-9
 # genuinely asymmetric (warn under the default policy, error in strict).
 ASYMMETRY_TOL = 1e-6
 
+# Asymmetry policies of inverse_distance_proximity (and prepare).
+SYMMETRIZE_POLICIES = ("auto", "strict")
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -259,10 +262,15 @@ def inverse_distance_proximity(
             relative asymmetry exceeds 1e-6; "strict" raises instead.
 
     Raises:
+        InputError: on a policy other than "auto" or "strict".
         ZeroDistance: if any off-diagonal distance is zero.
         AsymmetricInput: in strict mode, if the input is asymmetric
             beyond tolerance.
     """
+    if symmetrize_policy not in SYMMETRIZE_POLICIES:
+        raise InputError(
+            f"symmetrize must be 'auto' or 'strict', got {symmetrize_policy!r}"
+        )
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatch("distance matrix must be square")

@@ -172,8 +172,8 @@ def instance_checks(
                          (moran.i_value / n) * fit.rho_hat - fit.r_squared,
                          REL_TOL * max(1.0, fit.r_squared)))
 
-    spec_w = symmetric_eigenvalues(weights.matrix)
-    report = bounds_report(inputs, fit.r_squared, spectrum=spec_w)
+    report = bounds_report(inputs, fit.r_squared)
+    spec_w = report.spectrum
     checks.extend(bounds_checks(report))
     # the direct solves below are independent oracles for what the bounds
     # derive: the rank-1 outer spectrum, and spec(W'W) as squares of spec(W)

@@ -14,6 +14,7 @@ from moransar.autocorr import (
     scatter_dataset,
 )
 from moransar.errors import DimensionMismatch, ZeroVariance
+from moransar.sar import fit_sar_ols
 from moransar.spatial_data import (
     RawSizeVector,
     SpatialInputs,
@@ -138,7 +139,7 @@ class TestScatterDataset:
         raw, dist = deck[3]
         p = prepare(raw, dist)
         z, weights, lag = p.z, p.weights, p.lag
-        ds = scatter_dataset(p, MODE_AUTOCORRELATION)
+        ds = scatter_dataset(p, fit_sar_ols(z, lag), MODE_AUTOCORRELATION)
         assert ds.points.shape == (z.n, 2)
         np.testing.assert_array_equal(ds.points[:, 0], z.values)
         np.testing.assert_array_equal(ds.points[:, 1], z.n * lag.values)
@@ -150,13 +151,12 @@ class TestScatterDataset:
         assert ds.x_label == "z"
 
     def test_autoregression_geometry(self, deck):
-        from moransar.sar import fit_sar_ols
         from moransar.spatial_data import spatial_lag
 
         raw, dist = deck[4]
         p = prepare(raw, dist)
         z, weights, lag = p.z, p.weights, p.lag
-        ds = scatter_dataset(p, MODE_AUTOREGRESSION)
+        ds = scatter_dataset(p, fit_sar_ols(z, lag), MODE_AUTOREGRESSION)
         np.testing.assert_array_equal(ds.points[:, 0], lag.values)
         np.testing.assert_array_equal(ds.points[:, 1], z.values)
         fit = fit_sar_ols(z, spatial_lag(weights, z))
@@ -168,10 +168,11 @@ class TestScatterDataset:
     def test_zero_index_drops_theoretical_line(self):
         z, weights, inputs = zero_index_pair()
         assert moran_index(z, weights) == 0.0
-        ds = scatter_dataset(inputs, MODE_AUTOREGRESSION)
+        ds = scatter_dataset(inputs, fit_sar_ols(z, inputs.lag), MODE_AUTOREGRESSION)
         assert ds.theoretical_line is None
         assert ds.empirical_line is not None
 
     def test_unknown_mode(self, two_site):
+        p = prepare(*two_site)
         with pytest.raises(ValueError):
-            scatter_dataset(prepare(*two_site), "histogram")
+            scatter_dataset(p, fit_sar_ols(p.z, p.lag), "histogram")

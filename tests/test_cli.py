@@ -260,3 +260,14 @@ class TestVersionAndEntryPoint:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the t tail comes from scipy.special; scipy.stats alone used to be
+        # most of the CLI's start-up time
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, moransar.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

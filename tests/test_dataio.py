@@ -22,6 +22,7 @@ from moransar.errors import (
     NonSquare,
     ParseError,
 )
+from moransar.sar import fit_sar_ols
 from moransar.spatial_data import RawSizeVector, prepare
 
 
@@ -228,7 +229,7 @@ class TestWriters:
     def test_scatter_csv(self, tmp_path, chain):
         inputs = prepare(*chain)
         z = inputs.z
-        ds = scatter_dataset(inputs, MODE_AUTOCORRELATION)
+        ds = scatter_dataset(inputs, fit_sar_ols(z, inputs.lag), MODE_AUTOCORRELATION)
         p = tmp_path / "scatter.csv"
         write_scatter_csv(ds, p)
         text = p.read_text().splitlines()

@@ -145,17 +145,6 @@ class TestPermutationTest:
         assert a.statistic == b.statistic
         assert a.seed != b.seed
 
-    def test_one_sided_variants(self):
-        raw, dist = small_instance(6, seed=41)
-        p = prepare(raw, dist)
-        z, weights = p.z, p.weights
-        greater = permutation_test(z, weights, m=720, sidedness="greater")
-        less = permutation_test(z, weights, m=720, sidedness="less")
-        assert 0.0 < greater.p_value <= 1.0
-        assert 0.0 < less.p_value <= 1.0
-        # ties are counted on both sides, so the two overlap
-        assert greater.p_value + less.p_value >= 1.0
-
     def test_input_validation(self, two_site):
         p = prepare(*two_site)
         z, weights = p.z, p.weights
@@ -163,8 +152,6 @@ class TestPermutationTest:
             permutation_test(z, weights, m=0)
         with pytest.raises(InputError):
             permutation_test(z, weights, workers=0)
-        with pytest.raises(InputError):
-            permutation_test(z, weights, sidedness="sideways")
 
 
 class TestResidualDiagnostics:

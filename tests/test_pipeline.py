@@ -118,6 +118,42 @@ class TestDegenerateFixture:
         assert from_matrix.moran.i_value == from_long.moran.i_value
 
 
+class TestSelfAgreement:
+    """Each coefficient has one p-value, wherever the report shows it."""
+
+    @pytest.mark.parametrize("fixture", ["two_site", "chain", "noisy"])
+    def test_model_p_values_equal_the_t_tests(self, fixture, fixtures_dir, noisy_files):
+        if fixture == "noisy":
+            config = config_for(noisy_files)
+        else:
+            config = AnalysisConfig(
+                sizes_path=str(fixtures_dir / f"{fixture}_sizes.csv"),
+                dist_path=str(fixtures_dir / f"{fixture}_distances.csv"),
+                permutations=0,
+            )
+        report = analyze(config)
+        inf = report.inference
+        assert report.moran.slope_p_value == inf.i_t_test.p_value
+        assert report.moran.intercept_p_value == inf.lag_sum_t_test.p_value
+        assert report.sar.p_slope == inf.rho_t_test.p_value
+        assert report.sar.p_intercept == inf.a_t_test.p_value
+
+    def test_exact_fit_zero_intercepts_have_p_one(self, fixtures_dir):
+        report = analyze(
+            AnalysisConfig(
+                sizes_path=str(fixtures_dir / "chain_sizes.csv"),
+                dist_path=str(fixtures_dir / "chain_distances_long.csv"),
+                dist_format="long",
+                permutations=0,
+            )
+        )
+        assert report.sar.degenerate
+        assert report.sar.a_hat == 0.0
+        assert report.sar.p_intercept == 1.0
+        assert report.moran.intercept == 0.0
+        assert report.moran.intercept_p_value == 1.0
+
+
 class TestSummary:
     def test_row_layout(self, noisy_files):
         report = analyze(config_for(noisy_files))
@@ -235,6 +271,16 @@ class TestConfigValidation:
     def test_alpha_range(self, noisy_files):
         with pytest.raises(InputError):
             config_for(noisy_files, alpha=1.5)
+
+    @pytest.mark.parametrize(
+        "option", [{"alpha": 1.5}, {"permutations": -3}, {"symmetrize": "Strict"}]
+    )
+    def test_config_and_library_reject_the_same_values(self, noisy_files, option):
+        raw, dist, _, _ = noisy_files
+        with pytest.raises(InputError):
+            config_for(noisy_files, **option)
+        with pytest.raises(InputError):
+            analyze_data(raw, dist, **option)
 
     def test_negative_permutations(self, noisy_files):
         with pytest.raises(InputError):

@@ -157,6 +157,13 @@ class TestProximity:
         with pytest.raises(AsymmetricInput):
             inverse_distance_proximity(d, symmetrize_policy="strict")
 
+    @pytest.mark.parametrize("policy", ["Strict", "average", ""])
+    def test_unknown_policy_rejected(self, policy):
+        # symmetric input, so only the policy check can raise
+        d = np.array([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(InputError, match="symmetrize"):
+            inverse_distance_proximity(d, symmetrize_policy=policy)
+
     def test_tiny_asymmetry_accepted_silently(self):
         d = np.array([[0.0, 2.0], [2.0 * (1 + 1e-9), 0.0]])
         prox = inverse_distance_proximity(d, symmetrize_policy="strict")

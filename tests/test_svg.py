@@ -13,10 +13,16 @@ from moransar.autocorr import (
     scatter_dataset,
 )
 from moransar.errors import InputError
+from moransar.sar import fit_sar_ols
 from moransar.spatial_data import prepare
 from moransar.svgplot import HEIGHT, WIDTH, render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def dataset(raw, dist, mode):
+    inputs = prepare(raw, dist)
+    return scatter_dataset(inputs, fit_sar_ols(inputs.z, inputs.lag), mode)
 
 
 def parse(path):
@@ -30,7 +36,7 @@ class TestTwoSitePlot:
     def test_two_points_one_merged_line(self, tmp_path, two_site):
         # the empirical line of the two-site fixture has zero intercept,
         # so it coincides with the through-origin line and is drawn once
-        ds = scatter_dataset(prepare(*two_site), MODE_AUTOCORRELATION)
+        ds = dataset(*two_site, MODE_AUTOCORRELATION)
         path = tmp_path / "two.svg"
         render_svg(ds, path)
         root, points, trends = parse(path)
@@ -45,7 +51,7 @@ class TestTwoSitePlot:
 class TestNoisyPlot:
     def test_two_distinct_lines_with_parseable_coefficients(self, tmp_path, deck):
         raw, dist = deck[0]
-        ds = scatter_dataset(prepare(raw, dist), MODE_AUTOCORRELATION)
+        ds = dataset(raw, dist, MODE_AUTOCORRELATION)
         path = tmp_path / "noisy.svg"
         render_svg(ds, path)
         _, points, trends = parse(path)
@@ -61,7 +67,7 @@ class TestNoisyPlot:
 
     def test_autoregression_mode(self, tmp_path, deck):
         raw, dist = deck[1]
-        ds = scatter_dataset(prepare(raw, dist), MODE_AUTOREGRESSION)
+        ds = dataset(raw, dist, MODE_AUTOREGRESSION)
         path = tmp_path / "sar.svg"
         render_svg(ds, path)
         _, _, trends = parse(path)
@@ -70,7 +76,7 @@ class TestNoisyPlot:
 
     def test_geometry_stays_in_viewport(self, tmp_path, deck):
         raw, dist = deck[2]
-        ds = scatter_dataset(prepare(raw, dist), MODE_AUTOCORRELATION)
+        ds = dataset(raw, dist, MODE_AUTOCORRELATION)
         path = tmp_path / "box.svg"
         render_svg(ds, path)
         _, points, trends = parse(path)
@@ -86,7 +92,7 @@ class TestNoisyPlot:
 
 class TestLegendAndLabels:
     def test_legend_states_equations(self, tmp_path, chain):
-        ds = scatter_dataset(prepare(*chain), MODE_AUTOCORRELATION)
+        ds = dataset(*chain, MODE_AUTOCORRELATION)
         path = tmp_path / "legend.svg"
         render_svg(ds, path)
         text = path.read_text()
