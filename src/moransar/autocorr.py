@@ -4,8 +4,8 @@ The index is computed as the quadratic form z'Wz, cross-checked by the
 classical double-sum statistic, and recovered a third time as the slope
 of the with-intercept regression of n*Wz on z. Because z has zero mean,
 all three agree to machine precision; the regression additionally yields
-the intercept (the entry sum of Wz), residuals, and the t-test p-values
-of both coefficients.
+the intercept (the entry sum of Wz), residuals, and the t-tests of both
+coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVariance
-from .inference import slope_t_test
+from .inference import SignificanceResult, slope_t_test
 from .regression import fit_line
 from .sar import SarFit, theoretical_coefficients
 from .spatial_data import (
@@ -43,6 +43,9 @@ class MoranResult:
     intercept_p_value: float
     se_intercept: float
     n: int
+    # the t-tests behind the two p-values; not serialized
+    slope_test: SignificanceResult = field(repr=False, metadata={"json": False})
+    intercept_test: SignificanceResult = field(repr=False, metadata={"json": False})
     degenerate: bool = False
 
 
@@ -130,16 +133,20 @@ def inner_regression(inputs: SpatialInputs) -> MoranResult:
     """
     z, n = inputs.z, inputs.n
     line = fit_line(z.values, n * inputs.lag.values)
+    slope_test = slope_t_test(line.slope, line.se_slope, n)
+    intercept_test = slope_t_test(line.intercept, line.se_intercept, n)
     return MoranResult(
         i_value=line.slope,
         intercept=line.intercept,
         r_squared=line.r_squared,
         residuals_e=line.residuals,
-        slope_p_value=slope_t_test(line.slope, line.se_slope, n).p_value,
+        slope_p_value=slope_test.p_value,
         se_slope=line.se_slope,
-        intercept_p_value=slope_t_test(line.intercept, line.se_intercept, n).p_value,
+        intercept_p_value=intercept_test.p_value,
         se_intercept=line.se_intercept,
         n=n,
+        slope_test=slope_test,
+        intercept_test=intercept_test,
         degenerate=line.degenerate,
     )
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .eigen import EigenSpectrum, symmetric_eigenvalues
 from .errors import ZeroRSquared
 from .spatial_data import SpatialInputs, SpatialLag
@@ -142,22 +140,6 @@ def range_moran(
     )
 
 
-def _squared_spectrum(spectrum: EigenSpectrum) -> EigenSpectrum:
-    """Spectrum of W'W = W^2 from the spectrum of a symmetric W.
-
-    Nothing is solved, so sweeps is 0. The residual bounds the
-    off-diagonal mass of W^2 in the basis that left W with residual r:
-    (D + E)^2 - D^2 = DE + ED + E^2 has norm at most 2 max|lambda| r + r^2.
-    """
-    values = np.sort(spectrum.values**2)
-    values.flags.writeable = False
-    r = spectrum.max_offdiag_residual
-    lam = max(abs(spectrum.smallest), abs(spectrum.largest))
-    return EigenSpectrum(
-        values=values, max_offdiag_residual=2.0 * lam * r + r * r, sweeps=0
-    )
-
-
 def range_quadratic(
     wz: SpatialLag,
     i_value: float,
@@ -167,8 +149,8 @@ def range_quadratic(
 ) -> QuadraticRangeVerdict:
     """Second range: eigenvalues of W'W bracket the lag-energy quotient.
 
-    ``spectrum`` is that of W'W. W is symmetric, so bounds_report passes
-    the squared spectrum of W; W'W itself is never solved.
+    ``spectrum`` is that of W, which is symmetric: W'W = W^2 is bracketed
+    by the least and greatest squared eigenvalue of W, and is never solved.
 
     The empirical left-hand side equals the Rayleigh quotient of W'W at z
     and is always contained. The theoretical side is smaller by
@@ -180,11 +162,12 @@ def range_quadratic(
     """
     if r_squared < 1e-15:
         raise ZeroRSquared("R2 is zero; the empirical range divides by it")
+    squares = spectrum.values**2
     mean_sq = (wz.total / n) ** 2
     lhs_theoretical = mean_sq + i_value**2 / n**2
     lhs_empirical = mean_sq + i_value**2 / (r_squared * n**2)
-    theoretical = _contain(spectrum.smallest, spectrum.largest, lhs_theoretical)
-    empirical = _contain(spectrum.smallest, spectrum.largest, lhs_empirical)
+    theoretical = _contain(squares.min(), squares.max(), lhs_theoretical)
+    empirical = _contain(squares.min(), squares.max(), lhs_empirical)
     quotient = float(wz.values @ wz.values) / n
     return QuadraticRangeVerdict(
         theoretical=theoretical,
@@ -211,7 +194,7 @@ def bounds_report(inputs: SpatialInputs, r_squared: float) -> BoundsReport:
     """Evaluate all three ranges for one dataset.
 
     W is solved once, and the report keeps that spectrum; the second
-    range uses its squares, so no eigensolve of W'W runs.
+    range reads its squares, so no eigensolve of W'W runs.
 
     The magnitude |I| is reported alongside as a correlation-style
     reading; it is informational and never enforced, since the spectral
@@ -221,7 +204,7 @@ def bounds_report(inputs: SpatialInputs, r_squared: float) -> BoundsReport:
     spectrum = symmetric_eigenvalues(inputs.weights.matrix)
     return BoundsReport(
         range1=range_moran(i_value, n, spectrum, r_squared),
-        range2=range_quadratic(wz, i_value, r_squared, n, _squared_spectrum(spectrum)),
+        range2=range_quadratic(wz, i_value, r_squared, n, spectrum),
         range3=range_outer(wz, i_value, n),
         abs_index=abs(i_value),
         pearson_analogy_ok=abs(i_value) <= 1.0 + 1e-12,

@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
 def cmd_scatter(args) -> int:
     mode = MODE_NAMES[args.mode]
     inputs = _prepared(args)
-    dataset = scatter_dataset(inputs, fit_sar_ols(inputs.z, inputs.lag), mode)
+    dataset = scatter_dataset(inputs, fit_sar_ols(inputs), mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"scatter_{mode}.csv"
@@ -136,7 +136,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_bounds(args) -> int:
     inputs = _prepared(args)
-    fit = fit_sar_ols(inputs.z, inputs.lag)
+    fit = fit_sar_ols(inputs)
     report = bounds_report(inputs, fit.r_squared)
 
     def verdict(c) -> str:

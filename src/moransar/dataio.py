@@ -8,15 +8,20 @@ Input formats:
   too, with positional ids.
 - distances, long form: rows of ``id_a,id_b,distance``; each unordered
   pair must appear at least once, repeats must agree.
-- critical values: header ``n,alpha,d_l,d_u``.
+- critical values: header ``n,alpha,d_l,d_u``; ``n`` is a positive
+  integer.
 
-All parse failures carry the file path and 1-based line number.
+Files are read as UTF-8, and a leading byte-order mark is dropped. Every
+number must be finite. All parse failures carry the file path and 1-based
+line number; a failure found only at the end of the file points at its
+last row, and line 0 means the file as a whole.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -25,6 +30,7 @@ import numpy as np
 from .errors import (
     DuplicateId,
     IdMismatch,
+    InputError,
     MissingPair,
     NonSquare,
     ParseError,
@@ -34,17 +40,45 @@ from .spatial_data import RawSizeVector
 
 
 def _rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    """Non-empty CSV rows as (1-based line number, stripped fields)."""
+    """Non-empty CSV rows as (1-based line number, stripped fields).
+
+    A row whose quoted field spans lines carries the number of its last
+    line.
+
+    Raises:
+        ParseError: if the file is not UTF-8 text or not valid CSV.
+    """
     out = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            fields = [f.strip() for f in row]
-            if not fields or all(f == "" for f in fields):
-                continue
-            if fields[0].startswith("#"):
-                continue
-            out.append((lineno, fields))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                fields = [f.strip() for f in row]
+                if not fields or all(f == "" for f in fields):
+                    continue
+                if fields[0].startswith("#"):
+                    continue
+                out.append((reader.line_num, fields))
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), _undecodable_line(path),
+                         f"not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(str(path), reader.line_num, f"malformed CSV: {exc}") from None
     return out
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """Line of the first byte that is not UTF-8.
+
+    The text reader decodes in blocks, so its own error names no line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r or \r\n, as for the CSV reader
+        return len((exc.object[:exc.start] + b"x").splitlines())
+    return 0
 
 
 def _is_number(text: str) -> bool:
@@ -57,9 +91,12 @@ def _is_number(text: str) -> bool:
 
 def _parse_float(path: str | Path, lineno: int, text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(str(path), lineno, f"{what} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(str(path), lineno, f"{what} is not finite: {text!r}")
+    return value
 
 
 def load_sizes(path: str | Path) -> RawSizeVector:
@@ -102,14 +139,15 @@ def _load_distance_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray
         if len(ids) < 2:
             raise ParseError(str(path), rows[0][0], "header lists fewer than 2 ids")
         if len(set(ids)) != len(ids):
-            raise DuplicateId(f"{path}: repeated id in distance header")
+            raise DuplicateId(f"{path}:{rows[0][0]}: repeated id in distance header")
     else:
         ids = tuple(str(i) for i in range(len(first_fields)))
         body = rows
 
     n = len(ids)
     if len(body) != n:
-        raise NonSquare(f"{path}: {n} columns but {len(body)} data rows")
+        lineno = body[n][0] if len(body) > n else rows[-1][0]
+        raise NonSquare(f"{path}:{lineno}: {n} columns but {len(body)} data rows")
     matrix = np.zeros((n, n))
     for i, (lineno, fields) in enumerate(body):
         if has_header:
@@ -170,7 +208,7 @@ def _load_distance_long(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
         for j in range(i + 1, n):
             key = frozenset((ids[i], ids[j]))
             if key not in pair_values:
-                raise MissingPair(ids[i], ids[j])
+                raise MissingPair(str(path), rows[-1][0], ids[i], ids[j])
             matrix[i, j] = matrix[j, i] = pair_values[key]
     return ids, matrix
 
@@ -218,8 +256,8 @@ def load_critical_values(path: str | Path) -> dict[tuple[int, float], DwCritical
     """Read a ``n,alpha,d_l,d_u`` CSV into a lookup table.
 
     Raises:
-        ParseError: malformed rows, missing header, or duplicate (n, alpha).
-        InputError: rows violating 0 < d_l < d_u < 2.
+        ParseError: malformed rows, missing header, duplicate (n, alpha),
+            or rows violating 0 < d_l < d_u < 2.
     """
     rows = _rows(path)
     if not rows or [f.lower() for f in rows[0][1]] != ["n", "alpha", "d_l", "d_u"]:
@@ -229,13 +267,20 @@ def load_critical_values(path: str | Path) -> dict[tuple[int, float], DwCritical
     for lineno, fields in rows[1:]:
         if len(fields) != 4:
             raise ParseError(str(path), lineno, f"expected 4 fields, got {len(fields)}")
-        n = int(_parse_float(path, lineno, fields[0], "n"))
+        count = _parse_float(path, lineno, fields[0], "n")
+        if count < 1 or not count.is_integer():
+            raise ParseError(str(path), lineno,
+                             f"n is not a positive integer: {fields[0]!r}")
+        n = int(count)
         alpha = _parse_float(path, lineno, fields[1], "alpha")
         d_l = _parse_float(path, lineno, fields[2], "d_l")
         d_u = _parse_float(path, lineno, fields[3], "d_u")
         if (n, alpha) in table:
             raise ParseError(str(path), lineno, f"duplicate row for n={n}, alpha={alpha}")
-        table[(n, alpha)] = DwCriticalValues(n=n, alpha=alpha, d_l=d_l, d_u=d_u)
+        try:
+            table[(n, alpha)] = DwCriticalValues(n=n, alpha=alpha, d_l=d_l, d_u=d_u)
+        except InputError as exc:
+            raise ParseError(str(path), lineno, str(exc)) from None
     return table
 
 

@@ -129,13 +129,13 @@ class IdMismatch(InputError):
     """Size-vector ids and distance-matrix ids do not match."""
 
 
-class MissingPair(InputError):
+class MissingPair(ParseError):
     """A long-format distance list lacks an element pair."""
 
-    def __init__(self, id_a: str, id_b: str):
+    def __init__(self, path: str, line: int, id_a: str, id_b: str):
         self.id_a = id_a
         self.id_b = id_b
-        super().__init__(f"no distance given for pair ({id_a}, {id_b})")
+        super().__init__(path, line, f"no distance given for pair ({id_a}, {id_b})")
 
 
 class NonSquare(InputError):

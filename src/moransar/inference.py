@@ -1,14 +1,14 @@
 """Significance tests and residual diagnostics.
 
 ``slope_t_test`` is the one coefficient t-test: the inner regression and
-both SAR fits fill their p-value fields from it, so a report gives each
-coefficient a single p-value. It reproduces the paired p-values of the
-two regression directions (the t statistic is direction-symmetric). The
-permutation test is two-sided randomization inference for the index
-itself: it enumerates all n! relabelings when that is no more work than
-the requested sample size, otherwise draws Monte-Carlo permutations from
-per-permutation seeds that are spawned up front, so the worker count
-cannot change the answer.
+both SAR fits keep its results, which fill their p-value fields and the
+report's significance block, so an analysis tests each coefficient once.
+It reproduces the paired p-values of the two regression directions (the
+t statistic is direction-symmetric). The permutation test is two-sided
+randomization inference for the index itself: it enumerates all n!
+relabelings when that is no more work than the requested sample size,
+otherwise draws Monte-Carlo permutations from per-permutation seeds that
+are spawned up front, so the worker count cannot change the answer.
 
 Residual diagnostics standardize the residuals by their population
 standard deviation and report the residual index alongside the spatial

@@ -10,7 +10,8 @@ JSON except for the isolated timestamp field.
 path; the CLI's ``analyze`` verb wraps them. The first steps run once,
 in ``spatial_data.prepare``, and the report keeps the resulting inputs
 (outside the JSON) so that ``emit_report`` draws the scatterplot SVGs
-from the report itself.
+from the report itself. Later steps reuse the fits' t-tests and one
+Durbin-Watson result instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .inference import (
     critical_values_for,
     dw_interpret,
     permutation_test,
-    slope_t_test,
     spatial_durbin_watson,
 )
 from .sar import SarFit, fit_sar_ols
@@ -166,23 +166,24 @@ def analyze_data(
     inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
     z, weights = inputs.z, inputs.weights
     moran = inner_regression(inputs)
-    fit = fit_sar_ols(z, inputs.lag)
+    fit = fit_sar_ols(inputs)
     bounds = bounds_report(inputs, fit.r_squared)
 
     i_perm = None
     if permutations >= 1:
         i_perm = permutation_test(z, weights, m=permutations, seed=seed)
     inference = SignificanceResults(
-        i_t_test=slope_t_test(moran.i_value, moran.se_slope, z.n),
-        rho_t_test=slope_t_test(fit.rho_hat, fit.se_slope, z.n),
-        a_t_test=slope_t_test(fit.a_hat, fit.se_intercept, z.n),
-        lag_sum_t_test=slope_t_test(moran.intercept, moran.se_intercept, z.n),
+        i_t_test=moran.slope_test,
+        rho_t_test=fit.slope_test,
+        a_t_test=fit.intercept_test,
+        lag_sum_t_test=moran.intercept_test,
         i_permutation=i_perm,
     )
 
     diagnostics = _diagnose(fit, weights, alpha, permutations, seed, dw_table)
 
-    identities = tuple(core_identity_checks(inputs, moran, fit) + bounds_checks(bounds))
+    checks = core_identity_checks(inputs, moran, fit, diagnostics.result)
+    identities = tuple(checks + bounds_checks(bounds))
 
     provenance = Provenance(
         sizes_sha256=sizes_sha256,

@@ -3,7 +3,8 @@
 Fits z = a*o + rho*Wz + eps by the 2x2 normal equations and exposes the
 exact algebra tying the fit back to Moran's index: rho_hat * I = n * R2,
 delta = z'eps = n(1 - R2), and the lag-energy decomposition
-n (Wz)'(Wz) = ((Wz)'o)^2 + I^2 / R2.
+n (Wz)'(Wz) = ((Wz)'o)^2 + I^2 / R2. The fits read z, the lag and I from
+the SpatialInputs bundle and keep the t-test of each coefficient.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateLag, DimensionMismatch, ZeroMoran, ZeroRSquared, ZeroVariance
-from .inference import slope_t_test
+from .inference import SignificanceResult, slope_t_test
 from .regression import fit_line
-from .spatial_data import SpatialLag, StandardizedVector
+from .spatial_data import SpatialInputs
 
 ZERO_MORAN_TOL = 1e-12
 
@@ -34,6 +35,9 @@ class SarFit:
     p_slope: float
     p_intercept: float
     n: int
+    # the t-tests behind p_slope and p_intercept; not serialized
+    slope_test: SignificanceResult = field(repr=False, metadata={"json": False})
+    intercept_test: SignificanceResult = field(repr=False, metadata={"json": False})
     degenerate: bool = False   # exact collinear fit; standard errors are 0
     zero_moran: bool = False   # |I| below 1e-12; Moran cross-checks skipped
 
@@ -46,14 +50,7 @@ class TheoreticalCoefficients:
     rho: float
 
 
-def _check_lengths(z: StandardizedVector, wz: SpatialLag) -> None:
-    if wz.values.shape[0] != z.n:
-        raise DimensionMismatch(
-            f"lag has {wz.values.shape[0]} entries but vector has {z.n}"
-        )
-
-
-def fit_sar_ols(z: StandardizedVector, wz: SpatialLag) -> SarFit:
+def fit_sar_ols(inputs: SpatialInputs) -> SarFit:
     """Fit z on Wz with an intercept by the normal equations.
 
     The slope is the primary estimate of rho; the n*R2/I closed form is a
@@ -62,18 +59,18 @@ def fit_sar_ols(z: StandardizedVector, wz: SpatialLag) -> SarFit:
 
     Raises:
         DegenerateLag: if the lag vector is constant.
-        DimensionMismatch: if z and wz disagree on length.
     """
-    return _fit_on(z, wz, wz.values)
+    return _fit_on(inputs, inputs.lag.values)
 
 
-def _fit_on(z: StandardizedVector, wz: SpatialLag, x: np.ndarray) -> SarFit:
+def _fit_on(inputs: SpatialInputs, x: np.ndarray) -> SarFit:
     """Regress z on x (the lag, or a shift of it) and test both coefficients."""
-    _check_lengths(z, wz)
     if np.ptp(x) == 0.0:
         raise DegenerateLag("spatial lag is constant; slope is undefined")
+    z, n = inputs.z, inputs.n
     line = fit_line(x, z.values)
-    n = z.n
+    slope_test = slope_t_test(line.slope, line.se_slope, n)
+    intercept_test = slope_t_test(line.intercept, line.se_intercept, n)
     return SarFit(
         a_hat=line.intercept,
         rho_hat=line.slope,
@@ -82,11 +79,13 @@ def _fit_on(z: StandardizedVector, wz: SpatialLag, x: np.ndarray) -> SarFit:
         r_squared=line.r_squared,
         se_slope=line.se_slope,
         se_intercept=line.se_intercept,
-        p_slope=slope_t_test(line.slope, line.se_slope, n).p_value,
-        p_intercept=slope_t_test(line.intercept, line.se_intercept, n).p_value,
+        p_slope=slope_test.p_value,
+        p_intercept=intercept_test.p_value,
         n=n,
+        slope_test=slope_test,
+        intercept_test=intercept_test,
         degenerate=line.degenerate,
-        zero_moran=abs(float(z.values @ wz.values)) < ZERO_MORAN_TOL,
+        zero_moran=abs(inputs.i_value) < ZERO_MORAN_TOL,
     )
 
 
@@ -123,26 +122,24 @@ def theoretical_coefficients(
     return TheoreticalCoefficients(a=-wz_sum / i_value, rho=n / i_value)
 
 
-def lag_energy_gap(
-    z: StandardizedVector, wz: SpatialLag, i_value: float, r_squared: float
-) -> float:
+def lag_energy_gap(inputs: SpatialInputs, i_value: float, r_squared: float) -> float:
     """Signed discrepancy of the lag-energy decomposition.
 
     Returns n*(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2, which vanishes whenever
     R2 is the squared correlation of z and Wz; |gap| stays below
-    1e-9 * n * (Wz)'(Wz) on real data.
+    1e-9 * n * (Wz)'(Wz) on real data. The identity suite passes the
+    inner regression's slope as I, not the bundle's z'Wz.
 
     Raises:
         ZeroRSquared: if r_squared < 1e-15 (the I^2/R2 term blows up).
     """
-    _check_lengths(z, wz)
     if r_squared < 1e-15:
         raise ZeroRSquared("R2 is zero; lag-energy identity degenerates")
-    energy = z.n * float(wz.values @ wz.values)
-    return energy - wz.total**2 - i_value**2 / r_squared
+    energy = inputs.n * float(inputs.lag.values @ inputs.lag.values)
+    return energy - inputs.lag.total**2 - i_value**2 / r_squared
 
 
-def centered_fit(z: StandardizedVector, wz: SpatialLag) -> SarFit:
+def centered_fit(inputs: SpatialInputs) -> SarFit:
     """Fit z on the mean-centered lag.
 
     The slope matches fit_sar_ols exactly; the intercept becomes the mean
@@ -152,7 +149,7 @@ def centered_fit(z: StandardizedVector, wz: SpatialLag) -> SarFit:
     Raises:
         DegenerateLag: if the lag vector is constant.
     """
-    return _fit_on(z, wz, wz.values - wz.values.mean())
+    return _fit_on(inputs, inputs.lag.values - inputs.lag.values.mean())
 
 
 def inverse_slope_relation(

@@ -186,6 +186,9 @@ class SpatialInputs:
     Holds the standardized vector z, the proximity matrix V, the weights
     W = V / sum(V), the lag Wz, and Moran's index I = z'Wz. Downstream
     code reads these instead of deriving them again.
+
+    Raises:
+        DimensionMismatch: if z, W and the lag disagree on n.
     """
 
     z: StandardizedVector
@@ -193,6 +196,11 @@ class SpatialInputs:
     weights: WeightMatrix
     lag: SpatialLag
     i_value: float
+
+    def __post_init__(self):
+        if not self.z.n == self.weights.n == self.lag.n:
+            raise DimensionMismatch(f"z, W and the lag disagree on n: {self.z.n}, "
+                                    f"{self.weights.n}, {self.lag.n}")
 
     @property
     def n(self) -> int:

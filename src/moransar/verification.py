@@ -25,7 +25,7 @@ from .autocorr import (
 from .bounds import BoundsReport, bounds_report
 from .eigen import symmetric_eigenvalues
 from .errors import ZeroVariance
-from .inference import geary_pairwise, spatial_durbin_watson
+from .inference import DwResult, geary_pairwise, spatial_durbin_watson
 from .spatial_data import RawSizeVector, SpatialInputs, prepare
 
 REL_TOL = 1e-9
@@ -65,9 +65,10 @@ def core_identity_checks(
     inputs: SpatialInputs,
     moran: MoranResult,
     fit: sar_mod.SarFit,
+    dw: DwResult | None,
 ) -> list[IdentityCheck]:
-    """The relations embedded in every analysis report."""
-    z, weights, lag, n = inputs.z, inputs.weights, inputs.lag, inputs.n
+    """The relations embedded in every report; dw is None for an exact fit."""
+    weights, lag, n = inputs.weights, inputs.lag, inputs.n
     checks = [
         _check(
             "slope_product",  # rho_hat * I - n * R2
@@ -81,7 +82,7 @@ def core_identity_checks(
         ),
         _check(
             "lag_energy",  # n(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2
-            sar_mod.lag_energy_gap(z, lag, moran.i_value, fit.r_squared),
+            sar_mod.lag_energy_gap(inputs, moran.i_value, fit.r_squared),
             REL_TOL * max(1e-30, n * float(lag.values @ lag.values)),
         ),
         _check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
@@ -90,8 +91,7 @@ def core_identity_checks(
         _check("eigen_relation", eigen_check(inputs), EIGEN_TOL),
         _check("rank_one_scalar", rank_one_identity_slack(inputs), EIGEN_TOL),
     ]
-    if not fit.degenerate:
-        dw = spatial_durbin_watson(fit.residuals, weights)
+    if dw is not None:
         checks.append(
             _check("dw_geary", dw.dw - 2.0 * geary_pairwise(fit.residuals, weights),
                    DW_TOL)
@@ -132,9 +132,10 @@ def instance_checks(
     inputs = prepare(raw, distances)
     z, weights, lag, n = inputs.z, inputs.weights, inputs.lag, inputs.n
     moran = inner_regression(inputs)
-    fit = sar_mod.fit_sar_ols(z, lag)
+    fit = sar_mod.fit_sar_ols(inputs)
+    dw = None if fit.degenerate else spatial_durbin_watson(fit.residuals, weights)
 
-    checks = core_identity_checks(inputs, moran, fit)
+    checks = core_identity_checks(inputs, moran, fit, dw)
 
     checks.append(
         _check(
@@ -161,7 +162,7 @@ def instance_checks(
                    REL_TOL * max(1.0, abs(fit.a_hat)))
         )
 
-    centered = sar_mod.centered_fit(z, lag)
+    centered = sar_mod.centered_fit(inputs)
     checks.append(_check("centered_slope", centered.rho_hat - fit.rho_hat,
                          REL_TOL * max(1.0, abs(fit.rho_hat))))
     checks.append(_check("centered_intercept", centered.a_hat, CENTERED_TOL))
@@ -221,7 +222,7 @@ def _fixture_checks() -> list[IdentityCheck]:
     inputs = prepare(raw, dist)
     weights = inputs.weights
     moran = inner_regression(inputs)
-    fit = sar_mod.fit_sar_ols(inputs.z, inputs.lag)
+    fit = sar_mod.fit_sar_ols(inputs)
     dw = spatial_durbin_watson(inputs.z.values, weights)
     checks += [
         _check("two_site_index", moran.i_value + 1.0, EIGEN_TOL),
@@ -242,7 +243,7 @@ def _fixture_checks() -> list[IdentityCheck]:
     dist3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     inputs3 = prepare(raw3, dist3)
     moran3 = inner_regression(inputs3)
-    fit3 = sar_mod.fit_sar_ols(inputs3.z, inputs3.lag)
+    fit3 = sar_mod.fit_sar_ols(inputs3)
     checks += [
         _check("chain_index", moran3.i_value + 0.3, EIGEN_TOL),
         _check("chain_rho", fit3.rho_hat + 10.0, EIGEN_TOL),

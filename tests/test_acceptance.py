@@ -65,7 +65,7 @@ def prepared1000(deck1000):
     out = []
     for raw, dist in deck1000:
         p = prepare(raw, dist)
-        out.append((raw, dist, p, inner_regression(p), fit_sar_ols(p.z, p.lag)))
+        out.append((raw, dist, p, inner_regression(p), fit_sar_ols(p)))
     return out
 
 
@@ -116,14 +116,14 @@ def test_criterion_3_identity_deck(deck1000):
         p = prepare(raw, dist)
         z, lag = p.z, p.lag
         moran = inner_regression(p)
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         n = z.n
         note("slope_product",
              (fit.rho_hat * moran.i_value - n * fit.r_squared)
              / max(1.0, abs(n * fit.r_squared)))
         note("delta", (fit.delta - n * (1.0 - fit.r_squared)) / max(1.0, float(n)))
         note("lag_energy",
-             lag_energy_gap(z, lag, moran.i_value, fit.r_squared)
+             lag_energy_gap(p, moran.i_value, fit.r_squared)
              / max(1e-30, n * float(lag.values @ lag.values)))
         note("paired_p", moran.slope_p_value - fit.p_slope)
         note("orthogonality_lag", float(lag.values @ fit.residuals))
@@ -204,7 +204,7 @@ def test_criterion_6_exact_small_fixtures():
     p = prepare(raw2, TWO_SITE_DIST)
     z2, w2, lag2 = p.z, p.weights, p.lag
     moran2 = inner_regression(p)
-    fit2 = fit_sar_ols(z2, lag2)
+    fit2 = fit_sar_ols(p)
     dw2 = spatial_durbin_watson(z2.values, w2)
     two_site = [
         abs(moran2.i_value + 1.0),
@@ -219,7 +219,7 @@ def test_criterion_6_exact_small_fixtures():
     p = prepare(raw3, CHAIN_DIST)
     z3, w3, lag3 = p.z, p.weights, p.lag
     moran3 = inner_regression(p)
-    fit3 = fit_sar_ols(z3, lag3)
+    fit3 = fit_sar_ols(p)
     chain = [
         abs(moran3.i_value + 0.3),
         abs(fit3.rho_hat + 10.0),

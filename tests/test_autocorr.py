@@ -1,5 +1,7 @@
 """Moran's index: quadratic form, double-sum oracle, inner regression."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ class TestScatterDataset:
         raw, dist = deck[3]
         p = prepare(raw, dist)
         z, weights, lag = p.z, p.weights, p.lag
-        ds = scatter_dataset(p, fit_sar_ols(z, lag), MODE_AUTOCORRELATION)
+        ds = scatter_dataset(p, fit_sar_ols(p), MODE_AUTOCORRELATION)
         assert ds.points.shape == (z.n, 2)
         np.testing.assert_array_equal(ds.points[:, 0], z.values)
         np.testing.assert_array_equal(ds.points[:, 1], z.n * lag.values)
@@ -156,10 +158,10 @@ class TestScatterDataset:
         raw, dist = deck[4]
         p = prepare(raw, dist)
         z, weights, lag = p.z, p.weights, p.lag
-        ds = scatter_dataset(p, fit_sar_ols(z, lag), MODE_AUTOREGRESSION)
+        ds = scatter_dataset(p, fit_sar_ols(p), MODE_AUTOREGRESSION)
         np.testing.assert_array_equal(ds.points[:, 0], lag.values)
         np.testing.assert_array_equal(ds.points[:, 1], z.values)
-        fit = fit_sar_ols(z, spatial_lag(weights, z))
+        fit = fit_sar_ols(dataclasses.replace(p, lag=spatial_lag(weights, z)))
         assert ds.empirical_line.slope == fit.rho_hat
         assert ds.empirical_line.intercept == fit.a_hat
         i_value = moran_index(z, weights)
@@ -168,11 +170,11 @@ class TestScatterDataset:
     def test_zero_index_drops_theoretical_line(self):
         z, weights, inputs = zero_index_pair()
         assert moran_index(z, weights) == 0.0
-        ds = scatter_dataset(inputs, fit_sar_ols(z, inputs.lag), MODE_AUTOREGRESSION)
+        ds = scatter_dataset(inputs, fit_sar_ols(inputs), MODE_AUTOREGRESSION)
         assert ds.theoretical_line is None
         assert ds.empirical_line is not None
 
     def test_unknown_mode(self, two_site):
         p = prepare(*two_site)
         with pytest.raises(ValueError):
-            scatter_dataset(p, fit_sar_ols(p.z, p.lag), "histogram")
+            scatter_dataset(p, fit_sar_ols(p), "histogram")

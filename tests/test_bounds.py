@@ -16,7 +16,7 @@ from moransar.verification import random_instance
 
 def report_for(raw, dist):
     p = prepare(raw, dist)
-    fit = fit_sar_ols(p.z, p.lag)
+    fit = fit_sar_ols(p)
     return p.z, p.weights, p.lag, fit, bounds_report(p, fit.r_squared)
 
 

@@ -57,6 +57,19 @@ class TestLoadSizes:
             load_sizes(p)
         assert err.value.line == 2
 
+    def test_line_numbers_count_lines_not_rows(self, tmp_path):
+        # the quoted id spans lines 2-3, so the bad value sits on line 5
+        p = write(tmp_path / "s.csv", 'id,value\n"a\nx",1\nb,2\nc,oops\n')
+        with pytest.raises(ParseError) as err:
+            load_sizes(p)
+        assert err.value.line == 5
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        p = write(tmp_path / "s.csv", "id,value\n" + "a" * 200_000 + ",1\nb,2\n")
+        with pytest.raises(ParseError) as err:
+            load_sizes(p)
+        assert err.value.line == 2
+
     def test_wrong_field_count(self, tmp_path):
         p = write(tmp_path / "s.csv", "a,1\nb,2,3\n")
         with pytest.raises(ParseError):
@@ -229,7 +242,7 @@ class TestWriters:
     def test_scatter_csv(self, tmp_path, chain):
         inputs = prepare(*chain)
         z = inputs.z
-        ds = scatter_dataset(inputs, fit_sar_ols(z, inputs.lag), MODE_AUTOCORRELATION)
+        ds = scatter_dataset(inputs, fit_sar_ols(inputs), MODE_AUTOCORRELATION)
         p = tmp_path / "scatter.csv"
         write_scatter_csv(ds, p)
         text = p.read_text().splitlines()

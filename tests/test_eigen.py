@@ -135,7 +135,7 @@ class TestDerivedGramSpectrum:
         for raw, dist in deck[:10]:
             p = prepare(raw, dist)
             weights = p.weights
-            fit = fit_sar_ols(p.z, p.lag)
+            fit = fit_sar_ols(p)
             report = bounds_report(p, fit.r_squared)
             direct = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
             tol = 1e-12 * direct.largest

@@ -159,7 +159,7 @@ class TestResidualDiagnostics:
         for raw, dist in deck[:12]:
             p = prepare(raw, dist)
             z, weights, lag = p.z, p.weights, p.lag
-            fit = fit_sar_ols(z, lag)
+            fit = fit_sar_ols(p)
             if fit.degenerate:
                 continue
             dw = spatial_durbin_watson(fit.residuals, weights)
@@ -184,7 +184,7 @@ class TestResidualDiagnostics:
         raw, dist = deck[1]
         p = prepare(raw, dist)
         z, weights, lag = p.z, p.weights, p.lag
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         a = spatial_durbin_watson(fit.residuals, weights)
         b = spatial_durbin_watson(fit.residuals * 37.0, weights)
         assert a.dw == pytest.approx(b.dw, abs=1e-12)

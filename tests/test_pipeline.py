@@ -1,11 +1,14 @@
 """End-to-end analysis: loading, reporting, determinism, serialization."""
 
 import csv
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from moransar import inference, pipeline
 from moransar.dataio import write_distance_matrix, write_sizes
 from moransar.errors import InputError
 from moransar.pipeline import (
@@ -17,7 +20,7 @@ from moransar.pipeline import (
     report_to_dict,
     summary_rows,
 )
-from moransar.spatial_data import log_transform
+from moransar.spatial_data import log_transform, prepare
 from moransar.verification import random_instance
 
 
@@ -152,6 +155,46 @@ class TestSelfAgreement:
         assert report.sar.p_intercept == 1.0
         assert report.moran.intercept == 0.0
         assert report.moran.intercept_p_value == 1.0
+
+
+class TestComputeOnce:
+    """One analysis derives each t-test, I and Durbin-Watson result once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, fn):
+        """Route every moransar binding of fn through a counter."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "moransar" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+        return calls
+
+    def test_t_tests_and_durbin_watson_run_once(self, noisy_files, monkeypatch):
+        raw, dist, _, _ = noisy_files
+        t_tests = self.count_calls(monkeypatch, inference.slope_t_test)
+        dw_runs = self.count_calls(monkeypatch, inference.spatial_durbin_watson)
+        report = analyze_data(raw, dist, permutations=0)
+        assert report.diagnostics.result is not None
+        assert "dw_geary" in {check.name for check in report.identities}
+        assert len(t_tests) == 4
+        assert len(dw_runs) == 1
+
+    def test_sar_reads_the_index_from_the_bundle(self, noisy_files, monkeypatch):
+        # a bundle whose I reads 0 must set the fit's zero_moran flag,
+        # which it cannot if the SAR layer evaluates z'Wz itself
+        raw, dist, _, _ = noisy_files
+
+        def zero_index_prepare(*args, **kwargs):
+            return dataclasses.replace(prepare(*args, **kwargs), i_value=0.0)
+
+        monkeypatch.setattr(pipeline, "prepare", zero_index_prepare)
+        report = analyze_data(raw, dist, permutations=0)
+        assert report.sar.zero_moran
 
 
 class TestSummary:

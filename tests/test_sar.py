@@ -1,5 +1,7 @@
 """The autoregressive fit and the identities tying it to the index."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ class TestFitAgainstClosedForm:
         for raw, dist in deck:
             p = prepare(raw, dist)
             z, weights, lag = p.z, p.weights, p.lag
-            fit = fit_sar_ols(z, lag)
+            fit = fit_sar_ols(p)
             i_value = moran_index(z, weights)
             a_cf, rho_cf = closed_form_from_moran(
                 i_value, fit.r_squared, lag.total, z.n
@@ -41,7 +43,7 @@ class TestFitAgainstClosedForm:
     def test_two_site_exact(self, two_site):
         p = prepare(*two_site)
         z, lag = p.z, p.lag
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         assert fit.rho_hat == -2.0
         assert fit.a_hat == 0.0
         assert fit.r_squared == 1.0
@@ -51,7 +53,7 @@ class TestFitAgainstClosedForm:
     def test_chain_exact(self, chain):
         p = prepare(*chain)
         z, lag = p.z, p.lag
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         assert fit.rho_hat == pytest.approx(-10.0, abs=1e-10)
         assert fit.r_squared == 1.0
 
@@ -63,7 +65,7 @@ class TestFitAgainstClosedForm:
         d = np.ones((n, n)) - np.eye(n)
         p = prepare(raw, d)
         z, weights, lag = p.z, p.weights, p.lag
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         assert fit.rho_hat == pytest.approx(-n * (n - 1), rel=1e-12)
         assert fit.a_hat == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == 1.0
@@ -76,7 +78,7 @@ class TestIdentities:
         for raw, dist in deck:
             p = prepare(raw, dist)
             z, weights, lag = p.z, p.weights, p.lag
-            fit = fit_sar_ols(z, lag)
+            fit = fit_sar_ols(p)
             i_value = moran_index(z, weights)
             target = z.n * fit.r_squared
             assert fit.rho_hat * i_value == pytest.approx(target, rel=1e-9)
@@ -86,7 +88,7 @@ class TestIdentities:
         for raw, dist in deck:
             p = prepare(raw, dist)
             z, lag = p.z, p.lag
-            fit = fit_sar_ols(z, lag)
+            fit = fit_sar_ols(p)
             assert fit.delta == pytest.approx(
                 z.n * (1.0 - fit.r_squared), abs=1e-9 * z.n
             )
@@ -96,9 +98,9 @@ class TestIdentities:
         for raw, dist in deck:
             p = prepare(raw, dist)
             z, weights, lag = p.z, p.weights, p.lag
-            fit = fit_sar_ols(z, lag)
+            fit = fit_sar_ols(p)
             i_value = moran_index(z, weights)
-            gap = lag_energy_gap(z, lag, i_value, fit.r_squared)
+            gap = lag_energy_gap(p, i_value, fit.r_squared)
             scale = z.n * float(lag.values @ lag.values)
             assert abs(gap) <= 1e-9 * scale
 
@@ -106,7 +108,7 @@ class TestIdentities:
         for raw, dist in deck[:10]:
             p = prepare(raw, dist)
             z, lag = p.z, p.lag
-            fit = fit_sar_ols(z, lag)
+            fit = fit_sar_ols(p)
             assert abs(float(lag.values @ fit.residuals)) <= 1e-9
             assert abs(float(fit.residuals.sum())) <= 1e-9
 
@@ -114,7 +116,7 @@ class TestIdentities:
         for raw, dist in deck[:10]:
             p = prepare(raw, dist)
             moran = inner_regression(p)
-            fit = fit_sar_ols(p.z, p.lag)
+            fit = fit_sar_ols(p)
             assert moran.slope_p_value == pytest.approx(fit.p_slope, abs=1e-12)
 
     @given(scale=st.floats(min_value=1e-4, max_value=1e4))
@@ -123,10 +125,10 @@ class TestIdentities:
         # positive rescaling of the sizes changes nothing downstream
         raw, dist = random_instance(0, 7)
         p0 = prepare(raw, dist)
-        fit0 = fit_sar_ols(p0.z, p0.lag)
+        fit0 = fit_sar_ols(p0)
         scaled = RawSizeVector.from_values(raw.values * scale)
         p1 = prepare(scaled, dist)
-        fit1 = fit_sar_ols(p1.z, p1.lag)
+        fit1 = fit_sar_ols(p1)
         assert moran_index(p1.z, p1.weights) == pytest.approx(
             moran_index(p0.z, p0.weights), abs=1e-10
         )
@@ -144,7 +146,7 @@ class TestTheoreticalCoefficients:
         coeffs = theoretical_coefficients(i_value, lag.total, z.n)
         assert coeffs.rho == pytest.approx(z.n / i_value, abs=0.0)
         # chain is an exact fit, so theoretical and fitted agree
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         assert coeffs.rho == pytest.approx(fit.rho_hat, rel=1e-12)
         assert coeffs.a == pytest.approx(fit.a_hat, abs=1e-12)
 
@@ -157,22 +159,21 @@ class TestTheoreticalCoefficients:
 
 class TestDegenerateInputs:
     def test_constant_lag_rejected(self, chain):
-        z = prepare(*chain).z
+        p = prepare(*chain)
         flat = SpatialLag(values=np.zeros(3), total=0.0)
         with pytest.raises(DegenerateLag):
-            fit_sar_ols(z, flat)
+            fit_sar_ols(dataclasses.replace(p, lag=flat))
 
     def test_length_mismatch(self, chain, two_site):
-        z3 = prepare(*chain).z
+        p3 = prepare(*chain)
         lag2 = prepare(*two_site).lag
         with pytest.raises(DimensionMismatch):
-            fit_sar_ols(z3, lag2)
+            fit_sar_ols(dataclasses.replace(p3, lag=lag2))
 
     def test_zero_r_squared_rejected_in_energy_gap(self, chain):
         p = prepare(*chain)
-        z, weights, lag = p.z, p.weights, p.lag
         with pytest.raises(ZeroRSquared):
-            lag_energy_gap(z, lag, -0.3, 0.0)
+            lag_energy_gap(p, -0.3, 0.0)
 
 
 class TestCenteredFit:
@@ -180,8 +181,8 @@ class TestCenteredFit:
         for raw, dist in deck[:10]:
             p = prepare(raw, dist)
             z, lag = p.z, p.lag
-            fit = fit_sar_ols(z, lag)
-            cen = centered_fit(z, lag)
+            fit = fit_sar_ols(p)
+            cen = centered_fit(p)
             assert cen.rho_hat == pytest.approx(fit.rho_hat, rel=1e-12)
             assert abs(cen.a_hat) <= 1e-12
 
@@ -200,7 +201,7 @@ class TestInverseSlopeRelation:
         raw, dist = deck[5]
         p = prepare(raw, dist)
         z, lag = p.z, p.lag
-        fit = fit_sar_ols(z, lag)
+        fit = fit_sar_ols(p)
         b, _, _ = inverse_slope_relation(lag.values, z.values)
         assert b == pytest.approx(fit.rho_hat, rel=1e-12)
 

@@ -22,7 +22,7 @@ SVG = "{http://www.w3.org/2000/svg}"
 
 def dataset(raw, dist, mode):
     inputs = prepare(raw, dist)
-    return scatter_dataset(inputs, fit_sar_ols(inputs.z, inputs.lag), mode)
+    return scatter_dataset(inputs, fit_sar_ols(inputs), mode)
 
 
 def parse(path):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from moransar.autocorr import inner_regression
+from moransar.inference import spatial_durbin_watson
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import prepare
 from moransar.verification import (
@@ -46,8 +47,9 @@ class TestChecks:
         raw, dist = deck[0]
         p = prepare(raw, dist)
         moran = inner_regression(p)
-        fit = fit_sar_ols(p.z, p.lag)
-        checks = core_identity_checks(p, moran, fit)
+        fit = fit_sar_ols(p)
+        dw = spatial_durbin_watson(fit.residuals, p.weights)
+        checks = core_identity_checks(p, moran, fit, dw)
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert {"slope_product", "residual_inner", "lag_energy",
