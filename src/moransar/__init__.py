@@ -65,6 +65,7 @@ from .inference import (
 from .pipeline import (
     AnalysisConfig,
     AnalysisReport,
+    IdentityCheck,
     analyze,
     analyze_data,
     emit_report,
@@ -98,7 +99,7 @@ from .spatial_data import (
     weights_from_distances,
 )
 from .svgplot import render_svg
-from .verification import IdentityCheck, instance_checks, random_instance, run_suite
+from .verification import instance_checks, random_instance, run_suite
 
 __all__ = [
     "__version__",
@@ -126,13 +127,13 @@ __all__ = [
     "slope_t_test", "permutation_test", "spatial_durbin_watson",
     "geary_pairwise", "dw_interpret", "critical_values_for",
     # pipeline and I/O
-    "AnalysisConfig", "AnalysisReport", "analyze", "analyze_data",
+    "AnalysisConfig", "AnalysisReport", "IdentityCheck", "analyze", "analyze_data",
     "emit_report", "report_to_dict", "load_sizes", "load_distances",
     "align_to_ids", "load_critical_values", "load_reference_values",
     "write_scatter_csv", "render_svg",
     "simulate_sar",
     # verification
-    "IdentityCheck", "instance_checks", "random_instance", "run_suite",
+    "instance_checks", "random_instance", "run_suite",
     # errors
     "MoranSarError", "InputError", "NumericalError",
 ]

@@ -207,7 +207,7 @@ def scatter_dataset(
         )
     if mode == MODE_AUTOREGRESSION:
         theoretical = None
-        if abs(i_value) >= 1e-12:
+        if not fit.zero_moran:
             coeffs = theoretical_coefficients(i_value, lag.total, z.n)
             theoretical = TrendLine(
                 slope=coeffs.rho, intercept=coeffs.a, label="exact-fit"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .eigen import EigenSpectrum, symmetric_eigenvalues
 from .errors import ZeroRSquared
+from .sar import ZERO_R_SQUARED_TOL
 from .spatial_data import SpatialInputs, SpatialLag
 
 CONTAINMENT_TOL = 1e-10  # relative forgiveness at interval endpoints
@@ -160,7 +161,7 @@ def range_quadratic(
     Raises:
         ZeroRSquared: if r_squared < 1e-15.
     """
-    if r_squared < 1e-15:
+    if r_squared < ZERO_R_SQUARED_TOL:
         raise ZeroRSquared("R2 is zero; the empirical range divides by it")
     squares = spectrum.values**2
     mean_sq = (wz.total / n) ** 2

@@ -35,7 +35,7 @@ from .dataio import (
 from .errors import InputError, NumericalError
 from .pipeline import AnalysisConfig, analyze, emit_report
 from .sar import fit_sar_ols
-from .simulate import simulate_sar
+from .simulate import random_distances, simulate_sar
 from .spatial_data import prepare
 from .svgplot import render_svg
 from .verification import run_suite
@@ -164,7 +164,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng([seed, 0x51])
     if args.dist is not None:
         ids, distances = load_distances(args.dist, args.dist_format)
         if len(ids) != args.n:
@@ -172,12 +171,8 @@ def cmd_simulate(args) -> int:
                 f"--n {args.n} does not match the {len(ids)}-element distance file"
             )
     else:
-        n = args.n
-        ids = tuple(str(i) for i in range(n))
-        distances = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        distances[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
-        distances = distances + distances.T
+        ids = tuple(str(i) for i in range(args.n))
+        distances = random_distances(np.random.default_rng([seed, 0x51]), args.n)
     raw = simulate_sar(args.n, distances, args.a, args.rho, args.noise_sd,
                        seed=seed)
     raw = type(raw)(ids=ids, values=raw.values)

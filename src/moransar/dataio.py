@@ -2,14 +2,18 @@
 
 Input formats:
 
-- sizes: rows of ``id,value``; a header row is detected and skipped.
+- sizes: rows of ``id,value``; an optional header row is skipped.
 - distances, matrix form: a header row of ids, then one row per element
   (row id first). A headerless all-numeric square matrix is accepted
   too, with positional ids.
-- distances, long form: rows of ``id_a,id_b,distance``; each unordered
-  pair must appear at least once, repeats must agree.
+- distances, long form: rows of ``id_a,id_b,distance``, after an
+  optional header row; each unordered pair must appear at least once,
+  repeats must agree.
 - critical values: header ``n,alpha,d_l,d_u``; ``n`` is a positive
   integer.
+
+In the sizes and long forms, a first row whose value field neither is
+nor starts like a number (a digit, a sign or ``.``) is the header.
 
 Files are read as UTF-8, and a leading byte-order mark is dropped. Every
 number must be finite. All parse failures carry the file path and 1-based
@@ -81,12 +85,26 @@ def _undecodable_line(path: str | Path) -> int:
     return 0
 
 
+_NUMBER_STARTS = frozenset("0123456789+-.")
+
+
 def _is_number(text: str) -> bool:
     try:
         float(text)
         return True
     except ValueError:
         return False
+
+
+def _skip_header(
+    rows: list[tuple[int, list[str]]], column: int
+) -> list[tuple[int, list[str]]]:
+    """Drop the first row if its field ``column`` neither is nor starts like a number."""
+    if rows and len(rows[0][1]) > column:
+        text = rows[0][1][column]
+        if not _is_number(text) and text[:1] not in _NUMBER_STARTS:
+            return rows[1:]
+    return rows
 
 
 def _parse_float(path: str | Path, lineno: int, text: str, what: str) -> float:
@@ -106,9 +124,7 @@ def load_sizes(path: str | Path) -> RawSizeVector:
         ParseError: malformed rows or too few of them.
         DuplicateId: an id appears twice.
     """
-    rows = _rows(path)
-    if rows and len(rows[0][1]) >= 2 and not _is_number(rows[0][1][1]):
-        rows = rows[1:]  # header
+    rows = _skip_header(_rows(path), 1)
     ids: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
@@ -173,9 +189,7 @@ def _load_distance_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray
 
 
 def _load_distance_long(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = _rows(path)
-    if rows and len(rows[0][1]) >= 3 and not _is_number(rows[0][1][2]):
-        rows = rows[1:]  # header
+    rows = _skip_header(_rows(path), 2)
     pair_values: dict[frozenset[str], float] = {}
     order: list[str] = []
     seen: set[str] = set()

@@ -2,16 +2,16 @@
 
 The pipeline runs the five-step workflow (optional log transform,
 standardization, weight normalization, index + autoregression, bounds
-and diagnostics), embeds every identity check with its slack, and
+and diagnostics), builds every identity check with its slack, and
 serializes deterministically: same inputs and seed give byte-identical
 JSON except for the isolated timestamp field.
 
 ``analyze`` (files) and ``analyze_data`` (arrays) are the only analysis
-path; the CLI's ``analyze`` verb wraps them. The first steps run once,
-in ``spatial_data.prepare``, and the report keeps the resulting inputs
-(outside the JSON) so that ``emit_report`` draws the scatterplot SVGs
-from the report itself. Later steps reuse the fits' t-tests and one
-Durbin-Watson result instead of deriving them again.
+path; the CLI's ``analyze`` verb and ``moransar verify`` wrap them. The
+first steps run once, in ``spatial_data.prepare``, and the report keeps
+the resulting inputs (outside the JSON) so that ``emit_report`` draws
+the scatterplot SVGs from the report itself. Later steps reuse the fits'
+t-tests and one Durbin-Watson result instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ from .autocorr import (
     MODE_AUTOCORRELATION,
     MODE_AUTOREGRESSION,
     MoranResult,
+    eigen_check,
     inner_regression,
+    rank_one_identity_slack,
     scatter_dataset,
 )
-from .bounds import BoundsReport, bounds_report
+from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
 from .dataio import align_to_ids, load_critical_values, load_distances, load_sizes
 from .errors import InputError, MissingCriticalValues, ZeroVariance
 from .inference import (
@@ -44,10 +46,11 @@ from .inference import (
     _standardize_residuals,
     critical_values_for,
     dw_interpret,
+    geary_pairwise,
     permutation_test,
     spatial_durbin_watson,
 )
-from .sar import SarFit, fit_sar_ols
+from .sar import SarFit, fit_sar_ols, lag_energy_gap
 from .spatial_data import (
     SYMMETRIZE_POLICIES,
     RawSizeVector,
@@ -56,7 +59,12 @@ from .spatial_data import (
     prepare,
 )
 from .svgplot import render_svg
-from .verification import IdentityCheck, bounds_checks, core_identity_checks
+
+REL_TOL = 1e-9
+ORACLE_TOL = 1e-12
+EIGEN_TOL = 1e-10
+DW_TOL = 1e-10
+CENTERED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,20 @@ def _check_options(alpha: float, permutations: int, symmetrize: str) -> None:
         raise InputError(f"permutations must be nonnegative, got {permutations}")
     if symmetrize not in SYMMETRIZE_POLICIES:
         raise InputError(f"symmetrize must be 'auto' or 'strict', got {symmetrize!r}")
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    name: str
+    slack: float       # measured signed or absolute discrepancy
+    tolerance: float
+    passed: bool
+
+    @classmethod
+    def within(cls, name: str, slack: float, tolerance: float) -> IdentityCheck:
+        """The check that passes when |slack| <= tolerance."""
+        return cls(name=name, slack=float(slack), tolerance=tolerance,
+                   passed=abs(slack) <= tolerance)
 
 
 @dataclass(frozen=True)
@@ -181,9 +203,7 @@ def analyze_data(
     )
 
     diagnostics = _diagnose(fit, weights, alpha, permutations, seed, dw_table)
-
-    checks = core_identity_checks(inputs, moran, fit, diagnostics.result)
-    identities = tuple(checks + bounds_checks(bounds))
+    identities = _identity_checks(inputs, moran, fit, diagnostics.result, bounds)
 
     provenance = Provenance(
         sizes_sha256=sizes_sha256,
@@ -204,6 +224,62 @@ def analyze_data(
         provenance=provenance,
         inputs=inputs,
     )
+
+
+def _containment_check(name: str, containment: Containment) -> IdentityCheck:
+    # slack is the signed distance to the nearer endpoint; passing means
+    # the containment verdict itself, so boundary-attained cases count
+    return IdentityCheck(name=name, slack=float(containment.slack), tolerance=0.0,
+                         passed=containment.contained)
+
+
+def _identity_checks(
+    inputs: SpatialInputs,
+    moran: MoranResult,
+    fit: SarFit,
+    dw: DwResult | None,
+    bounds: BoundsReport,
+) -> tuple[IdentityCheck, ...]:
+    """The exact relations of one analysis, then the bounds containments.
+
+    dw is None for an exact fit. The lower end of the theoretical
+    quadratic range holds only at R2 = 1, so only its upper end is checked.
+    """
+    check = IdentityCheck.within
+    lag, n = inputs.lag, inputs.n
+    checks = [
+        check("slope_product",  # rho_hat * I - n * R2
+              fit.rho_hat * moran.i_value - n * fit.r_squared,
+              REL_TOL * max(1.0, abs(n * fit.r_squared))),
+        check("residual_inner",  # delta - n(1 - R2)
+              fit.delta - n * (1.0 - fit.r_squared),
+              REL_TOL * n),
+        check("lag_energy",  # n(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2
+              lag_energy_gap(inputs, moran.i_value, fit.r_squared),
+              REL_TOL * max(1e-30, n * float(lag.values @ lag.values))),
+        check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
+        check("residual_orthogonality_ones", float(fit.residuals.sum()), REL_TOL),
+        check("paired_p", moran.slope_p_value - fit.p_slope, REL_TOL),
+        check("eigen_relation", eigen_check(inputs), EIGEN_TOL),
+        check("rank_one_scalar", rank_one_identity_slack(inputs), EIGEN_TOL),
+    ]
+    if dw is not None:
+        checks.append(check("dw_geary",
+                            dw.dw - 2.0 * geary_pairwise(fit.residuals, inputs.weights),
+                            DW_TOL))
+    r2 = bounds.range2
+    upper_slack = r2.theoretical.upper - r2.theoretical.value
+    upper_ok = upper_slack >= -CONTAINMENT_TOL * max(1.0, abs(r2.theoretical.upper))
+    checks += [
+        _containment_check("bounds_moran", bounds.range1.containment),
+        _containment_check("bounds_quadratic_empirical", r2.empirical),
+        IdentityCheck("bounds_quadratic_theoretical_upper", float(upper_slack), 0.0,
+                      upper_ok),
+        _containment_check("bounds_outer", bounds.range3.containment),
+        check("rayleigh_quotient", r2.rayleigh_gap,
+              REL_TOL * max(1.0, r2.empirical.value)),
+    ]
+    return tuple(checks)
 
 
 def _diagnose(

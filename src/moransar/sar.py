@@ -19,6 +19,7 @@ from .regression import fit_line
 from .spatial_data import SpatialInputs
 
 ZERO_MORAN_TOL = 1e-12
+ZERO_R_SQUARED_TOL = 1e-15  # below it, I^2/R2 terms are undefined
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def lag_energy_gap(inputs: SpatialInputs, i_value: float, r_squared: float) -> f
     Raises:
         ZeroRSquared: if r_squared < 1e-15 (the I^2/R2 term blows up).
     """
-    if r_squared < 1e-15:
+    if r_squared < ZERO_R_SQUARED_TOL:
         raise ZeroRSquared("R2 is zero; lag-energy identity degenerates")
     energy = inputs.n * float(inputs.lag.values @ inputs.lag.values)
     return energy - inputs.lag.total**2 - i_value**2 / r_squared

@@ -16,6 +16,14 @@ from .spatial_data import RawSizeVector, WeightMatrix, weights_from_distances
 RESOLVENT_TOL = 1e-9
 
 
+def random_distances(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Symmetric distances: the upper triangle drawn U(0.2, 5), mirrored."""
+    distances = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    distances[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
+    return distances + distances.T
+
+
 def simulate_sar(
     n: int,
     dist_or_weights: np.ndarray | WeightMatrix,

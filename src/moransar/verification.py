@@ -1,10 +1,10 @@
 """Identity suite: every exact relation in the package, checked end to end.
 
-One IdentityCheck records a named relation, its measured slack, and the
-tolerance it must stay inside. The pipeline embeds the core checks in
-every analysis report; the ``verify`` command runs the whole battery on
-the bundled fixtures plus a deck of seeded random instances and fails
-loudly (exit code 2) if any slack escapes its tolerance.
+Each instance runs through ``pipeline.analyze_data``, the path that
+``moransar analyze`` ships, and keeps the report's identity checks;
+independent oracles are added on top. The ``verify`` command runs the
+battery on the bundled fixtures plus a deck of seeded random instances
+and fails loudly (exit code 2) if any slack escapes its tolerance.
 """
 
 from __future__ import annotations
@@ -14,128 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sar as sar_mod
-from .autocorr import (
-    MoranResult,
-    eigen_check,
-    inner_regression,
-    moran_double_sum,
-    rank_one_identity_slack,
-)
-from .bounds import BoundsReport, bounds_report
+from .autocorr import moran_double_sum
 from .eigen import symmetric_eigenvalues
 from .errors import ZeroVariance
-from .inference import DwResult, geary_pairwise, spatial_durbin_watson
-from .spatial_data import RawSizeVector, SpatialInputs, prepare
+from .inference import spatial_durbin_watson
+from .pipeline import (
+    CENTERED_TOL,
+    EIGEN_TOL,
+    ORACLE_TOL,
+    REL_TOL,
+    IdentityCheck,
+    analyze_data,
+)
+from .sar import centered_fit, closed_form_from_moran, inverse_slope_relation
+from .simulate import random_distances
+from .spatial_data import RawSizeVector
 
-REL_TOL = 1e-9
-ORACLE_TOL = 1e-12
-EIGEN_TOL = 1e-10
-DW_TOL = 1e-10
-CENTERED_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    slack: float       # measured signed or absolute discrepancy
-    tolerance: float
-    passed: bool
-
-
-def _check(name: str, slack: float, tolerance: float) -> IdentityCheck:
-    return IdentityCheck(
-        name=name, slack=float(slack), tolerance=tolerance,
-        passed=abs(slack) <= tolerance,
-    )
-
-
-def _containment_check(name: str, containment) -> IdentityCheck:
-    # slack is the signed distance to the nearer endpoint; passing means
-    # the containment verdict itself, so boundary-attained cases count
-    return IdentityCheck(
-        name=name,
-        slack=float(containment.slack),
-        tolerance=0.0,
-        passed=containment.contained,
-    )
-
-
-def core_identity_checks(
-    inputs: SpatialInputs,
-    moran: MoranResult,
-    fit: sar_mod.SarFit,
-    dw: DwResult | None,
-) -> list[IdentityCheck]:
-    """The relations embedded in every report; dw is None for an exact fit."""
-    weights, lag, n = inputs.weights, inputs.lag, inputs.n
-    checks = [
-        _check(
-            "slope_product",  # rho_hat * I - n * R2
-            fit.rho_hat * moran.i_value - n * fit.r_squared,
-            REL_TOL * max(1.0, abs(n * fit.r_squared)),
-        ),
-        _check(
-            "residual_inner",  # delta - n(1 - R2)
-            fit.delta - n * (1.0 - fit.r_squared),
-            REL_TOL * n,
-        ),
-        _check(
-            "lag_energy",  # n(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2
-            sar_mod.lag_energy_gap(inputs, moran.i_value, fit.r_squared),
-            REL_TOL * max(1e-30, n * float(lag.values @ lag.values)),
-        ),
-        _check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
-        _check("residual_orthogonality_ones", float(fit.residuals.sum()), REL_TOL),
-        _check("paired_p", moran.slope_p_value - fit.p_slope, REL_TOL),
-        _check("eigen_relation", eigen_check(inputs), EIGEN_TOL),
-        _check("rank_one_scalar", rank_one_identity_slack(inputs), EIGEN_TOL),
-    ]
-    if dw is not None:
-        checks.append(
-            _check("dw_geary", dw.dw - 2.0 * geary_pairwise(fit.residuals, weights),
-                   DW_TOL)
-        )
-    return checks
-
-
-def bounds_checks(report: BoundsReport) -> list[IdentityCheck]:
-    """Containment verdicts that the algebra guarantees unconditionally.
-
-    The first and third ranges always hold; so does the quadratic range
-    in its empirical form (a literal Rayleigh quotient) and the upper
-    end of its theoretical form. The theoretical lower end is NOT
-    guaranteed on noisy data (it is exact only at R2 = 1), so it is
-    reported in the BoundsReport but not asserted here.
-    """
-    r2 = report.range2
-    theo_upper_slack = r2.theoretical.upper - r2.theoretical.value
-    return [
-        _containment_check("bounds_moran", report.range1.containment),
-        _containment_check("bounds_quadratic_empirical", r2.empirical),
-        IdentityCheck(
-            name="bounds_quadratic_theoretical_upper",
-            slack=float(theo_upper_slack),
-            tolerance=0.0,
-            passed=theo_upper_slack >= -1e-10 * max(1.0, abs(r2.theoretical.upper)),
-        ),
-        _containment_check("bounds_outer", report.range3.containment),
-        _check("rayleigh_quotient", r2.rayleigh_gap,
-               REL_TOL * max(1.0, r2.empirical.value)),
-    ]
+_check = IdentityCheck.within
 
 
 def instance_checks(
     raw: RawSizeVector, distances: np.ndarray
 ) -> list[IdentityCheck]:
-    """Run every check on one (sizes, distances) instance."""
-    inputs = prepare(raw, distances)
+    """The report's checks on one (sizes, distances) instance, then oracles."""
+    report = analyze_data(raw, distances, permutations=0)
+    inputs, moran, fit = report.inputs, report.moran, report.sar
     z, weights, lag, n = inputs.z, inputs.weights, inputs.lag, inputs.n
-    moran = inner_regression(inputs)
-    fit = sar_mod.fit_sar_ols(inputs)
-    dw = None if fit.degenerate else spatial_durbin_watson(fit.residuals, weights)
-
-    checks = core_identity_checks(inputs, moran, fit, dw)
+    checks = list(report.identities)
 
     checks.append(
         _check(
@@ -150,7 +55,7 @@ def instance_checks(
     )
 
     if not fit.zero_moran:
-        a_cf, rho_cf = sar_mod.closed_form_from_moran(
+        a_cf, rho_cf = closed_form_from_moran(
             moran.i_value, fit.r_squared, lag.total, n
         )
         checks.append(
@@ -162,27 +67,25 @@ def instance_checks(
                    REL_TOL * max(1.0, abs(fit.a_hat)))
         )
 
-    centered = sar_mod.centered_fit(inputs)
+    centered = centered_fit(inputs)
     checks.append(_check("centered_slope", centered.rho_hat - fit.rho_hat,
                          REL_TOL * max(1.0, abs(fit.rho_hat))))
     checks.append(_check("centered_intercept", centered.a_hat, CENTERED_TOL))
 
-    b, b_prime, product = sar_mod.inverse_slope_relation(lag.values, z.values)
+    b, b_prime, product = inverse_slope_relation(lag.values, z.values)
     checks.append(_check("inverse_slope_product", product - fit.r_squared, ORACLE_TOL))
     checks.append(_check("slope_duality",
                          (moran.i_value / n) * fit.rho_hat - fit.r_squared,
                          REL_TOL * max(1.0, fit.r_squared)))
 
-    report = bounds_report(inputs, fit.r_squared)
-    spec_w = report.spectrum
-    checks.extend(bounds_checks(report))
     # the direct solves below are independent oracles for what the bounds
     # derive: the rank-1 outer spectrum, and spec(W'W) as squares of spec(W)
+    spec_w = report.bounds.spectrum
     checks.append(
         _check(
             "outer_lambda_analytic",
             symmetric_eigenvalues(np.outer(lag.values, lag.values)).largest
-            - report.range3.lambda_outer_max,
+            - report.bounds.range3.lambda_outer_max,
             EIGEN_TOL,
         )
     )
@@ -205,49 +108,37 @@ def random_instance(master_seed: int, k: int) -> tuple[RawSizeVector, np.ndarray
     rng = np.random.default_rng([master_seed, k])
     n = int(rng.integers(3, 41))
     sizes = rng.uniform(0.5, 10.0, size=n)
-    distances = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    distances[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
-    distances = distances + distances.T
-    return RawSizeVector.from_values(sizes), distances
+    return RawSizeVector.from_values(sizes), random_distances(rng, n)
 
 
 def _fixture_checks() -> list[IdentityCheck]:
     """Exact expectations on the two bundled toy fixtures."""
-    checks = []
-
     # two sites at distance 2, sizes 1 and 3
-    raw = RawSizeVector.from_values([1.0, 3.0])
-    dist = np.array([[0.0, 2.0], [2.0, 0.0]])
-    inputs = prepare(raw, dist)
-    weights = inputs.weights
-    moran = inner_regression(inputs)
-    fit = sar_mod.fit_sar_ols(inputs)
-    dw = spatial_durbin_watson(inputs.z.values, weights)
-    checks += [
+    two = analyze_data(RawSizeVector.from_values([1.0, 3.0]),
+                       np.array([[0.0, 2.0], [2.0, 0.0]]), permutations=0)
+    moran, fit = two.moran, two.sar
+    dw = spatial_durbin_watson(two.inputs.z.values, two.inputs.weights)
+    checks = [
         _check("two_site_index", moran.i_value + 1.0, EIGEN_TOL),
         _check("two_site_rho", fit.rho_hat + 2.0, EIGEN_TOL),
         _check("two_site_a", fit.a_hat, EIGEN_TOL),
         _check("two_site_r2", fit.r_squared - 1.0, EIGEN_TOL),
         _check("two_site_delta", fit.delta, EIGEN_TOL),
         _check("two_site_dw_of_z", dw.dw - 2.0, EIGEN_TOL),
-        _check(
-            "two_site_boundary",
-            moran.i_value / 2 - symmetric_eigenvalues(weights.matrix).smallest,
-            0.0,
-        ),
+        _check("two_site_boundary",
+               moran.i_value / 2 - two.bounds.spectrum.smallest, 0.0),
     ]
 
     # three sites on a line, unit spacing, sizes 1, 2, 3
-    raw3 = RawSizeVector.from_values([1.0, 2.0, 3.0])
-    dist3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    inputs3 = prepare(raw3, dist3)
-    moran3 = inner_regression(inputs3)
-    fit3 = sar_mod.fit_sar_ols(inputs3)
+    chain = analyze_data(
+        RawSizeVector.from_values([1.0, 2.0, 3.0]),
+        np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+        permutations=0,
+    )
     checks += [
-        _check("chain_index", moran3.i_value + 0.3, EIGEN_TOL),
-        _check("chain_rho", fit3.rho_hat + 10.0, EIGEN_TOL),
-        _check("chain_r2", fit3.r_squared - 1.0, EIGEN_TOL),
+        _check("chain_index", chain.moran.i_value + 0.3, EIGEN_TOL),
+        _check("chain_rho", chain.sar.rho_hat + 10.0, EIGEN_TOL),
+        _check("chain_r2", chain.sar.r_squared - 1.0, EIGEN_TOL),
     ]
     return checks
 

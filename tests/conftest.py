@@ -1,5 +1,6 @@
 """Shared fixtures: the two exact toy datasets and a seeded random deck."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,13 @@ from moransar.spatial_data import RawSizeVector
 from moransar.verification import random_instance
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# pytest puts src/ on this process's path (pyproject's pythonpath); the
+# CLI tests' subprocesses need it in their environment as well
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH")))
+)
 
 # two sites at distance 2, sizes 1 and 3: I = -1, rho = -2, R2 = 1
 TWO_SITE_SIZES = [1.0, 3.0]

@@ -42,6 +42,13 @@ class TestLoadSizes:
         p = write(tmp_path / "s.csv", "a,1.5\nb,2.5\n")
         assert load_sizes(p).ids == ("a", "b")
 
+    def test_mistyped_first_value_is_not_a_header(self, tmp_path):
+        # a value that starts like a number is data, so the typo is reported
+        p = write(tmp_path / "s.csv", "a,1O\nb,2\n")
+        with pytest.raises(ParseError, match="is not a number") as err:
+            load_sizes(p)
+        assert err.value.line == 1
+
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         p = write(tmp_path / "s.csv", "# generated\na,1\n\nb,2\n")
         assert load_sizes(p).n == 2
@@ -133,6 +140,12 @@ class TestLoadDistanceLong:
         p = write(tmp_path / "d.csv", "id_a,id_b,distance\na,b,1\nb,c,1\n")
         with pytest.raises(MissingPair):
             load_distances(p, dist_format="long")
+
+    def test_mistyped_first_distance_is_not_a_header(self, tmp_path):
+        p = write(tmp_path / "d.csv", "a,b,1O\nb,c,1\na,c,1\n")
+        with pytest.raises(ParseError, match="is not a number") as err:
+            load_distances(p, dist_format="long")
+        assert err.value.line == 1
 
     def test_conflicting_repeat(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b,1\nb,a,2\n")

@@ -15,6 +15,7 @@ from moransar.cli import main
 
 LETTERS = ("a", "b", "c", "d", "e")
 NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+DIGIT_LED = ("1O", "1..2", "-2x", ".5.5")
 
 
 def element_ids(dist_format, header):
@@ -76,20 +77,26 @@ def replace_field(line, k, text):
     return ",".join(fields)
 
 
-def corrupt(draw, lines, first_data, value_column, kind):
+def corrupt(draw, lines, first_data, value_column, kind, value_decides_header):
     """Corrupt one data row; returns (lines, row to get bad bytes, line number).
 
     The line number is the 1-based line the loader must report, or None
     when the fault is only visible at the file level. Text in the first
-    row of a headerless file would read as a header, so it goes lower.
+    row of a headerless file may read as a header. Where the value field
+    decides (value_decides_header), text that starts like a number does
+    not, so that row gets a digit-led non-number; elsewhere the fault
+    goes lower.
     """
-    lowest = max(first_data, 1) if kind == "not_a_number" else first_data
+    lowest = first_data
+    if kind == "not_a_number" and not value_decides_header:
+        lowest = max(first_data, 1)
     k = draw(st.integers(lowest, len(lines) - 1))
     lines = list(lines)
     if kind == "non_finite":
         lines[k] = replace_field(lines[k], value_column, draw(st.sampled_from(NON_FINITE)))
     elif kind == "not_a_number":
-        lines[k] = replace_field(lines[k], value_column, draw(st.sampled_from(("x", "", "1..2"))))
+        texts = DIGIT_LED if k == 0 else ("x", "", *DIGIT_LED)
+        lines[k] = replace_field(lines[k], value_column, draw(st.sampled_from(texts)))
     elif kind == "ragged":
         fields = lines[k].split(",")
         lines[k] = ",".join(fields[:-1] if draw(st.booleans()) else fields + ["7"])
@@ -146,7 +153,8 @@ def test_malformed_file_exits_1_with_location(inst, target, header, crlf, bom, d
         first_data = 1 if target == "critical" else first
         bad_byte_line, line = None, None
         if kind in ROW_FAULTS:
-            rows, bad_byte_line, line = corrupt(data.draw, rows, first_data, value_column, kind)
+            rows, bad_byte_line, line = corrupt(data.draw, rows, first_data, value_column,
+                                                kind, target in ("sizes", "long"))
         elif kind == "duplicate_id" and target == "sizes":
             rows = rows + [rows[-1]]
             line = len(rows)

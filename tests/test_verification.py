@@ -2,14 +2,11 @@
 
 import numpy as np
 
-from moransar.autocorr import inner_regression
-from moransar.inference import spatial_durbin_watson
-from moransar.sar import fit_sar_ols
-from moransar.spatial_data import prepare
+import moransar.verification
+from moransar.pipeline import analyze_data
 from moransar.verification import (
     IdentityCheck,
     SuiteResult,
-    core_identity_checks,
     instance_checks,
     random_instance,
     run_suite,
@@ -45,15 +42,29 @@ class TestRandomInstance:
 class TestChecks:
     def test_core_checks_pass_on_a_noisy_instance(self, deck):
         raw, dist = deck[0]
-        p = prepare(raw, dist)
-        moran = inner_regression(p)
-        fit = fit_sar_ols(p)
-        dw = spatial_durbin_watson(fit.residuals, p.weights)
-        checks = core_identity_checks(p, moran, fit, dw)
+        checks = analyze_data(raw, dist, permutations=0).identities
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert {"slope_product", "residual_inner", "lag_energy",
                 "paired_p", "eigen_relation", "rank_one_scalar"} <= names
+
+    def test_instance_checks_replay_the_report_identities(self, deck):
+        for raw, dist in deck[:10]:
+            suite = {c.name: c for c in instance_checks(raw, dist)}
+            for check in analyze_data(raw, dist, permutations=0).identities:
+                assert suite[check.name] == check
+
+    def test_instance_checks_run_one_analysis(self, deck, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return analyze_data(*args, **kwargs)
+
+        monkeypatch.setattr(moransar.verification, "analyze_data", spy)
+        raw, dist = deck[3]
+        instance_checks(raw, dist)
+        assert calls == [{"permutations": 0}]
 
     def test_instance_checks_cover_every_family(self, deck):
         raw, dist = deck[1]
