@@ -13,8 +13,9 @@ Three containments, each a Rayleigh-quotient consequence:
 3. I^2/n lies in [0, (Wz)'(Wz)], the analytic spectrum of the rank-1
    outer product of the lag.
 
-The solver behind the spectra is the built-in Jacobi routine; external
-eigensolvers appear only in tests, as oracles.
+The solver behind the spectra is the built-in Householder and Sturm
+multisection routine; external eigensolvers appear only in tests, as
+oracles.
 """
 
 from __future__ import annotations

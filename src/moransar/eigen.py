@@ -1,36 +1,54 @@
-"""Built-in symmetric eigensolver (Jacobi rotations in round-robin order).
+"""Built-in symmetric eigensolver (Householder tridiagonalization plus
+Sturm-sequence multisection).
 
 Self-contained on purpose: the spectral-range checks must not lean on an
 external linear-algebra backend, so tests can compare this solver against
 one as an independent oracle. Matrices here are small (n up to a few
-hundred), where Jacobi is simple, robust, and accurate to near machine
-precision.
+hundred).
 
-A sweep visits every pivot pair once in a round-robin (parallel)
-ordering, as in Brent and Luk, "The solution of singular-value and
-symmetric eigenvalue problems on multiprocessor arrays" (SIAM J. Sci.
-Stat. Comput., 1985): the rounds of a tournament pair each index at most
-once, so the rotations of one round act on disjoint rows and columns and
-are applied together as a handful of whole-array numpy operations.
+Three steps:
+
+1. Householder reflections reduce the matrix to a symmetric tridiagonal
+   T with diagonal d and off-diagonal e, one rank-2 update of the
+   trailing block per column (Householder, "Unitary triangularization of
+   a nonsymmetric matrix", J. ACM 5, 1958).
+2. T splits at off-diagonals that are exactly zero. A 1x1 block is its
+   own eigenvalue and a 2x2 block has a closed form, so both come back
+   exact when the matrix already had that shape.
+3. Every larger block is bisected by Sturm counts: the number of negative
+   pivots of T - xI is the number of eigenvalues below x (Barth, Martin
+   & Wilkinson, "Calculation of the eigenvalues of a symmetric
+   tridiagonal matrix by the method of bisection", Numer. Math. 9,
+   1967). Each pass splits every live bracket at many shifts at once and
+   runs the recurrence over all shifts together, until each bracket is
+   a few ulps of the block's norm wide.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoConvergence, NotSymmetric
 
-OFFDIAG_TOL_FACTOR = 1e-12
-MAX_SWEEPS = 100
 SYMMETRY_TOL = 1e-9
+SHIFTS_PER_BRACKET = 64
+MAX_PASSES = 32  # a 65-way split reaches 4 eps ||T|| in about 9 passes
+# final bracket width in units of eps * ||T||: absolute, because a target
+# relative to each eigenvalue is never met by eigenvalues near zero
+WIDTH_TOL_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Real eigenvalues in ascending order plus the convergence residual."""
+    """Real eigenvalues in ascending order plus the solver's certificate.
+
+    ``max_offdiag_residual`` is the width of the widest final bracket (0.0
+    when every block was 1x1 or 2x2): each value is that bracket's
+    midpoint. ``sweeps`` is the number of multisection passes, summed over
+    the tridiagonal's blocks.
+    """
 
     values: np.ndarray = field(repr=False)
     max_offdiag_residual: float
@@ -49,128 +67,161 @@ class EigenSpectrum:
         return float(self.values[-1])
 
 
-def _offdiag_frobenius(a: np.ndarray) -> float:
-    # measured directly, never as total minus diagonal: that subtraction
-    # cancels catastrophically once the true off-diagonal mass is small
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotSymmetric("matrix has non-finite entries")
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if asym > SYMMETRY_TOL * max(scale, 1.0):
         raise NotSymmetric(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:g}"
         )
-    # kill sub-tolerance drift so rotations see an exactly symmetric matrix
+    # kill sub-tolerance drift so the reflections see an exactly symmetric matrix
     return 0.5 * (m + m.T)
 
 
-@functools.lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Round-robin tournament on n indices as (rounds, pairs) arrays P < Q.
-
-    Circle method on an even count m (n, or n + 1 with a phantom index
-    that sits out one pair per round): index m-1 stays fixed while the
-    rest rotate, so round r pairs m-1 with r and (r+i) with (r-i) mod
-    m-1. Every pair p < q meets exactly once per sweep and no index
-    appears twice in a round, which makes a round's rotations disjoint.
-    """
-    m = n + (n % 2)
-    r = np.arange(m - 1)[:, None]
-    i = np.arange(1, m // 2)[None, :]
-    left = np.concatenate([r, (r + i) % (m - 1)], axis=1)
-    right = np.concatenate([np.full_like(r, m - 1), (r - i) % (m - 1)], axis=1)
-    p, q = np.minimum(left, right), np.maximum(left, right)
-    if m != n:
-        # drop each round's pair with the phantom index n
-        keep = q != n
-        p = p[keep].reshape(m - 1, -1)
-        q = q[keep].reshape(m - 1, -1)
-    p.flags.writeable = False
-    q.flags.writeable = False
-    return p, q
-
-
-def _jacobi(m: np.ndarray) -> tuple[np.ndarray, float, int]:
-    a = _check_symmetric(m)
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Q'AQ; overwrites ``a``."""
     n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy(), 0.0, 0
+    e = np.zeros(max(n - 1, 0))
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        if not x[1:].any():
+            # column already tridiagonal: no reflection, so an exact
+            # block structure survives exactly
+            e[k] = x[0]
+            continue
+        alpha = -np.copysign(np.linalg.norm(x), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        beta = 2.0 / float(v @ v)
+        # H B H with H = I - beta v v' is B - v w' - w v'
+        b = a[k + 1 :, k + 1 :]
+        p = beta * (b @ v)
+        w = p - (0.5 * beta * float(p @ v)) * v
+        b -= np.outer(v, w) + np.outer(w, v)
+        e[k] = alpha
+    if n >= 2:
+        e[-1] = a[-1, -2]
+    return a.diagonal().copy(), e
 
-    norm_f = float(np.linalg.norm(a))
-    if norm_f == 0.0:
-        return np.zeros(n), 0.0, 0
-    target = OFFDIAG_TOL_FACTOR * norm_f
-    rounds_p, rounds_q = _round_robin(n)
 
-    sweeps = 0
-    off = _offdiag_frobenius(a)
-    while off > target and sweeps < MAX_SWEEPS:
-        # early sweeps skip pivots far below the current off-diagonal mass;
-        # late sweeps rotate every nonzero pivot to finish the cleanup
-        skip = 0.2 * off / (n * n) if sweeps < 4 else 0.0
-        for p, q in zip(rounds_p, rounds_q):
-            apq = a[p, q]
-            live = np.abs(apq) > skip
-            if not live.all():
-                p, q, apq = p[live], q[live], apq[live]
-                if p.size == 0:
-                    continue
-            app = a[p, p]
-            aqq = a[q, q]
-            # theta^2 overflows past 1e154; there the asymptotic small root
-            # 0.5/theta replaces the overflowed branch
-            with np.errstate(over="ignore"):
-                theta = (aqq - app) / (2.0 * apq)
-                t = np.where(theta < 0.0, -1.0, 1.0) / (
-                    np.abs(theta) + np.sqrt(theta * theta + 1.0)
-                )
-            big = np.abs(theta) > 1.0e154
-            if big.any():
-                t[big] = 0.5 / theta[big]
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # the rotations of one round touch disjoint rows and columns,
-            # so they apply together: rows first, then columns
-            row_p = a[p, :]
-            row_q = a[q, :]
-            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
-            col_p = a[:, p]
-            col_q = a[:, q]
-            a[:, p] = col_p * c - col_q * s
-            a[:, q] = col_p * s + col_q * c
-            # diagonal updates use the exact transfer t*apq instead of
-            # the rounded two-sided rotation
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-        sweeps += 1
-        off = _offdiag_frobenius(a)
+def _sturm_counts(
+    d: np.ndarray, e2: np.ndarray, shifts: np.ndarray, pivmin: float
+) -> np.ndarray:
+    """Eigenvalues of the tridiagonal below each shift; e2[i] = e[i-1]**2.
 
-    if off > target:
-        raise NoConvergence(residual=off, sweeps=sweeps)
-    return a.diagonal().copy(), off, sweeps
+    The pivots of the LDL' factorization of T - xI, one recurrence step
+    per row for all shifts at once, in place to spare allocations.
+    """
+    count = np.zeros(shifts.shape, dtype=np.int64)
+    q = np.ones(shifts.shape)
+    tmp = np.empty(shifts.shape)
+    flag = np.empty(shifts.shape, dtype=bool)
+    for i in range(d.shape[0]):
+        np.divide(e2[i], q, out=tmp)
+        np.subtract(d[i], shifts, out=q)
+        q -= tmp
+        # a pivot below pivmin becomes -pivmin, so the next division
+        # can neither divide by zero nor overflow
+        np.abs(q, out=tmp)
+        np.less(tmp, pivmin, out=flag)
+        np.copyto(q, -pivmin, where=flag)
+        np.less(q, 0.0, out=flag)
+        count += flag
+    return count
+
+
+def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes."""
+    m = d.shape[0]
+    e2 = np.concatenate([[0.0], e * e])
+    radius = np.zeros(m)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lower = float(np.min(d - radius))
+    upper = float(np.max(d + radius))
+    norm = max(abs(lower), abs(upper))
+    target = WIDTH_TOL_FACTOR * np.finfo(float).eps * norm
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2)))
+
+    # brackets [lo, hi) with the number of eigenvalues below each end
+    lo = np.array([lower - target])
+    hi = np.array([upper + target])
+    c_lo = np.array([0])
+    c_hi = np.array([m])
+    fractions = np.arange(1, SHIFTS_PER_BRACKET + 1) / (SHIFTS_PER_BRACKET + 1)
+    passes = 0
+    while passes < MAX_PASSES and np.any(hi - lo > target):
+        live = hi - lo > target
+        shifts = lo[live, None] + (hi - lo)[live, None] * fractions
+        counts = _sturm_counts(d, e2, shifts, pivmin)
+        # rounding may break the count's monotonicity; restore it within
+        # the bracket so every eigenvalue stays in exactly one piece
+        counts = np.clip(
+            np.maximum.accumulate(counts, axis=1),
+            c_lo[live, None],
+            c_hi[live, None],
+        )
+        edges = np.concatenate([lo[live, None], shifts, hi[live, None]], axis=1)
+        below = np.concatenate([c_lo[live, None], counts, c_hi[live, None]], axis=1)
+        keep = below[:, 1:] > below[:, :-1]
+        lo = np.concatenate([lo[~live], edges[:, :-1][keep]])
+        hi = np.concatenate([hi[~live], edges[:, 1:][keep]])
+        c_lo = np.concatenate([c_lo[~live], below[:, :-1][keep]])
+        c_hi = np.concatenate([c_hi[~live], below[:, 1:][keep]])
+        passes += 1
+
+    widest = float(np.max(hi - lo))
+    if widest > target:
+        raise NoConvergence(residual=widest, sweeps=passes)
+    values = np.repeat(0.5 * (lo + hi), c_hi - c_lo)
+    return values, widest, passes
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Converged when the off-diagonal Frobenius norm falls to 1e-12 of the
-    matrix Frobenius norm, within 100 sweeps.
+    Each eigenvalue of a block larger than 2x2 is the midpoint of a
+    Sturm bracket at most 4 eps ||T|| wide, where ||T|| is the block's
+    Gershgorin bound.
 
     Raises:
-        NotSymmetric: if the input deviates from symmetry beyond 1e-9.
-        NoConvergence: if 100 sweeps do not reach the target residual.
+        NotSymmetric: if the input is not square, has non-finite entries,
+            or deviates from symmetry beyond 1e-9.
+        NoConvergence: if a bracket is still wider than its target after
+            ``MAX_PASSES`` passes.
     """
-    diag, off, sweeps = _jacobi(m)
-    values = np.sort(diag)
+    a = _check_symmetric(m)
+    # scaling by a power of two is exact and keeps the squares in the
+    # reduction and in the Sturm recurrence clear of overflow and underflow
+    exponent = int(np.frexp(np.max(np.abs(a)))[1]) if a.size else 0
+    d, e = _tridiagonalize(np.ldexp(a, -exponent))
+    n = d.shape[0]
+    edges = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n] if n else [0]
+    parts = [np.zeros(0)]
+    widest = 0.0
+    passes = 0
+    for start, stop in zip(edges[:-1], edges[1:]):
+        block_d, block_e = d[start:stop], e[start : stop - 1]
+        if stop - start == 1:
+            parts.append(block_d)
+        elif stop - start == 2:
+            mid = 0.5 * (block_d[0] + block_d[1])
+            r = np.hypot(0.5 * (block_d[0] - block_d[1]), block_e[0])
+            parts.append(np.array([mid - r, mid + r]))
+        else:
+            values, width, count = _multisection(block_d, block_e)
+            parts.append(values)
+            widest = max(widest, width)
+            passes += count
+    values = np.ldexp(np.sort(np.concatenate(parts)), exponent)
     values.flags.writeable = False
-    return EigenSpectrum(values=values, max_offdiag_residual=off, sweeps=sweeps)
+    return EigenSpectrum(
+        values=values,
+        max_offdiag_residual=float(np.ldexp(widest, exponent)),
+        sweeps=passes,
+    )

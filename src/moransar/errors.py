@@ -147,12 +147,12 @@ class NonSquare(InputError):
 # ---------------------------------------------------------------------------
 
 class NoConvergence(NumericalError):
-    """The eigensolver did not reach its tolerance within the sweep budget."""
+    """A Sturm bracket was still wider than its target after the pass budget."""
 
     def __init__(self, residual: float, sweeps: int):
         self.residual = residual
         self.sweeps = sweeps
         super().__init__(
-            f"Jacobi sweeps did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
+            f"eigenvalue brackets did not converge after {sweeps} "
+            f"multisection passes (widest bracket {residual:.3e})"
         )

@@ -34,7 +34,7 @@ from moransar.inference import (
 )
 from moransar.pipeline import analyze_data, summary_rows
 from moransar.sar import closed_form_from_moran, fit_sar_ols, lag_energy_gap
-from moransar.simulate import simulate_sar
+from moransar.simulate import random_distances, simulate_sar
 from moransar.spatial_data import RawSizeVector, inverse_distance_proximity, prepare
 from moransar.verification import random_instance
 
@@ -270,11 +270,7 @@ def test_criterion_8_permutation_consistency():
     p2 = permutation_test(z2, w2, m=999)
     p2_sampled = permutation_test(z2, w2, m=1, seed=0)
 
-    rng = np.random.default_rng(8)
-    dist5 = np.zeros((5, 5))
-    iu = np.triu_indices(5, k=1)
-    dist5[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
-    dist5 = dist5 + dist5.T
+    dist5 = random_distances(np.random.default_rng(8), 5)
     raw5 = RawSizeVector.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
     p = prepare(raw5, dist5)
     z5, w5 = p.z, p.weights
@@ -338,11 +334,7 @@ def test_criterion_9_reference_slot_and_summary_shape():
     # a full-size synthetic stand-in flows through analyze into rows whose
     # parameter names match the published table, ready for comparison once
     # real data is supplied
-    rng = np.random.default_rng(35)
-    dist = np.zeros((35, 35))
-    iu = np.triu_indices(35, k=1)
-    dist[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
-    dist = dist + dist.T
+    dist = random_distances(np.random.default_rng(35), 35)
     raw = simulate_sar(35, dist, a=1.0, rho=5.0, noise_sd=0.5, seed=4)
     report = analyze_data(raw, dist, permutations=0)
     rows = summary_rows(report)

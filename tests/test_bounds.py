@@ -149,11 +149,11 @@ class TestOuterRange:
 
     def test_outer_spectrum_is_analytic(self, deck):
         # the rank-1 bracketing matrix needs no eigensolve; cross-check
-        # the analytic top eigenvalue against the Jacobi solver anyway
+        # the analytic top eigenvalue against the built-in solver anyway
         raw, dist = deck[2]
         z, weights, lag, _, report = report_for(raw, dist)
-        jacobi = symmetric_eigenvalues(np.outer(lag.values, lag.values))
-        assert jacobi.largest == pytest.approx(
+        solved = symmetric_eigenvalues(np.outer(lag.values, lag.values))
+        assert solved.largest == pytest.approx(
             report.range3.lambda_outer_max, abs=1e-10
         )
 

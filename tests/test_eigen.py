@@ -1,13 +1,15 @@
-"""The built-in Jacobi eigensolver against external and analytic oracles."""
+"""The built-in Householder and Sturm-multisection eigensolver against
+external and analytic oracles."""
 
-import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from moransar.bounds import bounds_report
-from moransar.eigen import MAX_SWEEPS, _round_robin, symmetric_eigenvalues
-from moransar.errors import NotSymmetric
+from moransar import eigen
+from moransar.eigen import MAX_PASSES, symmetric_eigenvalues
+from moransar.errors import NoConvergence, NotSymmetric
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import prepare, weights_from_distances
 
@@ -42,6 +44,23 @@ class TestAgainstNumpyOracle:
             ref = np.linalg.eigvalsh(weights.matrix)
             assert np.max(np.abs(spectrum.values - ref)) <= 1e-12
 
+    def test_bracket_width_certifies_the_error(self, deck):
+        # each value is a bracket midpoint; the widest bracket plus the
+        # rounding of the reduction bounds its distance from the oracle
+        eps = np.finfo(float).eps
+        for raw, dist in deck:
+            w = prepare(raw, dist).weights.matrix
+            spectrum = symmetric_eigenvalues(w)
+            allowance = spectrum.max_offdiag_residual + w.shape[0] * eps * np.linalg.norm(w)
+            assert spectrum.max_offdiag_residual > 0.0
+            assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(w))) <= allowance
+
+    def test_random_n300(self):
+        m = random_symmetric(300, 300)
+        spectrum = symmetric_eigenvalues(m)
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(spectrum.values - ref)) <= 1e-12 * float(np.abs(ref).max())
+
 
 class TestAnalyticOracles:
     def test_two_site_exact(self):
@@ -73,6 +92,30 @@ class TestAnalyticOracles:
         assert spectrum.largest == pytest.approx(float(v @ v), rel=1e-13)
         assert np.all(np.abs(spectrum.values[:-1]) <= 1e-12)
 
+    @pytest.mark.parametrize("n", [3, 40, 150])
+    def test_equal_distances_multiplicity(self, n):
+        # W = (J - I)/(n(n-1)): 1/n once and -1/(n(n-1)) n-1 times
+        w = weights_from_distances(np.ones((n, n)) - np.eye(n)).matrix
+        expected = np.full(n, -1.0 / (n * (n - 1)))
+        expected[-1] = 1.0 / n
+        spectrum = symmetric_eigenvalues(w)
+        assert np.max(np.abs(spectrum.values - expected)) <= 1e-15
+
+    def test_split_blocks_come_back_exact(self):
+        # the tridiagonal splits at the block edges; 1x1 and 2x2 blocks
+        # are solved in closed form, the 5x5 block by multisection
+        inner = random_symmetric(11, 5)
+        m = np.zeros((10, 10))
+        m[0, 0] = 2.0
+        m[1:3, 1:3] = [[3.0, 4.0], [4.0, -3.0]]
+        m[3:8, 3:8] = inner
+        m[8:10, 8:10] = [[2.0, 1.0], [1.0, 2.0]]
+        values = symmetric_eigenvalues(m).values
+        exact = [-5.0, 1.0, 2.0, 3.0, 5.0]
+        assert all(np.count_nonzero(values == x) == 1 for x in exact)
+        rest = np.sort(values[~np.isin(values, exact)])
+        np.testing.assert_allclose(rest, np.linalg.eigvalsh(inner), rtol=0, atol=1e-14)
+
 
 class TestInvariants:
     def test_ascending_order(self):
@@ -84,6 +127,15 @@ class TestInvariants:
         spectrum = symmetric_eigenvalues(m)
         scale = max(1.0, float(np.abs(m).max()))
         assert abs(float(spectrum.values.sum()) - float(np.trace(m))) <= 1e-12 * scale * 25
+
+    def test_power_of_two_scale_is_exact(self):
+        # entries near 1e-211 or 1e211 square out of range unless the
+        # solver rescales; a power-of-two rescale changes no bit
+        m = random_symmetric(8, 6)
+        base = symmetric_eigenvalues(m).values
+        for k in (-700, -530, -1, 1, 530, 700):
+            scaled = symmetric_eigenvalues(np.ldexp(m, k)).values
+            assert np.array_equal(scaled, np.ldexp(base, k))
 
     def test_gram_spectrum_is_squared_spectrum(self, deck):
         raw, dist = deck[0]
@@ -97,23 +149,13 @@ class TestInvariants:
 
     def test_convergence_metadata(self):
         spectrum = symmetric_eigenvalues(random_symmetric(7, 30))
-        assert spectrum.sweeps <= 100
+        assert spectrum.sweeps <= MAX_PASSES
         assert spectrum.max_offdiag_residual >= 0.0
 
-
-class TestRoundRobinSchedule:
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_every_pair_once_per_sweep(self, n):
-        rounds_p, rounds_q = _round_robin(n)
-        pairs = sorted(zip(rounds_p.ravel().tolist(), rounds_q.ravel().tolist()))
-        assert pairs == list(itertools.combinations(range(n), 2))
-
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_rounds_are_disjoint(self, n):
-        for p, q in zip(*_round_robin(n)):
-            assert np.all(p < q)
-            touched = np.concatenate([p, q]).tolist()
-            assert len(set(touched)) == len(touched)
+    def test_pass_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(eigen, "MAX_PASSES", 2)
+        with pytest.raises(NoConvergence, match="after 2 multisection passes"):
+            symmetric_eigenvalues(random_symmetric(7, 30))
 
 
 class TestLargeClustered:
@@ -127,7 +169,7 @@ class TestLargeClustered:
         w = weights_from_distances(np.sqrt((diff * diff).sum(axis=-1))).matrix
         spectrum = symmetric_eigenvalues(w)
         assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(w))) <= 1e-12
-        assert spectrum.sweeps < MAX_SWEEPS
+        assert spectrum.sweeps < MAX_PASSES
 
 
 class TestDerivedGramSpectrum:
@@ -165,7 +207,37 @@ class TestInputValidation:
         with pytest.raises(NotSymmetric):
             symmetric_eigenvalues(m)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[0.0, np.inf], [np.inf, 0.0]],
+            [[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, m):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotSymmetric, match="non-finite entries"):
+                symmetric_eigenvalues(np.array(m))
+        assert caught == []
+
     def test_accepts_slight_asymmetry(self):
         m = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
         spectrum = symmetric_eigenvalues(m)
         assert spectrum.n == 2
+
+
+class TestIndependentOfLapack:
+    def test_no_numpy_eigensolver_on_the_solver_path(self, deck, monkeypatch):
+        raw, dist = deck[4]
+        p = prepare(raw, dist)
+        fit = fit_sar_ols(p)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy eigensolver called")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        symmetric_eigenvalues(p.weights.matrix)
+        bounds_report(p, fit.r_squared)

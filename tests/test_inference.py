@@ -26,16 +26,14 @@ from moransar.inference import (
     spatial_durbin_watson,
 )
 from moransar.sar import fit_sar_ols
+from moransar.simulate import random_distances
 from moransar.spatial_data import RawSizeVector, prepare
 
 
 def small_instance(n, seed):
     rng = np.random.default_rng(seed)
     raw = RawSizeVector.from_values(rng.uniform(0.5, 10.0, size=n))
-    d = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    d[iu] = rng.uniform(0.2, 5.0, size=iu[0].size)
-    return raw, d + d.T
+    return raw, random_distances(rng, n)
 
 
 class TestSlopeTTest:
