@@ -1,6 +1,7 @@
 """The built-in Householder and Sturm-multisection eigensolver against
 external and analytic oracles."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -18,6 +19,68 @@ def random_symmetric(seed, n, scale=1.0):
     rng = np.random.default_rng(seed)
     m = rng.normal(0.0, scale, size=(n, n))
     return 0.5 * (m + m.T)
+
+
+def _round_robin(n):
+    """Round-robin tournament on n indices as (rounds, pairs) arrays P < Q.
+
+    Circle method on an even count m (n, or n + 1 with a phantom index
+    that sits out one pair per round): index m-1 stays fixed while the
+    rest rotate, so round r pairs m-1 with r and (r+i) with (r-i) mod
+    m-1. Every pair p < q meets exactly once per sweep and no index
+    appears twice in a round, which makes a round's rotations disjoint.
+    """
+    m = n + (n % 2)
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(1, m // 2)[None, :]
+    left = np.concatenate([r, (r + i) % (m - 1)], axis=1)
+    right = np.concatenate([np.full_like(r, m - 1), (r - i) % (m - 1)], axis=1)
+    p, q = np.minimum(left, right), np.maximum(left, right)
+    if m != n:
+        keep = q != n
+        p = p[keep].reshape(m - 1, -1)
+        q = q[keep].reshape(m - 1, -1)
+    return p, q
+
+
+def jacobi_eigenvalues(m, max_sweeps=50):
+    """Cyclic Jacobi rotations in round-robin order, ascending.
+
+    A second oracle that shares no step with the solver under test and
+    calls no LAPACK eigensolver. It stops once the off-diagonal Frobenius
+    norm is 1e-12 of the matrix's; pivots below 1e-18 of it are left
+    alone, which also keeps theta^2 from overflowing.
+    """
+    a = np.array(m, dtype=float)
+    norm_f = float(np.linalg.norm(a))
+    rounds = _round_robin(a.shape[0])
+    for _ in range(max_sweeps):
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= 1e-12 * norm_f:
+            return np.sort(np.diag(a))
+        for p, q in zip(*rounds):
+            live = np.abs(a[p, q]) > 1e-18 * norm_f
+            p, q = p[live], q[live]
+            if p.size == 0:
+                continue
+            apq, app, aqq = a[p, q], a[p, p], a[q, q]
+            theta = (aqq - app) / (2.0 * apq)
+            t = np.where(theta < 0.0, -1.0, 1.0) / (
+                np.abs(theta) + np.sqrt(theta * theta + 1.0)
+            )
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # the rotations of one round touch disjoint rows and columns
+            row_p, row_q = a[p, :], a[q, :]
+            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
+            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = col_p * c - col_q * s
+            a[:, q] = col_p * s + col_q * c
+            a[p, p] = app - t * apq
+            a[q, q] = aqq + t * apq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+    raise AssertionError(f"Jacobi oracle did not converge in {max_sweeps} sweeps")
 
 
 class TestAgainstNumpyOracle:
@@ -156,6 +219,35 @@ class TestInvariants:
         monkeypatch.setattr(eigen, "MAX_PASSES", 2)
         with pytest.raises(NoConvergence, match="after 2 multisection passes"):
             symmetric_eigenvalues(random_symmetric(7, 30))
+
+
+class TestAgainstJacobiOracle:
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 40])
+    def test_random_matrices(self, n):
+        m = random_symmetric(1000 + n, n)
+        gap = np.max(np.abs(symmetric_eigenvalues(m).values - jacobi_eigenvalues(m)))
+        assert gap <= 1e-14 * np.linalg.norm(m)
+
+    def test_weight_matrices_from_deck(self, deck):
+        for raw, dist in deck[:8]:
+            w = prepare(raw, dist).weights.matrix
+            gap = np.max(np.abs(symmetric_eigenvalues(w).values - jacobi_eigenvalues(w)))
+            assert gap <= 1e-14 * np.linalg.norm(w)
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_pair_once_per_sweep(self, n):
+        rounds_p, rounds_q = _round_robin(n)
+        pairs = sorted(zip(rounds_p.ravel().tolist(), rounds_q.ravel().tolist()))
+        assert pairs == list(itertools.combinations(range(n), 2))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rounds_are_disjoint(self, n):
+        for p, q in zip(*_round_robin(n)):
+            assert np.all(p < q)
+            touched = np.concatenate([p, q]).tolist()
+            assert len(set(touched)) == len(touched)
 
 
 class TestLargeClustered:
