@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVariance
+from .errors import DimensionMismatch, InputError, ZeroVariance
 from .inference import SignificanceResult, slope_t_test
 from .regression import fit_line
 from .sar import SarFit, theoretical_coefficients
@@ -190,7 +190,7 @@ def scatter_dataset(
             as the empirical line.
 
     Raises:
-        ValueError: on an unknown mode.
+        InputError: on an unknown mode.
     """
     z, lag, i_value = inputs.z, inputs.lag, inputs.i_value
     if mode == MODE_AUTOCORRELATION:
@@ -221,4 +221,4 @@ def scatter_dataset(
             x_label="Wz",
             y_label="z",
         )
-    raise ValueError(f"unknown scatter mode: {mode!r}")
+    raise InputError(f"unknown scatter mode: {mode!r}")

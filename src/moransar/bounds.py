@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .eigen import EigenSpectrum, symmetric_eigenvalues
 from .errors import ZeroRSquared
 from .sar import ZERO_R_SQUARED_TOL
-from .spatial_data import SpatialInputs, SpatialLag
+from .spatial_data import SpatialInputs
 
 CONTAINMENT_TOL = 1e-10  # relative forgiveness at interval endpoints
 
@@ -124,35 +124,30 @@ def reciprocal_interval(lower: float, upper: float, scale: float = 1.0) -> RhoIn
 
 
 def range_moran(
-    i_value: float,
-    n: int,
-    spectrum: EigenSpectrum,
-    r_squared: float,
+    inputs: SpatialInputs, spectrum: EigenSpectrum, r_squared: float
 ) -> MoranRangeVerdict:
     """First range: extreme eigenvalues of W (``spectrum``) bracket I/n.
 
-    Also reports the implied slope regions: reciprocals of the eigenvalue
-    interval for the errorless model, scaled by R2 for the fitted one.
+    I and n come from ``inputs``. Also reports the implied slope regions:
+    reciprocals of the eigenvalue interval for the errorless model,
+    scaled by R2 for the fitted one.
     """
     lower, upper = spectrum.smallest, spectrum.largest
     return MoranRangeVerdict(
-        containment=_contain(lower, upper, i_value / n),
+        containment=_contain(lower, upper, inputs.i_value / inputs.n),
         rho_theoretical=reciprocal_interval(lower, upper, 1.0),
         rho_empirical=reciprocal_interval(lower, upper, r_squared),
     )
 
 
 def range_quadratic(
-    wz: SpatialLag,
-    i_value: float,
-    r_squared: float,
-    n: int,
-    spectrum: EigenSpectrum,
+    inputs: SpatialInputs, spectrum: EigenSpectrum, r_squared: float
 ) -> QuadraticRangeVerdict:
     """Second range: eigenvalues of W'W bracket the lag-energy quotient.
 
-    ``spectrum`` is that of W, which is symmetric: W'W = W^2 is bracketed
-    by the least and greatest squared eigenvalue of W, and is never solved.
+    The lag Wz, I and n come from ``inputs``. ``spectrum`` is that of W,
+    which is symmetric: W'W = W^2 is bracketed by the least and greatest
+    squared eigenvalue of W, and is never solved.
 
     The empirical left-hand side equals the Rayleigh quotient of W'W at z
     and is always contained. The theoretical side is smaller by
@@ -164,6 +159,7 @@ def range_quadratic(
     """
     if r_squared < ZERO_R_SQUARED_TOL:
         raise ZeroRSquared("R2 is zero; the empirical range divides by it")
+    wz, i_value, n = inputs.lag, inputs.i_value, inputs.n
     squares = spectrum.values**2
     mean_sq = (wz.total / n) ** 2
     lhs_theoretical = mean_sq + i_value**2 / n**2
@@ -178,14 +174,15 @@ def range_quadratic(
     )
 
 
-def range_outer(wz: SpatialLag, i_value: float, n: int) -> OuterRangeVerdict:
-    """Third range: 0 <= I^2/n <= (Wz)'(Wz).
+def range_outer(inputs: SpatialInputs) -> OuterRangeVerdict:
+    """Third range: 0 <= I^2/n <= (Wz)'(Wz), all read from ``inputs``.
 
     The bracketing matrix is the rank-1 outer product of the lag, whose
     spectrum is known analytically, so no eigensolve is needed.
     """
+    wz, n = inputs.lag, inputs.n
     lam_max = float(wz.values @ wz.values)
-    containment = _contain(0.0, lam_max, i_value**2 / n)
+    containment = _contain(0.0, lam_max, inputs.i_value**2 / n)
     rho_sq_lower = n / lam_max if lam_max > 0.0 else math.inf
     return OuterRangeVerdict(
         containment=containment, lambda_outer_max=lam_max, rho_sq_lower=rho_sq_lower
@@ -202,12 +199,12 @@ def bounds_report(inputs: SpatialInputs, r_squared: float) -> BoundsReport:
     reading; it is informational and never enforced, since the spectral
     intervals are the operative bounds.
     """
-    wz, i_value, n = inputs.lag, inputs.i_value, inputs.n
+    i_value = inputs.i_value
     spectrum = symmetric_eigenvalues(inputs.weights.matrix)
     return BoundsReport(
-        range1=range_moran(i_value, n, spectrum, r_squared),
-        range2=range_quadratic(wz, i_value, r_squared, n, spectrum),
-        range3=range_outer(wz, i_value, n),
+        range1=range_moran(inputs, spectrum, r_squared),
+        range2=range_quadratic(inputs, spectrum, r_squared),
+        range3=range_outer(inputs),
         abs_index=abs(i_value),
         pearson_analogy_ok=abs(i_value) <= 1.0 + 1e-12,
         spectrum=spectrum,

@@ -94,13 +94,13 @@ def cmd_analyze(args) -> int:
         permutations=args.permutations,
         seed=_resolve_seed(args.seed),
         alpha=args.alpha,
-        outputs=frozenset({"json", "csv", "svg"} if args.svg else {"json", "csv"}),
         dist_format=args.dist_format,
         symmetrize=_symmetrize_policy(args),
         dw_critical_path=args.dw_critical,
     )
     report = analyze(config)
-    written = emit_report(report, config.outputs, args.out)
+    formats = {"json", "csv", "svg"} if args.svg else {"json", "csv"}
+    written = emit_report(report, formats, args.out)
 
     passed = sum(1 for c in report.identities if c.passed)
     print(f"n={report.provenance.n}  I={report.moran.i_value:.6g}  "
@@ -173,8 +173,7 @@ def cmd_simulate(args) -> int:
     else:
         ids = tuple(str(i) for i in range(args.n))
         distances = random_distances(np.random.default_rng([seed, 0x51]), args.n)
-    raw = simulate_sar(args.n, distances, args.a, args.rho, args.noise_sd,
-                       seed=seed)
+    raw = simulate_sar(distances, args.a, args.rho, args.noise_sd, seed=seed)
     raw = type(raw)(ids=ids, values=raw.values)
 
     out_dir = Path(args.out)

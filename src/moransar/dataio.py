@@ -237,13 +237,13 @@ def load_distances(
 
     Raises:
         ParseError, NonSquare, DuplicateId, MissingPair: per format.
-        ValueError: on an unknown dist_format.
+        InputError: on an unknown dist_format.
     """
     if dist_format == "matrix":
         return _load_distance_matrix(path)
     if dist_format == "long":
         return _load_distance_long(path)
-    raise ValueError(f"unknown distance format: {dist_format!r}")
+    raise InputError(f"unknown distance format: {dist_format!r}")
 
 
 def align_to_ids(raw: RawSizeVector, ids: tuple[str, ...]) -> RawSizeVector:

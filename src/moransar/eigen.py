@@ -73,14 +73,16 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotSymmetric("matrix has non-finite entries")
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    # halve first: m + m.T and m - m.T overflow for entries near the float limit
+    half = 0.5 * m
+    asym = 2.0 * float(np.max(np.abs(half - half.T))) if m.size else 0.0
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if asym > SYMMETRY_TOL * max(scale, 1.0):
         raise NotSymmetric(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:g}"
         )
     # kill sub-tolerance drift so the reflections see an exactly symmetric matrix
-    return 0.5 * (m + m.T)
+    return half + half.T
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -75,16 +75,12 @@ class AnalysisConfig:
     permutations: int = 999
     seed: int = 0
     alpha: float = 0.05
-    outputs: frozenset[str] = frozenset({"json", "csv"})
     dist_format: str = "matrix"
     symmetrize: str = "auto"
     dw_critical_path: str | None = None
 
     def __post_init__(self) -> None:
         _check_options(self.alpha, self.permutations, self.symmetrize)
-        unknown = set(self.outputs) - {"json", "csv", "svg"}
-        if unknown:
-            raise InputError(f"unknown output formats: {sorted(unknown)}")
         if self.dist_format not in ("matrix", "long"):
             raise InputError(f"dist_format must be 'matrix' or 'long', got {self.dist_format!r}")
 
@@ -109,7 +105,8 @@ class IdentityCheck:
     @classmethod
     def within(cls, name: str, slack: float, tolerance: float) -> IdentityCheck:
         """The check that passes when |slack| <= tolerance."""
-        return cls(name=name, slack=float(slack), tolerance=tolerance,
+        slack = float(slack)
+        return cls(name=name, slack=slack, tolerance=tolerance,
                    passed=abs(slack) <= tolerance)
 
 
@@ -378,12 +375,8 @@ def _plain(obj):
         return _plain(obj.item())
     if isinstance(obj, float):
         return _json_float(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(obj)
     return obj
 
 
@@ -426,7 +419,13 @@ def emit_report(
 
     formats is a subset of {json, csv, svg}; svg draws one scatterplot
     per model direction from the report's inputs.
+
+    Raises:
+        InputError: on any other format, before anything is created.
     """
+    unknown = set(formats) - {"json", "csv", "svg"}
+    if unknown:
+        raise InputError(f"unknown output formats: {sorted(unknown)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

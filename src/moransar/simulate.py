@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .eigen import symmetric_eigenvalues
-from .errors import DegenerateZeroField, DimensionMismatch, InputError, SingularResolvent
-from .spatial_data import RawSizeVector, WeightMatrix, weights_from_distances
+from .errors import DegenerateZeroField, InputError, SingularResolvent
+from .spatial_data import RawSizeVector, weights_from_distances
 
 RESOLVENT_TOL = 1e-9
 
@@ -25,8 +25,7 @@ def random_distances(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def simulate_sar(
-    n: int,
-    dist_or_weights: np.ndarray | WeightMatrix,
+    distances: np.ndarray,
     a: float,
     rho: float,
     noise_sd: float,
@@ -34,10 +33,11 @@ def simulate_sar(
 ) -> RawSizeVector:
     """Draw one raw size vector from the autoregressive model.
 
+    W is built from ``distances`` by weights_from_distances, and the
+    vector has one entry per row of the matrix.
+
     Args:
-        n: element count; must match the supplied matrix.
-        dist_or_weights: either a ready WeightMatrix or a raw distance
-            matrix to be inverted and normalized first.
+        distances: square matrix of pairwise distances.
         a: intercept of the generating model.
         rho: autoregressive coefficient; must stay away from every
             reciprocal eigenvalue of W.
@@ -49,8 +49,7 @@ def simulate_sar(
             reciprocal eigenvalue, where Id - rho*W is singular.
         DegenerateZeroField: if a = 0 and noise_sd = 0 (the solution is
             identically zero and cannot be standardized downstream).
-        InputError: if noise_sd is negative.
-        DimensionMismatch: if n disagrees with the matrix shape.
+        InputError: if noise_sd is negative, or from building W.
     """
     if noise_sd < 0.0:
         raise InputError(f"noise_sd must be nonnegative, got {noise_sd}")
@@ -58,15 +57,8 @@ def simulate_sar(
         raise DegenerateZeroField(
             "a=0 with noise_sd=0 solves to the zero vector; nothing to analyze"
         )
-    if isinstance(dist_or_weights, WeightMatrix):
-        weights = dist_or_weights
-    else:
-        weights = weights_from_distances(np.asarray(dist_or_weights, dtype=float))
-    if weights.n != n:
-        raise DimensionMismatch(
-            f"requested n={n} but the matrix is {weights.n}x{weights.n}"
-        )
-
+    weights = weights_from_distances(distances)
+    n = weights.n
     spectrum = symmetric_eigenvalues(weights.matrix)
     gaps = np.abs(1.0 - rho * spectrum.values)
     if float(gaps.min()) <= RESOLVENT_TOL:

@@ -357,12 +357,13 @@ def spatial_lag(weights: WeightMatrix, z: StandardizedVector) -> SpatialLag:
     return SpatialLag(values=wz, total=float(wz.sum()))
 
 
-def weights_from_distances(
-    distances: np.ndarray,
-    symmetrize_policy: str = "auto",
-) -> WeightMatrix:
-    """Distance matrix straight to the globally normalized weight matrix."""
-    return global_normalize(inverse_distance_proximity(distances, symmetrize_policy))
+def weights_from_distances(distances: np.ndarray) -> WeightMatrix:
+    """Distance matrix straight to the globally normalized weight matrix.
+
+    Asymmetric distances are averaged with a warning, the "auto" policy
+    of inverse_distance_proximity; prepare takes the policy as an option.
+    """
+    return global_normalize(inverse_distance_proximity(distances))
 
 
 def prepare(

@@ -335,7 +335,7 @@ def test_criterion_9_reference_slot_and_summary_shape():
     # parameter names match the published table, ready for comparison once
     # real data is supplied
     dist = random_distances(np.random.default_rng(35), 35)
-    raw = simulate_sar(35, dist, a=1.0, rho=5.0, noise_sd=0.5, seed=4)
+    raw = simulate_sar(dist, a=1.0, rho=5.0, noise_sd=0.5, seed=4)
     report = analyze_data(raw, dist, permutations=0)
     rows = summary_rows(report)
     shape_ok = [r[:2] for r in rows[:4]] == [

@@ -15,7 +15,7 @@ from moransar.autocorr import (
     rank_one_identity_slack,
     scatter_dataset,
 )
-from moransar.errors import DimensionMismatch, ZeroVariance
+from moransar.errors import DimensionMismatch, InputError, ZeroVariance
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import (
     RawSizeVector,
@@ -176,5 +176,5 @@ class TestScatterDataset:
 
     def test_unknown_mode(self, two_site):
         p = prepare(*two_site)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             scatter_dataset(p, fit_sar_ols(p), "histogram")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moransar.autocorr import moran_index
-from moransar.bounds import bounds_report, range_outer, reciprocal_interval
+from moransar.bounds import bounds_report, reciprocal_interval
 from moransar.eigen import symmetric_eigenvalues
 from moransar.errors import ZeroRSquared
 from moransar.sar import fit_sar_ols

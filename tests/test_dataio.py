@@ -165,7 +165,7 @@ class TestLoadDistanceLong:
 
     def test_unknown_format(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             load_distances(p, dist_format="wide")
 
 

@@ -319,6 +319,22 @@ class TestInputValidation:
         spectrum = symmetric_eigenvalues(m)
         assert spectrum.n == 2
 
+    def test_symmetric_near_float_limit_solves(self):
+        m = np.array([[1e308, 1.0], [1.0, 1e308]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = symmetric_eigenvalues(m).values
+        assert caught == []
+        np.testing.assert_array_equal(values, np.linalg.eigvalsh(m))
+
+    def test_asymmetric_near_float_limit_rejected_without_overflow(self):
+        m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotSymmetric, match="asymmetry"):
+                symmetric_eigenvalues(m)
+        assert caught == []
+
 
 class TestIndependentOfLapack:
     def test_no_numpy_eigensolver_on_the_solver_path(self, deck, monkeypatch):

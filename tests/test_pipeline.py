@@ -295,9 +295,8 @@ class TestCliMatchesLibrary:
         rc = main(["analyze", "--sizes", sizes, "--dist", dist, "--log", "--svg",
                    "--permutations", "49", "--seed", "5", "--out", str(cli_dir)])
         assert rc == 0
-        config = config_for(noisy_files, log_transform=True,
-                            outputs=frozenset({"json", "csv", "svg"}))
-        emit_report(analyze(config), config.outputs, lib_dir)
+        config = config_for(noisy_files, log_transform=True)
+        emit_report(analyze(config), {"json", "csv", "svg"}, lib_dir)
 
         names = ["report.json", "summary.csv", "scatter_autocorrelation.svg",
                  "scatter_autoregression.svg"]
@@ -329,9 +328,12 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             config_for(noisy_files, permutations=-1)
 
-    def test_unknown_output(self, noisy_files):
-        with pytest.raises(InputError):
-            config_for(noisy_files, outputs=frozenset({"pdf"}))
+    def test_unknown_output(self, noisy_files, tmp_path):
+        report = analyze(config_for(noisy_files))
+        out_dir = tmp_path / "out"
+        with pytest.raises(InputError, match="pdf"):
+            emit_report(report, {"json", "pdf"}, out_dir)
+        assert not out_dir.exists()
 
     def test_bad_dist_format(self, noisy_files):
         with pytest.raises(InputError):

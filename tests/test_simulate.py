@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from moransar.autocorr import moran_index
-from moransar.errors import (
-    DegenerateZeroField,
-    DimensionMismatch,
-    InputError,
-    SingularResolvent,
-)
+from moransar.errors import DegenerateZeroField, InputError, SingularResolvent
 from moransar.eigen import symmetric_eigenvalues
 from moransar.simulate import simulate_sar
 from moransar.spatial_data import standardize, weights_from_distances
@@ -26,33 +21,26 @@ def ring_distances(n, seed=0):
 class TestBasicDraws:
     def test_shape_and_determinism(self):
         d = ring_distances(7)
-        a = simulate_sar(7, d, a=1.0, rho=2.0, noise_sd=0.5, seed=42)
-        b = simulate_sar(7, d, a=1.0, rho=2.0, noise_sd=0.5, seed=42)
+        a = simulate_sar(d, a=1.0, rho=2.0, noise_sd=0.5, seed=42)
+        b = simulate_sar(d, a=1.0, rho=2.0, noise_sd=0.5, seed=42)
         assert a.n == 7
         np.testing.assert_array_equal(a.values, b.values)
-        c = simulate_sar(7, d, a=1.0, rho=2.0, noise_sd=0.5, seed=43)
+        c = simulate_sar(d, a=1.0, rho=2.0, noise_sd=0.5, seed=43)
         assert np.any(c.values != a.values)
-
-    def test_accepts_prebuilt_weights(self):
-        d = ring_distances(5)
-        w = weights_from_distances(d)
-        a = simulate_sar(5, w, a=1.0, rho=0.0, noise_sd=0.3, seed=1)
-        b = simulate_sar(5, d, a=1.0, rho=0.0, noise_sd=0.3, seed=1)
-        np.testing.assert_array_equal(a.values, b.values)
 
     def test_noiseless_solves_the_model_exactly(self):
         # (Id - rho W) x = a o must hold to machine precision
         d = ring_distances(6)
         w = weights_from_distances(d)
         rho, a = 3.0, 2.0
-        raw = simulate_sar(6, w, a=a, rho=rho, noise_sd=0.0, seed=0)
+        raw = simulate_sar(d, a=a, rho=rho, noise_sd=0.0, seed=0)
         lhs = (np.eye(6) - rho * w.matrix) @ raw.values
         np.testing.assert_allclose(lhs, a * np.ones(6), rtol=0, atol=1e-12)
 
     def test_standardizable_batch(self):
         d = ring_distances(9, seed=3)
         for seed in range(100):
-            raw = simulate_sar(9, d, a=1.0, rho=1.5, noise_sd=0.5, seed=seed)
+            raw = simulate_sar(d, a=1.0, rho=1.5, noise_sd=0.5, seed=seed)
             z = standardize(raw)  # must never collapse to zero variance
             assert abs(z.values @ z.values - 9) < 1e-9
 
@@ -60,28 +48,24 @@ class TestBasicDraws:
 class TestValidation:
     def test_negative_noise(self):
         with pytest.raises(InputError):
-            simulate_sar(4, ring_distances(4), a=1.0, rho=0.0, noise_sd=-0.1)
+            simulate_sar(ring_distances(4), a=1.0, rho=0.0, noise_sd=-0.1)
 
     def test_zero_field(self):
         with pytest.raises(DegenerateZeroField):
-            simulate_sar(4, ring_distances(4), a=0.0, rho=1.0, noise_sd=0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            simulate_sar(5, ring_distances(4), a=1.0, rho=0.0, noise_sd=1.0)
+            simulate_sar(ring_distances(4), a=0.0, rho=1.0, noise_sd=0.0)
 
     def test_singular_resolvent(self):
         d = ring_distances(5)
         w = weights_from_distances(d)
         lam_max = symmetric_eigenvalues(w.matrix).largest
         with pytest.raises(SingularResolvent):
-            simulate_sar(5, w, a=1.0, rho=1.0 / lam_max, noise_sd=0.5)
+            simulate_sar(d, a=1.0, rho=1.0 / lam_max, noise_sd=0.5)
 
     def test_rho_near_but_not_at_pole_is_fine(self):
         d = ring_distances(5)
         w = weights_from_distances(d)
         lam_max = symmetric_eigenvalues(w.matrix).largest
-        raw = simulate_sar(5, w, a=1.0, rho=0.9 / lam_max, noise_sd=0.1, seed=0)
+        raw = simulate_sar(d, a=1.0, rho=0.9 / lam_max, noise_sd=0.1, seed=0)
         assert raw.n == 5
 
 
@@ -97,7 +81,7 @@ class TestModelDirection:
         def mean_index(rho):
             acc = 0.0
             for seed in range(40):
-                raw = simulate_sar(12, w, a=0.0, rho=rho, noise_sd=1.0, seed=seed)
+                raw = simulate_sar(d, a=0.0, rho=rho, noise_sd=1.0, seed=seed)
                 z = standardize(raw)
                 acc += moran_index(z, w)
             return acc / 40

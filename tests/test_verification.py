@@ -1,5 +1,8 @@
 """The self-check suite: deterministic decks and all-pass identity runs."""
 
+import dataclasses
+import json
+
 import numpy as np
 
 import moransar.verification
@@ -7,6 +10,7 @@ from moransar.pipeline import analyze_data
 from moransar.verification import (
     IdentityCheck,
     SuiteResult,
+    _fixture_checks,
     instance_checks,
     random_instance,
     run_suite,
@@ -92,6 +96,15 @@ class TestChecks:
             assert isinstance(check.slack, float)
             assert np.isfinite(check.slack)
             assert check.tolerance >= 0.0
+
+    def test_verdicts_are_plain_bools(self, deck):
+        checks = list(_fixture_checks())
+        for raw, dist in deck[:10]:
+            checks += analyze_data(raw, dist, permutations=0).identities
+            checks += instance_checks(raw, dist)
+        for check in checks:
+            assert type(check.passed) is bool, check.name
+            json.dumps(dataclasses.asdict(check))
 
 
 class TestSuite:
