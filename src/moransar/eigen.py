@@ -26,11 +26,12 @@ Three steps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric
+from .errors import NoConvergence, NotSymmetric, NumericalError
 
 SYMMETRY_TOL = 1e-9
 SHIFTS_PER_BRACKET = 64
@@ -196,6 +197,8 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
             or deviates from symmetry beyond 1e-9.
         NoConvergence: if a bracket is still wider than its target after
             ``MAX_PASSES`` passes.
+        NumericalError: if an eigenvalue's magnitude exceeds the largest
+            float.
     """
     a = _check_symmetric(m)
     # scaling by a power of two is exact and keeps the squares in the
@@ -220,7 +223,16 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
             parts.append(values)
             widest = max(widest, width)
             passes += count
-    values = np.ldexp(np.sort(np.concatenate(parts)), exponent)
+    values = np.sort(np.concatenate(parts))
+    top = float(np.max(np.abs(values))) if n else 0.0
+    mantissa, power = math.frexp(top)
+    if power + exponent > np.finfo(float).maxexp:
+        digits = math.log10(mantissa) + (power + exponent) * math.log10(2.0)
+        raise NumericalError(
+            f"an eigenvalue of magnitude {10.0 ** (digits % 1.0):.3f}"
+            f"e+{math.floor(digits)} exceeds the float range"
+        )
+    values = np.ldexp(values, exponent)
     values.flags.writeable = False
     return EigenSpectrum(
         values=values,

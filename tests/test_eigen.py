@@ -10,7 +10,7 @@ import pytest
 from moransar.bounds import bounds_report
 from moransar import eigen
 from moransar.eigen import MAX_PASSES, symmetric_eigenvalues
-from moransar.errors import NoConvergence, NotSymmetric
+from moransar.errors import NoConvergence, NotSymmetric, NumericalError
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import prepare, weights_from_distances
 
@@ -334,6 +334,21 @@ class TestInputValidation:
             with pytest.raises(NotSymmetric, match="asymmetry"):
                 symmetric_eigenvalues(m)
         assert caught == []
+
+
+    def test_eigenvalue_beyond_float_range_raises(self):
+        # eigenvalues 0 and 2e308: the entries fit, the spectrum does not
+        m = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match=r"magnitude 2\.000e\+308"):
+                symmetric_eigenvalues(m)
+        assert caught == []
+
+    def test_largest_float_eigenvalue_still_solves(self):
+        top = np.finfo(float).max
+        values = symmetric_eigenvalues(np.array([[top, 0.0], [0.0, -top]])).values
+        np.testing.assert_array_equal(values, [-top, top])
 
 
 class TestIndependentOfLapack:

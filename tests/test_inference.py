@@ -16,7 +16,9 @@ from moransar.errors import (
     ZeroVariance,
 )
 from moransar.inference import (
+    BLOCK,
     BUNDLED_DW_CRITICAL,
+    TIE_TOL,
     DwCriticalValues,
     critical_values_for,
     dw_interpret,
@@ -34,6 +36,57 @@ def small_instance(n, seed):
     rng = np.random.default_rng(seed)
     raw = RawSizeVector.from_values(rng.uniform(0.5, 10.0, size=n))
     return raw, random_distances(rng, n)
+
+
+def equal_distance_instance(n):
+    # one outlier makes max(z^2) = n - 1, which at n = 40 widens the
+    # rounding margin past the 1e-12 tie gap: every draw is re-judged
+    raw = RawSizeVector.from_values([1.0] * (n - 1) + [1000.0])
+    return prepare(raw, np.ones((n, n)) - np.eye(n))
+
+
+def replay_draws(z, weights, m, seed):
+    """Scalar z'(Wz) of every sampled draw, replaying the block scheme.
+
+    Block k holds min(BLOCK, m - k * BLOCK) draws from default_rng on the
+    k-th child of SeedSequence(seed).spawn(ceil(m / BLOCK)); each draw
+    is a row of a permuted tile of arange(n).
+    """
+    zv, w, n = z.values, weights.matrix, z.n
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(-(-m // BLOCK)):
+        size = min(BLOCK, m - len(values))
+        rng = np.random.default_rng(child)
+        for perm in rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1):
+            zp = zv[perm]
+            values.append(float(zp @ (w @ zp)))
+    return np.array(values)
+
+
+def scalar_p(z, weights, values):
+    """Pseudo-p that the scalar verdicts on the replayed draws give."""
+    i_obs = float(z.values @ (weights.matrix @ z.values))
+    threshold = abs(i_obs) - TIE_TOL * max(1.0, abs(i_obs))
+    hits = int(np.count_nonzero(np.abs(values) >= threshold))
+    return (1 + hits) / (len(values) + 1)
+
+
+def cliff_ord_moments(z, w):
+    """Randomization E[I] and E[I^2] of the standard Moran's I (Cliff & Ord 1981).
+
+    The standard index is (n / S0) sum_ij w_ij z_i z_j / sum z_i^2 for a
+    centered z and a zero-diagonal W.
+    """
+    n = z.shape[0]
+    s0 = float(w.sum())
+    s1 = 0.5 * float(np.sum((w + w.T) ** 2))
+    s2 = float(np.sum((w.sum(axis=1) + w.sum(axis=0)) ** 2))
+    b2 = n * float(np.sum(z**4)) / float(np.sum(z**2)) ** 2
+    second = (
+        n * ((n * n - 3 * n + 3) * s1 - n * s2 + 3 * s0**2)
+        - b2 * ((n * n - n) * s1 - 2 * n * s2 + 6 * s0**2)
+    ) / ((n - 1) * (n - 2) * (n - 3) * s0**2)
+    return -1.0 / (n - 1), second
 
 
 class TestSlopeTTest:
@@ -143,6 +196,38 @@ class TestPermutationTest:
         assert a.statistic == b.statistic
         assert a.seed != b.seed
 
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 9999])
+    def test_equal_distances_every_block_size_ties(self, m):
+        p = equal_distance_instance(40)
+        out = permutation_test(p.z, p.weights, m=m, seed=4)
+        assert not out.exhaustive
+        assert out.p_value == 1.0
+
+    @pytest.mark.parametrize("m", [10, 9999])
+    def test_workers_beyond_blocks_change_nothing(self, m):
+        p = prepare(*small_instance(30, seed=8))
+        serial = permutation_test(p.z, p.weights, m=m, seed=2, workers=1)
+        threaded = permutation_test(p.z, p.weights, m=m, seed=2, workers=4)
+        assert serial == threaded
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_each_sampled_verdict_matches_the_scalar_formula(self, k):
+        # n from 8 to 54; every third instance has equal distances, so
+        # every draw ties with the observed index
+        n = 8 + 2 * k
+        if k % 3 == 0:
+            p = equal_distance_instance(n)
+        else:
+            p = prepare(*small_instance(n, seed=100 + k))
+        m = 2 * BLOCK + 3 + k
+        out = permutation_test(p.z, p.weights, m=m, seed=k, workers=1 + k % 3)
+        assert not out.exhaustive
+        assert out.p_value == scalar_p(
+            p.z, p.weights, replay_draws(p.z, p.weights, m, k)
+        )
+        if k % 3 == 0:
+            assert out.p_value == 1.0
+
     def test_input_validation(self, two_site):
         p = prepare(*two_site)
         z, weights = p.z, p.weights
@@ -150,6 +235,45 @@ class TestPermutationTest:
             permutation_test(z, weights, m=0)
         with pytest.raises(InputError):
             permutation_test(z, weights, workers=0)
+
+
+class TestRandomizationMoments:
+    """The Cliff-Ord randomization moments of I as an oracle for the draws.
+
+    With z'z = n, sum z = 0 and W summing to 1, z'Wz is the standard
+    Moran's I, so its exact randomization mean and variance are known.
+    """
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_moments_match_full_enumeration(self, n):
+        p = prepare(*small_instance(n, seed=60 + n))
+        zv, w = p.z.values, p.weights.matrix
+        zp = zv[np.array(list(itertools.permutations(range(n))))]
+        values = np.einsum("ij,ij->i", zp @ w, zp)
+        mean, second = cliff_ord_moments(zv, w)
+        assert abs(values.mean() - mean) <= 1e-12
+        assert abs(np.mean(values**2) - second) <= 1e-12
+
+    @pytest.mark.parametrize("n,seed", [(12, 70), (35, 71)])
+    def test_sampled_draws_have_the_randomization_moments(self, n, seed):
+        p = prepare(*small_instance(n, seed=seed))
+        z, weights = p.z, p.weights
+        assert abs(float(weights.matrix.sum()) - 1.0) <= 1e-12
+        assert abs(float(z.values @ z.values) - n) <= 1e-9
+        m = 9999
+        values = replay_draws(z, weights, m, seed)
+        out = permutation_test(z, weights, m=m, seed=seed)
+        assert out.p_value == scalar_p(z, weights, values)
+
+        mean, second = cliff_ord_moments(z.values, weights.matrix)
+        variance = second - mean**2
+        assert abs(values.mean() - mean) <= 4.0 * math.sqrt(variance / m)
+        centered = values - values.mean()
+        fourth = float(np.mean(centered**4))
+        sample_var = float(np.var(values, ddof=1))
+        assert abs(sample_var - variance) <= 4.0 * math.sqrt(
+            (fourth - sample_var**2) / m
+        )
 
 
 class TestResidualDiagnostics:
