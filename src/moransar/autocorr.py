@@ -94,9 +94,10 @@ def moran_index(z: StandardizedVector, weights: WeightMatrix) -> float:
 def moran_double_sum(raw: RawSizeVector, proximity: ProximityMatrix) -> float:
     """Classical double-sum Moran statistic, kept as an independent oracle.
 
-    Computes (n/S0) * sum_ij v_ij (x_i - xbar)(x_j - xbar) / sum_i (x_i - xbar)^2
-    with explicit loops over the raw data. Deliberately shares no code
-    with the quadratic-form path: the two must agree to 1e-12.
+    Computes (n/S0) * sum_{i!=j} v_ij (x_i - xbar)(x_j - xbar) / sum_i (x_i - xbar)^2
+    elementwise over the off-diagonal entries of the raw proximity matrix
+    (S0 is their sum). Shares no code with the quadratic-form path (no W,
+    no matrix-vector product): the two must agree to 1e-12.
 
     Raises:
         ZeroVariance: if all sizes are equal.
@@ -110,16 +111,10 @@ def moran_double_sum(raw: RawSizeVector, proximity: ProximityMatrix) -> float:
     denom = float(dev @ dev)
     if denom == 0.0:
         raise ZeroVariance("all size values are equal")
-    v = proximity.matrix
-    s0 = 0.0
-    cross = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            s0 += v[i, j]
-            cross += v[i, j] * dev[i] * dev[j]
-    return n * cross / (s0 * denom)
+    off = ~np.eye(n, dtype=bool)
+    v = proximity.matrix[off]
+    cross = float(np.sum(v * np.outer(dev, dev)[off]))
+    return n * cross / (float(np.sum(v)) * denom)
 
 
 def inner_regression(inputs: SpatialInputs) -> MoranResult:

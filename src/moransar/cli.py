@@ -163,6 +163,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 2:
+        raise InputError(f"--n must be at least 2, got {args.n}")
     seed = _resolve_seed(args.seed)
     if args.dist is not None:
         ids, distances = load_distances(args.dist, args.dist_format)

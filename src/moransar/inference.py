@@ -7,9 +7,9 @@ It reproduces the paired p-values of the two regression directions (the
 t statistic is direction-symmetric). The permutation test is two-sided
 randomization inference for the index itself: it enumerates all n!
 relabelings when that is no more work than the requested sample size,
-otherwise draws Monte-Carlo permutations in fixed blocks of ``BLOCK``,
-each from its own seed spawned up front, so the worker count cannot
-change the answer.
+otherwise draws Monte-Carlo permutations. Both come in blocks of
+``BLOCK`` judged by one counter; each block of draws has its own seed
+spawned up front, so the worker count cannot change the answer.
 
 Residual diagnostics standardize the residuals by their population
 standard deviation and report the residual index alongside the spatial
@@ -18,6 +18,7 @@ Durbin-Watson statistic, which equals twice Geary's contiguity ratio.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -132,10 +133,10 @@ def permutation_test(
     permutations with ``default_rng`` on the k-th child of
     ``SeedSequence(seed).spawn(ceil(m / BLOCK))``, all spawned before any
     work is dispatched, so the result is bit-identical for any worker
-    count. Each block's indices are evaluated together; a draw whose
-    batched |I| lies within the rounding margin of the threshold is
-    re-judged by the scalar z'(Wz), so every draw counts exactly as the
-    scalar formula would count it.
+    count. Enumerated or drawn, each block's indices are evaluated
+    together; a relabeling whose batched |I| lies within the rounding
+    margin of the threshold is re-judged by the scalar z'(Wz), so each
+    one counts exactly as that formula would count it.
 
     Raises:
         InputError: if m < 1 or workers < 1.
@@ -154,39 +155,18 @@ def permutation_test(
     i_obs = float(zv @ (w @ zv))
     threshold = abs(i_obs) - TIE_TOL * max(1.0, abs(i_obs))
 
-    n_fact = math.factorial(n)
-    if n_fact <= m:
-        import itertools
-
-        count = 0
-        for perm in itertools.permutations(range(n)):
-            zp = zv[list(perm)]
-            if abs(float(zp @ (w @ zp))) >= threshold:
-                count += 1
-        return SignificanceResult(
-            statistic=i_obs,
-            p_value=count / n_fact,
-            method="permutation",
-            permutations_used=n_fact,
-            seed=seed,
-            exhaustive=True,
-        )
-
     # a batched I can differ from the scalar z'(Wz) by rounding: in any
     # summation order each evaluation is within (2 gamma_n + gamma_n^2)
     # |z|'|W||z| <= (n + 1) eps max(z^2) sum|W| of the exact value, so the
-    # two differ by less than half this margin, and a draw this close to
-    # the threshold is judged by the scalar formula alone
+    # two differ by less than half this margin, and a relabeling this close
+    # to the threshold is judged by the scalar formula alone
     margin = (
         4.0 * (n + 2) * np.finfo(float).eps
         * float(np.max(zv * zv)) * float(np.sum(np.abs(w)))
     )
-    block_seeds = np.random.SeedSequence(seed).spawn(-(-m // BLOCK))
 
-    def count_block(k: int) -> int:
-        size = min(BLOCK, m - k * BLOCK)
-        rng = np.random.default_rng(block_seeds[k])
-        zp = zv[rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)]
+    def count(perms: np.ndarray) -> int:
+        zp = zv[perms]
         batched = np.abs(np.einsum("ij,ij->i", zp @ w, zp))
         near = np.abs(batched - threshold) <= margin
         hits = int(np.count_nonzero(batched[~near] >= threshold))
@@ -195,18 +175,35 @@ def permutation_test(
                 hits += 1
         return hits
 
+    n_fact = math.factorial(n)
+    exhaustive = n_fact <= m
+    if exhaustive:
+        enumeration = itertools.permutations(range(n))
+        chunks = iter(lambda: list(itertools.islice(enumeration, BLOCK)), [])
+        blocks = map(np.array, chunks)
+        count_block = count
+    else:
+        block_seeds = np.random.SeedSequence(seed).spawn(-(-m // BLOCK))
+        blocks = range(len(block_seeds))
+
+        def count_block(k: int) -> int:
+            size = min(BLOCK, m - k * BLOCK)
+            rng = np.random.default_rng(block_seeds[k])
+            return count(rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1))
+
     if workers == 1:
-        exceed = sum(map(count_block, range(len(block_seeds))))
+        exceed = sum(map(count_block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            exceed = sum(pool.map(count_block, range(len(block_seeds))))
+            exceed = sum(pool.map(count_block, blocks))
 
     return SignificanceResult(
         statistic=i_obs,
-        p_value=(1 + exceed) / (m + 1),
+        p_value=exceed / n_fact if exhaustive else (1 + exceed) / (m + 1),
         method="permutation",
-        permutations_used=m,
+        permutations_used=n_fact if exhaustive else m,
         seed=seed,
+        exhaustive=exhaustive,
     )
 
 
@@ -244,23 +241,20 @@ def spatial_durbin_watson(residuals: np.ndarray, weights: WeightMatrix) -> DwRes
 
 
 def geary_pairwise(residuals: np.ndarray, weights: WeightMatrix) -> float:
-    """Geary's contiguity ratio from the literal pairwise double sum.
+    """Geary's contiguity ratio from the literal pairwise sum.
 
-    Deliberately loop-based and share-nothing with spatial_durbin_watson:
-    the two must agree (DW = 2C) to 1e-10 on symmetric weights.
+    C = (n-1)/(2n) * sum_ij w_ij (e_i - e_j)^2, elementwise over the
+    differences of the standardized residuals. Shares nothing with
+    spatial_durbin_watson (no matrix-vector product, no lag, no DW
+    expansion): the two must agree (DW = 2C) to 1e-10 on symmetric W.
 
     Raises:
         ZeroVariance: if the residuals are constant.
     """
     n = weights.n
     e = _standardize_residuals(residuals, n)
-    w = weights.matrix
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            diff = e[i] - e[j]
-            acc += w[i, j] * diff * diff
-    return (n - 1) * acc / (2.0 * n)
+    diff = e[:, None] - e[None, :]
+    return (n - 1) * float(np.sum(weights.matrix * diff * diff)) / (2.0 * n)
 
 
 def critical_values_for(

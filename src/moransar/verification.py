@@ -16,7 +16,7 @@ import numpy as np
 
 from .autocorr import moran_double_sum
 from .eigen import symmetric_eigenvalues
-from .errors import ZeroVariance
+from .errors import InputError, ZeroVariance
 from .inference import spatial_durbin_watson
 from .pipeline import (
     CENTERED_TOL,
@@ -155,7 +155,13 @@ class SuiteResult:
 
 
 def run_suite(master_seed: int = 0, instances: int = 150) -> SuiteResult:
-    """Fixtures plus a deck of random instances; collects all failures."""
+    """Fixtures plus a deck of random instances; collects all failures.
+
+    Raises:
+        InputError: if instances is negative.
+    """
+    if instances < 0:
+        raise InputError(f"instance count must be nonnegative, got {instances}")
     start = time.perf_counter()
     failures: list[IdentityCheck] = []
     total = 0

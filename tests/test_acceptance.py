@@ -169,7 +169,7 @@ def test_criterion_5_spectral_suite(prepared1000):
             theoretical_low_misses += 1
         wtw = float(lag.values @ lag.values)
         worst_outer = max(worst_outer, abs(report.range3.lambda_outer_max - wtw))
-        spec_w = symmetric_eigenvalues(weights.matrix)
+        spec_w = report.spectrum
         spec_gram = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
         worst_gram = max(
             worst_gram,

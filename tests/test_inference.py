@@ -146,23 +146,24 @@ class TestPermutationTest:
         assert again.p_value == out.p_value
 
     def test_exhaustive_matches_hand_enumeration(self):
-        raw = RawSizeVector.from_values([1.0, 3.0, 7.0, 2.0])
-        rng = np.random.default_rng(5)
-        d = np.zeros((4, 4))
-        iu = np.triu_indices(4, k=1)
-        d[iu] = rng.uniform(0.5, 2.0, size=6)
-        d = d + d.T
-        p = prepare(raw, d)
-        z, weights = p.z, p.weights
-        out = permutation_test(z, weights, m=999)
-        i_obs = float(z.values @ (weights.matrix @ z.values))
-        tol = 1e-12 * max(1.0, abs(i_obs))
-        count = 0
-        for perm in itertools.permutations(range(4)):
-            zp = z.values[list(perm)]
-            if abs(float(zp @ (weights.matrix @ zp))) >= abs(i_obs) - tol:
-                count += 1
-        assert out.p_value == count / 24
+        # 1, 3 and 20 blocks of relabelings, the last one short at n = 6, 7;
+        # with equal distances every relabeling ties, so p is exactly 1
+        for n in (4, 6, 7):
+            for p in (prepare(*small_instance(n, seed=5 + n)), equal_distance_instance(n)):
+                z, w = p.z.values, p.weights.matrix
+                out = permutation_test(p.z, p.weights, m=math.factorial(n))
+                assert out.exhaustive
+                threaded = permutation_test(p.z, p.weights, m=math.factorial(n), workers=3)
+                assert threaded == out
+                i_obs = float(z @ (w @ z))
+                tol = 1e-12 * max(1.0, abs(i_obs))
+                count = 0
+                for perm in itertools.permutations(range(n)):
+                    zp = z[list(perm)]
+                    if abs(float(zp @ (w @ zp))) >= abs(i_obs) - tol:
+                        count += 1
+                assert out.p_value == count / math.factorial(n)
+            assert out.p_value == 1.0
 
     def test_sampled_tracks_exhaustive(self):
         # Monte-Carlo path (n! > m) against the exact enumeration,

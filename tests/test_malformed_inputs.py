@@ -1,6 +1,7 @@
 """Fuzzed CSV input through the CLI: every malformed file exits 1 with a
 path:line message and no traceback; BOM and CRLF variants of a valid file
-are read exactly like the plain file."""
+are read exactly like the plain file. Malformed command-line values exit 1
+with a message naming the value, and no traceback or warning."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -228,3 +230,26 @@ def test_bom_and_crlf_read_like_the_plain_file(inst, dist_format, header, crlf, 
             assert code == 0, err
             outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--n", "0"], "--n must be at least 2, got 0"),
+        (["simulate", "--n", "-3"], "--n must be at least 2, got -3"),
+        (["simulate", "--n", "1"], "--n must be at least 2, got 1"),
+        (["simulate", "--n", "5", "--noise-sd", "nan"], "a, rho and noise_sd must be finite"),
+        (["simulate", "--n", "5", "--rho", "inf"], "a, rho and noise_sd must be finite"),
+        (["simulate", "--n", "5", "--a=-inf"], "a, rho and noise_sd must be finite"),
+        (["verify", "--instances", "-5"], "instance count must be nonnegative"),
+    ],
+)
+def test_malformed_argument_exits_1(tmp_path, argv, message):
+    if argv[0] == "simulate":
+        argv = argv + ["--seed", "1", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(argv)
+    assert code == 1, err
+    assert message in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()

@@ -46,6 +46,15 @@ class TestBasicDraws:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "a, rho, noise_sd",
+        [(np.nan, 0.0, 1.0), (-np.inf, 0.0, 1.0), (1.0, np.inf, 1.0),
+         (1.0, np.nan, 1.0), (1.0, 0.0, np.nan), (1.0, 0.0, np.inf)],
+    )
+    def test_non_finite_parameters(self, a, rho, noise_sd):
+        with pytest.raises(InputError, match="must be finite"):
+            simulate_sar(ring_distances(4), a=a, rho=rho, noise_sd=noise_sd)
+
     def test_negative_noise(self):
         with pytest.raises(InputError):
             simulate_sar(ring_distances(4), a=1.0, rho=0.0, noise_sd=-0.1)
@@ -89,3 +98,54 @@ class TestModelDirection:
         up = mean_index(0.95 / lam_max)
         down = mean_index(0.95 / lam_min)
         assert up > down
+
+
+class TestExactMoments:
+    """The draws against distributions known in closed form."""
+
+    DRAWS = 2000
+
+    def test_independent_draws_match_normality_moments_of_the_index(self):
+        # at rho = 0 the sizes are i.i.d. normal, so I has the normality
+        # moments of Cliff & Ord (1981): E[I] = -1/(n-1) and
+        # E[I^2] = (n^2 S1 - n S2 + 3 S0^2) / ((n^2 - 1) S0^2)
+        n = 12
+        d = ring_distances(n, seed=4)
+        w = weights_from_distances(d)
+        v = w.matrix
+        s0 = float(v.sum())
+        s1 = 0.5 * float(np.sum((v + v.T) ** 2))
+        s2 = float(np.sum((v.sum(axis=0) + v.sum(axis=1)) ** 2))
+        mean = -1.0 / (n - 1)
+        second = (n * n * s1 - n * s2 + 3.0 * s0 * s0) / ((n * n - 1) * s0 * s0)
+        index = np.array([
+            moran_index(standardize(simulate_sar(d, a=3.0, rho=0.0, noise_sd=0.8,
+                                                 seed=seed)), w)
+            for seed in range(self.DRAWS)
+        ])
+        se_mean = np.sqrt((second - mean * mean) / self.DRAWS)
+        assert abs(index.mean() - mean) <= 4.0 * se_mean
+        se_second = np.std(index**2, ddof=1) / np.sqrt(self.DRAWS)
+        assert abs(np.mean(index**2) - second) <= 4.0 * se_second
+
+    def test_recovered_noise_is_chi_squared(self):
+        # ((Id - rho W) x - a o) / sigma is the standard normal noise, so
+        # its squared norm is chi^2_n: mean n, variance 2n, and fourth
+        # central moment 12 n (n + 4)
+        n, a, sigma = 10, 2.0, 0.7
+        d = ring_distances(n, seed=6)
+        w = weights_from_distances(d)
+        rho = 0.6 / symmetric_eigenvalues(w.matrix).largest
+        resolvent = np.eye(n) - rho * w.matrix
+        noise = np.array([
+            (resolvent @ simulate_sar(d, a=a, rho=rho, noise_sd=sigma, seed=seed).values
+             - a) / sigma
+            for seed in range(self.DRAWS)
+        ])
+        norms = np.sum(noise**2, axis=1)
+        assert abs(norms.mean() - n) <= 4.0 * np.sqrt(2.0 * n / self.DRAWS)
+        se_var = np.sqrt((12.0 * n * (n + 4) - 4.0 * n * n) / self.DRAWS)
+        assert abs(norms.var(ddof=1) - 2.0 * n) <= 4.0 * se_var
+        # consecutive seeds draw independent noise
+        lag1 = np.corrcoef(noise[:-1, 0], noise[1:, 0])[0, 1]
+        assert abs(lag1) <= 4.0 / np.sqrt(self.DRAWS)
