@@ -90,6 +90,11 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of Q'AQ; overwrites ``a``."""
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
+    # the rank-2 update's two outer products live in buffers made once: a
+    # fresh (n-1)^2 temporary per column is large enough for glibc malloc
+    # to map and unmap it every time (~12 page faults per column at n = 150)
+    vw = np.empty(e.size * e.size)
+    wv = np.empty_like(vw)
     for k in range(n - 2):
         x = a[k + 1 :, k]
         if not x[1:].any():
@@ -97,16 +102,22 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # block structure survives exactly
             e[k] = x[0]
             continue
-        alpha = -np.copysign(np.linalg.norm(x), x[0])
-        v = x.copy()
+        # H depends only on the direction of x, so scale x exactly by a
+        # power of two: squares of a column near 1e-170 would underflow
+        exponent = math.frexp(float(np.max(np.abs(x))))[1]
+        v = np.ldexp(x, -exponent)
+        alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
         v[0] -= alpha
         beta = 2.0 / float(v @ v)
         # H B H with H = I - beta v v' is B - v w' - w v'
         b = a[k + 1 :, k + 1 :]
         p = beta * (b @ v)
         w = p - (0.5 * beta * float(p @ v)) * v
-        b -= np.outer(v, w) + np.outer(w, v)
-        e[k] = alpha
+        m = v.size
+        update = np.multiply.outer(v, w, out=vw[: m * m].reshape(m, m))
+        update += np.multiply.outer(w, v, out=wv[: m * m].reshape(m, m))
+        b -= update
+        e[k] = math.ldexp(alpha, exponent)
     if n >= 2:
         e[-1] = a[-1, -2]
     return a.diagonal().copy(), e

@@ -61,12 +61,13 @@ def simulate_sar(
         )
     weights = weights_from_distances(distances)
     n = weights.n
-    spectrum = symmetric_eigenvalues(weights.matrix)
-    gaps = np.abs(1.0 - rho * spectrum.values)
-    if float(gaps.min()) <= RESOLVENT_TOL:
-        raise SingularResolvent(
-            f"rho={rho} is within {RESOLVENT_TOL:g} of a reciprocal eigenvalue"
-        )
+    # at rho = 0 every gap |1 - rho*lambda| is exactly 1
+    if rho != 0.0:
+        gaps = np.abs(1.0 - rho * symmetric_eigenvalues(weights.matrix).values)
+        if float(gaps.min()) <= RESOLVENT_TOL:
+            raise SingularResolvent(
+                f"rho={rho} is within {RESOLVENT_TOL:g} of a reciprocal eigenvalue"
+            )
 
     rng = np.random.default_rng(seed)
     field = a * np.ones(n)

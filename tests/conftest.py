@@ -46,3 +46,16 @@ def fixtures_dir():
 def deck():
     """First 30 instances of the seed-0 random deck, precomputed."""
     return [random_instance(0, k) for k in range(30)]
+
+
+@pytest.fixture
+def far_clusters():
+    """Eight sites in two 4-site clusters, in-cluster distances U(0.5, 3)
+    and every cross distance 1e170: W's cross weights are ~1e-170, so the
+    squares of a Householder column of them underflow to zero."""
+    rng = np.random.default_rng(170)
+    dist = np.full((8, 8), 1e170)
+    for block in (slice(0, 4), slice(4, 8)):
+        inner = np.triu(rng.uniform(0.5, 3.0, size=(4, 4)), k=1)
+        dist[block, block] = inner + inner.T
+    return RawSizeVector.from_values(rng.uniform(1.0, 10.0, size=8)), dist

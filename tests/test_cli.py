@@ -9,6 +9,7 @@ import pytest
 import moransar.cli as cli
 from moransar._version import __version__
 from moransar.cli import main
+from moransar.dataio import write_distance_matrix, write_sizes
 from moransar.errors import NoConvergence
 from moransar.verification import IdentityCheck, SuiteResult
 
@@ -191,6 +192,19 @@ class TestBoundsVerb:
         assert "OUTSIDE" not in out
 
 
+class TestUnderflowingWeights:
+    def test_far_clusters_analyze_and_bounds(self, far_clusters, tmp_path, capsys):
+        raw, dist = far_clusters
+        write_sizes(raw, tmp_path / "sizes.csv")
+        write_distance_matrix(raw.ids, dist, tmp_path / "dist.csv")
+        inputs = ["--sizes", str(tmp_path / "sizes.csv"),
+                  "--dist", str(tmp_path / "dist.csv")]
+        assert main(["analyze", *inputs, "--out", str(tmp_path / "out")]) == 0
+        assert "identities: 14/14 pass" in capsys.readouterr().out
+        assert main(["bounds", *inputs]) == 0
+        assert "range 3" in capsys.readouterr().out
+
+
 class TestSimulateVerb:
     def test_simulate_then_analyze(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -261,13 +275,39 @@ class TestVersionAndEntryPoint:
         assert proc.returncode == 0
         assert __version__ in proc.stdout
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # the t tail comes from scipy.special; scipy.stats alone used to be
-        # most of the CLI's start-up time
+    def test_import_loads_no_scipy(self):
+        # the runtime needs numpy alone; scipy is a test-only oracle
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, moransar.cli; print('scipy.stats' in sys.modules)"],
+             "import sys\n"
+             "def scipy_modules():\n"
+             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+             "import moransar\n"
+             "print(scipy_modules())\n"
+             "import moransar.cli\n"
+             "print(scipy_modules())\n"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["[]", "[]"]
+
+    def test_simulate_and_analyze_run_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every `import scipy` fail
+        data, out = tmp_path / "data", tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "from moransar import cli\n"
+             "data, out = sys.argv[1:]\n"
+             "assert cli.main(['simulate', '--n', '35', '--seed', '7', '--a', '10',\n"
+             "                 '--rho', '5', '--out', data]) == 0\n"
+             "assert cli.main(['analyze', '--sizes', data + '/sizes.csv',\n"
+             "                 '--dist', data + '/distances.csv', '--log', '--svg',\n"
+             "                 '--permutations', '99', '--seed', '1', '--out', out]) == 0\n",
+             str(data), str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "report.json").exists()
+        assert (out / "scatter_autoregression.svg").exists()

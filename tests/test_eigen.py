@@ -118,6 +118,12 @@ class TestAgainstNumpyOracle:
             assert spectrum.max_offdiag_residual > 0.0
             assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(w))) <= allowance
 
+    def test_underflowing_householder_column(self, far_clusters):
+        _, dist = far_clusters
+        w = weights_from_distances(dist).matrix
+        gap = np.max(np.abs(symmetric_eigenvalues(w).values - np.linalg.eigvalsh(w)))
+        assert gap <= 1e-14 * np.max(np.abs(w))
+
     def test_random_n300(self):
         m = random_symmetric(300, 300)
         spectrum = symmetric_eigenvalues(m)

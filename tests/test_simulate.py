@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moransar import simulate
 from moransar.autocorr import moran_index
 from moransar.errors import DegenerateZeroField, InputError, SingularResolvent
 from moransar.eigen import symmetric_eigenvalues
@@ -36,6 +37,20 @@ class TestBasicDraws:
         raw = simulate_sar(d, a=a, rho=rho, noise_sd=0.0, seed=0)
         lhs = (np.eye(6) - rho * w.matrix) @ raw.values
         np.testing.assert_allclose(lhs, a * np.ones(6), rtol=0, atol=1e-12)
+
+    def test_rho_zero_skips_the_eigensolve(self, monkeypatch):
+        # every gap |1 - rho*lambda| is 1 at rho = 0, so no solve is needed
+        d = ring_distances(8)
+        expected = simulate_sar(d, a=1.0, rho=0.0, noise_sd=0.5, seed=11)
+
+        def forbidden(m):
+            raise AssertionError("eigensolve at rho = 0")
+
+        monkeypatch.setattr(simulate, "symmetric_eigenvalues", forbidden)
+        raw = simulate_sar(d, a=1.0, rho=0.0, noise_sd=0.5, seed=11)
+        assert raw.values.tobytes() == expected.values.tobytes()
+        with pytest.raises(AssertionError, match="eigensolve"):
+            simulate_sar(d, a=1.0, rho=0.5, noise_sd=0.5, seed=11)
 
     def test_standardizable_batch(self):
         d = ring_distances(9, seed=3)
