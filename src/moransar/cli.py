@@ -177,6 +177,8 @@ def cmd_simulate(args) -> int:
         distances = random_distances(np.random.default_rng([seed, 0x51]), args.n)
     raw = simulate_sar(distances, args.a, args.rho, args.noise_sd, seed=seed)
     raw = type(raw)(ids=ids, values=raw.values)
+    # before writing, so a draw the analysis would reject leaves no files
+    i_value = prepare(raw, distances).i_value
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,7 +187,6 @@ def cmd_simulate(args) -> int:
     write_sizes(raw, sizes_path)
     write_distance_matrix(ids, distances, dist_path)
 
-    i_value = prepare(raw, distances).i_value
     print(f"simulated n={args.n} with a={args.a} rho={args.rho} "
           f"noise_sd={args.noise_sd} seed={seed}")
     print(f"realized Moran index: {i_value:.6g}")

@@ -12,8 +12,9 @@ Input formats:
 - critical values: header ``n,alpha,d_l,d_u``; ``n`` is a positive
   integer.
 
-In the sizes and long forms, a first row whose value field neither is
-nor starts like a number (a digit, a sign or ``.``) is the header.
+In the sizes and long forms, a first row whose value field is non-empty
+and neither is nor starts like a number (a digit, a sign or ``.``) is the
+header.
 
 Files are read as UTF-8, and a leading byte-order mark is dropped. Every
 number must be finite. All parse failures carry the file path and 1-based
@@ -99,10 +100,11 @@ def _is_number(text: str) -> bool:
 def _skip_header(
     rows: list[tuple[int, list[str]]], column: int
 ) -> list[tuple[int, list[str]]]:
-    """Drop the first row if its field ``column`` neither is nor starts like a number."""
+    """Drop the first row if its field ``column`` is non-empty and neither
+    is nor starts like a number."""
     if rows and len(rows[0][1]) > column:
         text = rows[0][1][column]
-        if not _is_number(text) and text[:1] not in _NUMBER_STARTS:
+        if text and not _is_number(text) and text[0] not in _NUMBER_STARTS:
             return rows[1:]
     return rows
 

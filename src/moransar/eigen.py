@@ -12,16 +12,20 @@ Three steps:
    T with diagonal d and off-diagonal e, one rank-2 update of the
    trailing block per column (Householder, "Unitary triangularization of
    a nonsymmetric matrix", J. ACM 5, 1958).
-2. T splits at off-diagonals that are exactly zero. A 1x1 block is its
-   own eigenvalue and a 2x2 block has a closed form, so both come back
-   exact when the matrix already had that shape.
+2. T splits at off-diagonals whose square is exactly zero. A 1x1 block
+   is its own eigenvalue and a 2x2 block has a closed form, so both come
+   back exact when the matrix already had that shape.
 3. Every larger block is bisected by Sturm counts: the number of negative
    pivots of T - xI is the number of eigenvalues below x (Barth, Martin
    & Wilkinson, "Calculation of the eigenvalues of a symmetric
    tridiagonal matrix by the method of bisection", Numer. Math. 9,
-   1967). Each pass splits every live bracket at many shifts at once and
-   runs the recurrence over all shifts together, until each bracket is
-   a few ulps of the block's norm wide.
+   1967). Eigenvalue k owns one bracket [lo, hi) with count(lo) <= k <
+   count(hi). Each pass splits every distinct bracket at many shifts at
+   once and runs the recurrence over all shifts together, until each
+   bracket is a few ulps of the block's norm wide. The pivots are not
+   guarded: IEEE infinities carry a zero pivot, which counts as
+   nonnegative when it is +0 and passes the count to the next row's
+   -inf.
 """
 
 from __future__ import annotations
@@ -123,34 +127,35 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.diagonal().copy(), e
 
 
-def _sturm_counts(
-    d: np.ndarray, e2: np.ndarray, shifts: np.ndarray, pivmin: float
-) -> np.ndarray:
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Eigenvalues of the tridiagonal below each shift; e2[i] = e[i-1]**2.
 
     The pivots of the LDL' factorization of T - xI, one recurrence step
-    per row for all shifts at once, in place to spare allocations.
+    per row for all shifts at once, counting pivots whose sign bit is set.
+    No pivot is guarded: a pivot of exactly +0 counts as nonnegative, and
+    the next one, -inf, counts the eigenvalue instead (Kahan 1966; Demmel,
+    Dhillon & Ren, ETNA 3, 1995). Every e2[i] past the first is nonzero,
+    so no step forms 0/0.
     """
     count = np.zeros(shifts.shape, dtype=np.int64)
     q = np.ones(shifts.shape)
-    tmp = np.empty(shifts.shape)
-    flag = np.empty(shifts.shape, dtype=bool)
-    for i in range(d.shape[0]):
-        np.divide(e2[i], q, out=tmp)
-        np.subtract(d[i], shifts, out=q)
-        q -= tmp
-        # a pivot below pivmin becomes -pivmin, so the next division
-        # can neither divide by zero nor overflow
-        np.abs(q, out=tmp)
-        np.less(tmp, pivmin, out=flag)
-        np.copyto(q, -pivmin, where=flag)
-        np.less(q, 0.0, out=flag)
-        count += flag
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(d.shape[0]):
+            q = (d[i] - shifts) - e2[i] / q
+            count += np.signbit(q)
     return count
 
 
 def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes."""
+    """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes.
+
+    Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
+    count(lo[k]) <= k < count(hi[k]). Brackets are pieces of one
+    partition of the Gershgorin interval, so indices with equal ``lo``
+    share a bracket: each pass splits every distinct bracket wider than
+    the target into 65 pieces, and each of its indices takes the piece
+    that holds it.
+    """
     m = d.shape[0]
     e2 = np.concatenate([[0.0], e * e])
     radius = np.zeros(m)
@@ -160,40 +165,29 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
     upper = float(np.max(d + radius))
     norm = max(abs(lower), abs(upper))
     target = WIDTH_TOL_FACTOR * np.finfo(float).eps * norm
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2)))
 
-    # brackets [lo, hi) with the number of eigenvalues below each end
-    lo = np.array([lower - target])
-    hi = np.array([upper + target])
-    c_lo = np.array([0])
-    c_hi = np.array([m])
+    lo = np.full(m, lower - target)
+    hi = np.full(m, upper + target)
     fractions = np.arange(1, SHIFTS_PER_BRACKET + 1) / (SHIFTS_PER_BRACKET + 1)
     passes = 0
     while passes < MAX_PASSES and np.any(hi - lo > target):
-        live = hi - lo > target
-        shifts = lo[live, None] + (hi - lo)[live, None] * fractions
-        counts = _sturm_counts(d, e2, shifts, pivmin)
-        # rounding may break the count's monotonicity; restore it within
-        # the bracket so every eigenvalue stays in exactly one piece
-        counts = np.clip(
-            np.maximum.accumulate(counts, axis=1),
-            c_lo[live, None],
-            c_hi[live, None],
-        )
-        edges = np.concatenate([lo[live, None], shifts, hi[live, None]], axis=1)
-        below = np.concatenate([c_lo[live, None], counts, c_hi[live, None]], axis=1)
-        keep = below[:, 1:] > below[:, :-1]
-        lo = np.concatenate([lo[~live], edges[:, :-1][keep]])
-        hi = np.concatenate([hi[~live], edges[:, 1:][keep]])
-        c_lo = np.concatenate([c_lo[~live], below[:, :-1][keep]])
-        c_hi = np.concatenate([c_hi[~live], below[:, 1:][keep]])
+        live = np.flatnonzero(hi - lo > target)
+        left, first, owner = np.unique(lo[live], return_index=True, return_inverse=True)
+        right = hi[live][first]
+        shifts = left[:, None] + (right - left)[:, None] * fractions
+        # rounding may break the count's monotonicity; restore it so
+        # every index falls in exactly one piece
+        counts = np.maximum.accumulate(_sturm_counts(d, e2, shifts), axis=1)
+        piece = np.sum(counts[owner] <= live[:, None], axis=1)
+        edges = np.concatenate([left[:, None], shifts, right[:, None]], axis=1)
+        lo[live] = edges[owner, piece]
+        hi[live] = edges[owner, piece + 1]
         passes += 1
 
     widest = float(np.max(hi - lo))
     if widest > target:
         raise NoConvergence(residual=widest, sweeps=passes)
-    values = np.repeat(0.5 * (lo + hi), c_hi - c_lo)
-    return values, widest, passes
+    return 0.5 * (lo + hi), widest, passes
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
@@ -217,7 +211,8 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
     exponent = int(np.frexp(np.max(np.abs(a)))[1]) if a.size else 0
     d, e = _tridiagonalize(np.ldexp(a, -exponent))
     n = d.shape[0]
-    edges = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n] if n else [0]
+    # split where e**2 underflows too, so the Sturm recurrence never sees 0/0
+    edges = [0, *(np.flatnonzero(e * e == 0.0) + 1).tolist(), n] if n else [0]
     parts = [np.zeros(0)]
     widest = 0.0
     passes = 0

@@ -237,6 +237,14 @@ class TestSimulateVerb:
         ])
         assert rc == 1
 
+    def test_rejected_draw_writes_no_file(self, tmp_path, capsys):
+        # noiseless at rho = 0, every size equals a: the analysis rejects it
+        rc = main(["simulate", "--n", "3", "--noise-sd", "0", "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "all size values are equal" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "sizes.csv").exists()
+        assert not (tmp_path / "d" / "distances.csv").exists()
+
 
 class TestVerifyVerb:
     def test_small_suite_passes(self, capsys):

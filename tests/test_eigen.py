@@ -227,6 +227,79 @@ class TestInvariants:
             symmetric_eigenvalues(random_symmetric(7, 30))
 
 
+def assert_certified(m, expected=None):
+    """Ascending, and within the widest bracket plus n eps ||m|| of eigvalsh
+    (and of ``expected``, which carries the multiplicities, when given)."""
+    m = np.asarray(m, dtype=float)
+    spectrum = symmetric_eigenvalues(m)
+    allowance = spectrum.max_offdiag_residual + m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
+    assert np.all(np.diff(spectrum.values) >= 0.0)
+    for reference in (np.linalg.eigvalsh(m), expected):
+        if reference is not None:
+            assert np.max(np.abs(spectrum.values - reference)) <= allowance
+    return spectrum
+
+
+def tridiagonal(d, e):
+    return np.diag(np.asarray(d, dtype=float)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def multisection_sizes(monkeypatch):
+    """Record the size of every block the solver bisects."""
+    sizes = []
+
+    def spy(d, e):
+        sizes.append(d.shape[0])
+        return real(d, e)
+
+    real = eigen._multisection
+    monkeypatch.setattr(eigen, "_multisection", spy)
+    return sizes
+
+
+class TestUnguardedSturmCount:
+    def test_underflowing_coupling_splits_into_exact_blocks(self, monkeypatch):
+        # e**2 = 1e-340 is 0 in floating point: a 1x1 and a 2x2 block
+        sizes = multisection_sizes(monkeypatch)
+        m = [[1.0, 1e-170, 0.0], [1e-170, 2.0, 1.0], [0.0, 1.0, 3.0]]
+        spectrum = assert_certified(m, [1.0, 2.5 - np.hypot(0.5, 1.0), 2.5 + np.hypot(0.5, 1.0)])
+        assert sizes == []
+        assert spectrum.values[0] == 1.0
+        assert spectrum.max_offdiag_residual == 0.0
+
+    def test_subnormal_coupling_squared_does_not_split(self, monkeypatch):
+        # e**2 ~ 1e-322 is subnormal but not zero: one 5x5 block
+        sizes = multisection_sizes(monkeypatch)
+        assert_certified(tridiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1e-160, 1.0, 1.0]))
+        assert sizes == [5]
+
+    def test_zero_diagonal_chain(self):
+        # d = 0, e = 1: eigenvalues 2 cos(k pi / 4), one of them exactly 0
+        root2 = np.sqrt(2.0)
+        assert_certified(tridiagonal([0.0, 0.0, 0.0], [1.0, 1.0]), [-root2, 0.0, root2])
+
+    def test_wilkinson_w21_plus(self):
+        # near-equal eigenvalue pairs and an exact zero on the diagonal
+        spectrum = assert_certified(tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20)))
+        assert spectrum.largest == pytest.approx(10.746194182903393, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_equal_distances_multiplicity(self, n):
+        w = weights_from_distances(np.ones((n, n)) - np.eye(n)).matrix
+        expected = np.full(n, -1.0 / (n * (n - 1)))
+        expected[-1] = 1.0 / n
+        assert_certified(w, expected)
+
+    def test_repeated_diagonal(self):
+        values = [2.0, -1.0, 2.0, 0.0, -1.0, 2.0]
+        spectrum = assert_certified(np.diag(values), np.sort(values))
+        np.testing.assert_array_equal(spectrum.values, np.sort(values))
+        # the same spectrum behind a reflection goes through the bisection
+        v = np.arange(1.0, 7.0)
+        q = np.eye(6) - 2.0 * np.outer(v, v) / (v @ v)
+        assert_certified(q @ np.diag(values) @ q.T, np.sort(values))
+
+
 class TestAgainstJacobiOracle:
     @pytest.mark.parametrize("n", [2, 3, 7, 20, 40])
     def test_random_matrices(self, n):

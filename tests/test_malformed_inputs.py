@@ -85,8 +85,8 @@ def corrupt(draw, lines, first_data, value_column, kind, value_decides_header):
     The line number is the 1-based line the loader must report, or None
     when the fault is only visible at the file level. Text in the first
     row of a headerless file may read as a header. Where the value field
-    decides (value_decides_header), text that starts like a number does
-    not, so that row gets a digit-led non-number; elsewhere the fault
+    decides (value_decides_header), empty text or text that starts like a
+    number does not, so that row gets one of those; elsewhere the fault
     goes lower.
     """
     lowest = first_data
@@ -97,7 +97,7 @@ def corrupt(draw, lines, first_data, value_column, kind, value_decides_header):
     if kind == "non_finite":
         lines[k] = replace_field(lines[k], value_column, draw(st.sampled_from(NON_FINITE)))
     elif kind == "not_a_number":
-        texts = DIGIT_LED if k == 0 else ("x", "", *DIGIT_LED)
+        texts = ("", *DIGIT_LED) if k == 0 else ("x", "", *DIGIT_LED)
         lines[k] = replace_field(lines[k], value_column, draw(st.sampled_from(texts)))
     elif kind == "ragged":
         fields = lines[k].split(",")
@@ -230,6 +230,29 @@ def test_bom_and_crlf_read_like_the_plain_file(inst, dist_format, header, crlf, 
             assert code == 0, err
             outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "dist_format, size_rows, dist_rows, target, message",
+    [
+        ("matrix", ["a,", "b,2", "c,3"], ["id,a,b,c", "a,0,1,2", "b,1,0,1", "c,2,1,0"],
+         "sizes", "size value is not a number: ''"),
+        ("long", ["a,1", "b,2", "c,3"], ["a,b,", "a,c,2", "b,c,1"],
+         "dist", "distance is not a number: ''"),
+    ],
+)
+def test_empty_first_value_is_data_not_a_header(
+    tmp_path, dist_format, size_rows, dist_rows, target, message
+):
+    write(tmp_path / "sizes.csv", size_rows)
+    write(tmp_path / "dist.csv", dist_rows)
+    code, _out, err = run_cli(
+        ["analyze", "--sizes", str(tmp_path / "sizes.csv"), "--dist", str(tmp_path / "dist.csv"),
+         "--dist-format", dist_format, "--permutations", "0", "--out", str(tmp_path / "out")]
+    )
+    assert code == 1, err
+    assert f"{tmp_path / (target + '.csv')}:1: {message}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
