@@ -5,9 +5,10 @@ index as a quadratic form, fits the autoregressive model z = a + rho*Wz
 by closed-form least squares, verifies the exact identities linking the
 two (rho*I = n*R2, delta = n(1 - R2), the lag-energy decomposition),
 checks three spectral value ranges with a built-in eigensolver
-(Householder tridiagonalization plus Sturm-sequence multisection),
-and runs significance tests and residual diagnostics. A CLI wraps the
-whole pipeline with JSON/CSV reports and SVG scatterplots.
+(Householder tridiagonalization, Sturm-sequence multisection and
+Sturm-certified Newton refinement), and runs significance tests and
+residual diagnostics. A CLI wraps the whole pipeline with JSON/CSV
+reports and SVG scatterplots.
 """
 
 from ._version import __version__

@@ -14,8 +14,9 @@ Three containments, each a Rayleigh-quotient consequence:
    outer product of the lag.
 
 The solver behind the spectra is the built-in Householder and Sturm
-multisection routine; external eigensolvers appear only in tests, as
-oracles.
+multisection routine, with Newton steps once every eigenvalue has its
+own bracket and a Sturm certificate for each refined value; external
+eigensolvers appear only in tests, as oracles.
 """
 
 from __future__ import annotations

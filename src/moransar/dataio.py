@@ -185,8 +185,14 @@ def _load_distance_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray
                     f"{path}:{lineno}: expected {n} values, got {len(fields)}"
                 )
             numbers = fields
-        for j, text in enumerate(numbers):
-            matrix[i, j] = _parse_float(path, lineno, text, "distance")
+        try:
+            matrix[i] = list(map(float, numbers))
+            clean = np.isfinite(matrix[i]).all()
+        except ValueError:
+            clean = False
+        if not clean:
+            # the same float() cell by cell, which names the first bad cell
+            matrix[i] = [_parse_float(path, lineno, text, "distance") for text in numbers]
     return ids, matrix
 
 

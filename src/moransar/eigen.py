@@ -1,5 +1,5 @@
 """Built-in symmetric eigensolver (Householder tridiagonalization plus
-Sturm-sequence multisection).
+Sturm-sequence multisection and Newton refinement).
 
 Self-contained on purpose: the spectral-range checks must not lean on an
 external linear-algebra backend, so tests can compare this solver against
@@ -21,11 +21,19 @@ Three steps:
    tridiagonal matrix by the method of bisection", Numer. Math. 9,
    1967). Eigenvalue k owns one bracket [lo, hi) with count(lo) <= k <
    count(hi). Each pass splits every distinct bracket at many shifts at
-   once and runs the recurrence over all shifts together, until each
-   bracket is a few ulps of the block's norm wide. The pivots are not
-   guarded: IEEE infinities carry a zero pivot, which counts as
+   once and runs the recurrence over all shifts together. The pivots
+   are not guarded: IEEE infinities carry a zero pivot, which counts as
    nonnegative when it is +0 and passes the count to the next row's
-   -inf.
+   -inf (Demmel, Dhillon & Ren, ETNA 3, 1995). Once no two unfinished
+   eigenvalues share a bracket, bisection gains only 6 bits a pass, so
+   one Newton phase takes over: the same recurrence, differentiated,
+   gives f'/f of f(x) = det(T - xI) at one point per eigenvalue, and
+   each step's count also tightens the bracket. A final Sturm pass
+   certifies every refined value by a window of 3/4 the target around
+   it; a value that fails keeps its tightened bracket and goes back to
+   multisection. Repeated eigenvalues share a bracket to the end, so
+   they never enter Newton's phase. Every bracket ends at most a few
+   ulps of the block's norm wide.
 """
 
 from __future__ import annotations
@@ -43,6 +51,13 @@ MAX_PASSES = 32  # a 65-way split reaches 4 eps ||T|| in about 9 passes
 # final bracket width in units of eps * ||T||: absolute, because a target
 # relative to each eigenvalue is never met by eigenvalues near zero
 WIDTH_TOL_FACTOR = 4.0
+# Newton steps per block once every bracket holds one eigenvalue; from an
+# isolated bracket the correction falls below target/4 in 2-5 steps
+NEWTON_STEPS = 6
+# half-width of the certificate window, in units of the target: rounding
+# x -+ h adds at most one ulp of x, itself at most target/4, so a window
+# of 3/4 stays within the target where one of 1 would not
+CERTIFICATE_WINDOW = 0.375
 
 
 @dataclass(frozen=True)
@@ -50,9 +65,11 @@ class EigenSpectrum:
     """Real eigenvalues in ascending order plus the solver's certificate.
 
     ``max_offdiag_residual`` is the width of the widest final bracket (0.0
-    when every block was 1x1 or 2x2): each value is that bracket's
-    midpoint. ``sweeps`` is the number of multisection passes, summed over
-    the tridiagonal's blocks.
+    when every block was 1x1 or 2x2): each value is its bracket's
+    midpoint. A bracket is at most 4 eps ||T|| wide, and one certified
+    after Newton's phase about 3/4 of that. ``sweeps`` is the number of passes of the Sturm
+    recurrence (multisection passes, Newton steps and the certificate
+    pass), summed over the tridiagonal's blocks.
     """
 
     values: np.ndarray = field(repr=False)
@@ -146,15 +163,94 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarr
     return count
 
 
+def _counts_and_slopes(
+    d: np.ndarray, e2: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sturm counts at each point and f'/f there, f(x) = det(T - xI).
+
+    The pivots q_i are those of ``_sturm_counts``, formed by the same
+    operations, so the counts are exactly its counts. f is the product of
+    the pivots, so f'/f is the sum of u_i = q_i'/q_i, and differentiating
+    the pivot recurrence gives u_i = (r_i u_{i-1} - 1) / q_i with r_i =
+    e2[i] / q_{i-1}. At an exact zero pivot u turns inf or NaN; the
+    caller's safeguard takes a bisection step instead.
+    """
+    m = d.shape[0]
+    pivots = np.empty((m, x.shape[0]))
+    terms = np.empty_like(pivots)
+    shifted = d[:, None] - x
+    q = np.ones(x.shape)
+    u = np.zeros(x.shape)
+    with np.errstate(all="ignore"):
+        for i in range(m):
+            r = e2[i] / q
+            q = np.subtract(shifted[i], r, out=pivots[i])
+            r *= u
+            r -= 1.0
+            u = np.divide(r, q, out=terms[i])
+        return np.count_nonzero(np.signbit(pivots), axis=0), terms.sum(axis=0)
+
+
+def _newton(
+    d: np.ndarray, e2: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    target: float, budget: int,
+) -> int:
+    """Refine isolated brackets by Newton's method; returns passes used.
+
+    Every index whose bracket is wider than ``target`` must own it alone.
+    Each step's Sturm count tightens the bracket, and the step x - f/f'
+    is taken only when it lands strictly inside; otherwise the point
+    moves to the bracket's midpoint. An index stops once its Newton
+    correction is at most target/4. One certificate pass then counts at
+    x -+ 3/8 target: where count(x - h) <= k < count(x + h) the index
+    takes that window as its bracket, at most the target wide because one
+    ulp of x is at most target/4. Brackets that fail keep what the counts
+    tightened, so multisection can finish them. ``lo`` and ``hi`` are
+    updated in place.
+    """
+    live = np.flatnonzero(hi - lo > target)
+    x = 0.5 * (lo[live] + hi[live])
+    active = np.arange(live.size)
+    passes = 0
+    while active.size and passes < min(NEWTON_STEPS, budget):
+        k = live[active]
+        counts, slopes = _counts_and_slopes(d, e2, x[active])
+        passes += 1
+        below = counts <= k
+        lo[k[below]] = x[active[below]]
+        hi[k[~below]] = x[active[~below]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correction = 1.0 / slopes
+            step = x[active] - correction
+            inside = (lo[k] < step) & (step < hi[k])
+        # written so that a NaN correction keeps the index moving
+        moving = ~(np.abs(correction) <= 0.25 * target)
+        step = np.where(inside, step, 0.5 * (lo[k] + hi[k]))
+        x[active[moving]] = step[moving]
+        active = active[moving]
+    if passes < budget:
+        h = CERTIFICATE_WINDOW * target
+        window = np.concatenate([x - h, x + h])
+        counts = _sturm_counts(d, e2, window)
+        passes += 1
+        sure = (counts[: live.size] <= live) & (live < counts[live.size :])
+        lo[live[sure]] = window[: live.size][sure]
+        hi[live[sure]] = window[live.size :][sure]
+    return passes
+
+
 def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes.
 
     Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
-    count(lo[k]) <= k < count(hi[k]). Brackets are pieces of one
-    partition of the Gershgorin interval, so indices with equal ``lo``
-    share a bracket: each pass splits every distinct bracket wider than
-    the target into 65 pieces, and each of its indices takes the piece
-    that holds it.
+    count(lo[k]) <= k < count(hi[k]). Until Newton's phase, brackets are
+    pieces of one partition of the Gershgorin interval, so indices with
+    equal ``lo`` share a bracket: each pass splits every distinct bracket
+    wider than the target into 65 pieces, and each of its indices takes
+    the piece that holds it. Once no two unfinished indices share a
+    bracket, one Newton phase refines them all; whatever it leaves
+    uncertified is split on as before. Newton's steps and its certificate
+    count against ``MAX_PASSES`` like any other pass.
     """
     m = d.shape[0]
     e2 = np.concatenate([[0.0], e * e])
@@ -170,9 +266,17 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
     hi = np.full(m, upper + target)
     fractions = np.arange(1, SHIFTS_PER_BRACKET + 1) / (SHIFTS_PER_BRACKET + 1)
     passes = 0
+    refined = False
     while passes < MAX_PASSES and np.any(hi - lo > target):
         live = np.flatnonzero(hi - lo > target)
         left, first, owner = np.unique(lo[live], return_index=True, return_inverse=True)
+        if not refined and left.size == live.size:
+            # every unfinished bracket holds one eigenvalue; Newton only
+            # shrinks the brackets it leaves unfinished, so ``lo`` still
+            # tells them apart
+            passes += _newton(d, e2, lo, hi, target, MAX_PASSES - passes)
+            refined = True
+            continue
         right = hi[live][first]
         shifts = left[:, None] + (right - left)[:, None] * fractions
         # rounding may break the count's monotonicity; restore it so

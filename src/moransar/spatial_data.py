@@ -243,6 +243,9 @@ def standardize(raw: RawSizeVector) -> StandardizedVector:
         ZeroVariance: if all values are equal.
     """
     x = raw.values
+    # z is scale-free, and a power-of-two scale is exact: bringing max|x|
+    # into [0.5, 1) keeps the squares below clear of overflow and underflow
+    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     centered = x - x.mean()
     # a second pass removes the cancellation residue left when the
     # spread is tiny against the mean; exact zero when the first

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -190,6 +191,22 @@ class TestBoundsVerb:
         assert "implied rho" in out
         # the chain fixture is an exact fit, so every containment holds
         assert "OUTSIDE" not in out
+
+    @pytest.mark.parametrize("power", ["e160", "e-160", "e-320"])
+    def test_extreme_size_magnitudes(self, fixtures_dir, tmp_path, capsys, power):
+        # squares of these sizes overflow, underflow or are subnormal;
+        # standardizing must not see them
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text(f"left,1{power}\nmid,2{power}\nright,4{power}\n")
+        dist = str(fixtures_dir / "chain_distances.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--sizes", str(sizes), "--dist", dist]) == 0
+        out = capsys.readouterr().out
+        sizes.write_text("left,1\nmid,2\nright,4\n")
+        assert main(["bounds", "--sizes", str(sizes), "--dist", dist]) == 0
+        if power != "e-320":  # subnormal sizes are not exactly 1:2:4
+            assert out == capsys.readouterr().out
 
 
 class TestUnderflowingWeights:

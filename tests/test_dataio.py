@@ -125,6 +125,35 @@ class TestLoadDistanceMatrix:
         with pytest.raises(ParseError):
             load_distances(p)
 
+    def test_bad_cell_mid_row_is_located(self, tmp_path):
+        p = write(tmp_path / "d.csv", "id,a,b,c\na,0,1,2\nb,1,x,1\nc,2,1,0\n")
+        with pytest.raises(ParseError, match=r"d\.csv:3: distance is not a number: 'x'"):
+            load_distances(p)
+
+    def test_first_of_two_bad_cells_is_named(self, tmp_path):
+        p = write(tmp_path / "d.csv", "id,a,b,c\na,0,1,2\nb,1,0,1\nc,2,?,oops\n")
+        with pytest.raises(ParseError, match=r"d\.csv:4: distance is not a number: '\?'"):
+            load_distances(p)
+
+    def test_earlier_row_fails_first(self, tmp_path):
+        # rows fail in file order: the non-finite cell on line 1 before the word on line 2
+        p = write(tmp_path / "d.csv", "0,inf,2\n1,0,x\n2,1,0\n")
+        with pytest.raises(ParseError, match=r"d\.csv:1: distance is not finite: 'inf'"):
+            load_distances(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "1e999", "-inf", "nan"])
+    def test_non_finite_cell_is_located(self, tmp_path, cell):
+        p = write(tmp_path / "d.csv", f"id,a,b\na,0,2\nb,{cell},0\n")
+        with pytest.raises(ParseError, match=rf"d\.csv:3: distance is not finite: '{cell}'"):
+            load_distances(p)
+
+    def test_cells_parse_like_float(self, tmp_path):
+        cells = ["0", "0.1", "1e-320", "-0", "2.5", "3.000000000000000444"]
+        p = write(tmp_path / "d.csv", ",".join(cells) + "\n" + "\n".join([",".join(cells)] * 5) + "\n")
+        _, m = load_distances(p)
+        expected = np.array([float(c) for c in cells])
+        assert m.tobytes() == np.tile(expected, (6, 1)).tobytes()
+
 
 class TestLoadDistanceLong:
     def test_round_trip_vs_matrix(self, tmp_path, fixtures_dir):

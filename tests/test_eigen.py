@@ -300,6 +300,111 @@ class TestUnguardedSturmCount:
         assert_certified(q @ np.diag(values) @ q.T, np.sort(values))
 
 
+def graded(n, ratio):
+    """Tridiagonal whose diagonal and couplings fall by ``ratio`` per row."""
+    scale = ratio ** np.arange(n, dtype=float)
+    return tridiagonal(scale, scale[:-1])
+
+
+def rotated(values, seed):
+    """A dense symmetric matrix with the given spectrum."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(values),) * 2))
+    return q @ np.diag(values) @ q.T
+
+
+def spy_on(monkeypatch, name, log=None):
+    """Record the calls to an ``eigen`` routine, by name, in ``log``."""
+    log = [] if log is None else log
+    real = getattr(eigen, name)
+
+    def spy(*args):
+        log.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(eigen, name, spy)
+    return log
+
+
+class TestNewtonPhase:
+    def test_counts_match_sturm_and_slopes_are_log_derivative(self):
+        m = random_symmetric(21, 9)
+        d, e = np.diag(m).copy(), np.diag(m, 1).copy()
+        e2 = np.concatenate([[0.0], e * e])
+        values = np.linalg.eigvalsh(tridiagonal(d, e))
+        x = np.linspace(values[0] - 1.0, values[-1] + 1.0, 257)
+        counts, slopes = eigen._counts_and_slopes(d, e2, x)
+        np.testing.assert_array_equal(counts, eigen._sturm_counts(d, e2, x))
+        # f'/f of det(T - xI) = prod(lambda - x) is sum 1 / (x - lambda)
+        expected = np.sum(1.0 / (x[:, None] - values), axis=1)
+        np.testing.assert_allclose(slopes, expected, rtol=1e-9)
+
+    def test_generic_matrix_is_refined(self, monkeypatch):
+        calls = spy_on(monkeypatch, "_counts_and_slopes")
+        assert_certified(random_symmetric(12, 40))
+        assert 1 <= len(calls) <= eigen.NEWTON_STEPS
+
+    @pytest.mark.parametrize("slope", [0.0, 1e300, np.nan])
+    def test_certificate_rejects_a_false_convergence(self, monkeypatch, slope):
+        # slope 0 makes every step a bisection that never converges; 1e300
+        # claims convergence at once, at the midpoint of an isolated
+        # bracket and so off the eigenvalue; NaN is what a zero pivot
+        # leaves. The certificate must turn them back to multisection.
+        def wrong_slopes(d, e2, x):
+            counts, slopes = real(d, e2, x)
+            return counts, np.full_like(slopes, slope)
+
+        real = eigen._counts_and_slopes
+        monkeypatch.setattr(eigen, "_counts_and_slopes", wrong_slopes)
+        log = spy_on(monkeypatch, "_counts_and_slopes")
+        spy_on(monkeypatch, "_sturm_counts", log)
+        m = random_symmetric(13, 30)
+        spectrum = assert_certified(m)
+        assert spectrum.sweeps == len(log) <= MAX_PASSES
+        # the certificate pass, then multisection on what it rejected
+        last_step = len(log) - 1 - log[::-1].index("_counts_and_slopes")
+        assert log[last_step + 1 :].count("_sturm_counts") >= 2
+
+    def test_budget_counts_newton_steps(self, monkeypatch):
+        # 30 random eigenvalues are isolated within two passes, so Newton
+        # starts with two passes left and cannot reach its certificate
+        monkeypatch.setattr(eigen, "MAX_PASSES", 4)
+        newton = spy_on(monkeypatch, "_counts_and_slopes")
+        multisection = spy_on(monkeypatch, "_sturm_counts")
+        with pytest.raises(NoConvergence) as err:
+            symmetric_eigenvalues(random_symmetric(7, 30))
+        assert newton
+        assert err.value.sweeps == len(newton) + len(multisection) == 4
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            rotated(np.concatenate([1.0 + 1e-12 * np.arange(3), np.linspace(-5.0, 5.0, 17)]), 1),
+            rotated(np.repeat(np.linspace(-3.0, 3.0, 10), 2) + np.tile([0.0, 1e-10], 10), 2),
+            graded(12, 1e-3),
+            graded(12, 1e-1),
+        ],
+        ids=["cluster_1e-12", "pairs_1e-10", "graded_1e-3", "graded_1e-1"],
+    )
+    def test_mixed_spectra(self, m):
+        assert_certified(m)
+
+    def test_rank_one_and_equal_distances_never_enter_newton(self, monkeypatch):
+        # their repeated eigenvalues share a bracket to the end, so they
+        # take the pure multisection path: nine passes of the 65-way
+        # split, or none when the reduction already split the matrix
+        def forbidden(*args):
+            raise AssertionError("Newton phase entered")
+
+        monkeypatch.setattr(eigen, "_newton", forbidden)
+        rng = np.random.default_rng(4)
+        for n in (5, 10, 20, 40):
+            v = rng.normal(size=n)
+            assert symmetric_eigenvalues(np.outer(v, v)).sweeps in (0, 9)
+        for n in (3, 8, 40, 150):
+            w = weights_from_distances(np.ones((n, n)) - np.eye(n)).matrix
+            assert symmetric_eigenvalues(w).sweeps in (0, 9)
+
+
 class TestAgainstJacobiOracle:
     @pytest.mark.parametrize("n", [2, 3, 7, 20, 40])
     def test_random_matrices(self, n):

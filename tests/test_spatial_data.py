@@ -1,5 +1,7 @@
 """Standardization, proximity construction, and weight normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from moransar.errors import (
     ZeroVariance,
 )
 from moransar.autocorr import moran_index
+from moransar.pipeline import REL_TOL
 from moransar.spatial_data import (
     ProximityMatrix,
     RawSizeVector,
@@ -72,6 +75,33 @@ class TestStandardize:
         raw, _ = two_site
         z = standardize(raw)
         np.testing.assert_array_equal(z.values, [-1.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-320, 2.0**-1074])
+    def test_extreme_magnitudes(self, scale):
+        # squares of 1e160 overflow, of 1e-160 underflow, and subnormal
+        # inputs lose every bit of a square; z is scale-free regardless
+        raw = RawSizeVector.from_values([1.0 * scale, 2.0 * scale, 4.0 * scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = standardize(raw).values
+        assert abs(z @ z - raw.n) <= REL_TOL * raw.n
+        # the same values times an exact power of two, in the normal range
+        y = np.ldexp(raw.values, -int(np.frexp(raw.values.max())[1]))
+        np.testing.assert_allclose(z, (y - y.mean()) / y.std(), rtol=0, atol=1e-15)
+
+    def test_near_float_limit(self):
+        top = np.finfo(float).max
+        z = standardize(RawSizeVector.from_values([-top, 0.5 * top, top])).values
+        assert abs(z @ z - 3) <= REL_TOL * 3
+
+    def test_power_of_two_scale_is_bit_identical(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 40):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-100, 100)
+            base = standardize(RawSizeVector.from_values(x)).values
+            for k in (-900, -3, 5, 700):
+                scaled = standardize(RawSizeVector.from_values(np.ldexp(x, k))).values
+                assert scaled.tobytes() == base.tobytes()
 
     def test_validator_rejects_uncentered(self):
         with pytest.raises(InputError):
