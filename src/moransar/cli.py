@@ -54,14 +54,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
+        if value < 0:
+            raise InputError(f"--seed must be nonnegative, got {value}")
         return value
     env = os.environ.get("MORANSAR_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise InputError(f"MORANSAR_SEED is not an integer: {env!r}") from None
+    if seed < 0:
+        raise InputError(f"MORANSAR_SEED must be nonnegative, got {env!r}")
+    return seed
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:

@@ -11,7 +11,8 @@ Three steps:
 1. Householder reflections reduce the matrix to a symmetric tridiagonal
    T with diagonal d and off-diagonal e, one rank-2 update of the
    trailing block per column (Householder, "Unitary triangularization of
-   a nonsymmetric matrix", J. ACM 5, 1958).
+   a nonsymmetric matrix", J. ACM 5, 1958). Each trailing block is copied
+   out contiguous before its update.
 2. T splits at off-diagonals whose square is exactly zero. A 1x1 block
    is its own eigenvalue and a 2x2 block has a closed form, so both come
    back exact when the matrix already had that shape.
@@ -24,7 +25,10 @@ Three steps:
    once and runs the recurrence over all shifts together. The pivots
    are not guarded: IEEE infinities carry a zero pivot, which counts as
    nonnegative when it is +0 and passes the count to the next row's
-   -inf (Demmel, Dhillon & Ren, ETNA 3, 1995). Once no two unfinished
+   -inf (Demmel, Dhillon & Ren, ETNA 3, 1995). A count needs only each
+   pivot's sign bit, so pivots are kept for a block of rows and counted
+   together: two numpy calls per row, in memory bounded by
+   ``PIVOT_BLOCK`` pivots. Once no two unfinished
    eigenvalues share a bracket, bisection gains only 6 bits a pass, so
    one Newton phase takes over: the same recurrence, differentiated,
    gives f'/f of f(x) = det(T - xI) at one point per eigenvalue, and
@@ -58,6 +62,10 @@ NEWTON_STEPS = 6
 # x -+ h adds at most one ulp of x, itself at most target/4, so a window
 # of 3/4 stays within the target where one of 1 would not
 CERTIFICATE_WINDOW = 0.375
+# pivots the Sturm count holds at once (256 KB): a block of rows amortizes
+# the per-call cost, and the bound keeps the 9024-shift pass at n = 150
+# from holding all of its 1.4 million pivots
+PIVOT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -110,57 +118,87 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of Q'AQ; overwrites ``a``."""
     n = a.shape[0]
+    d = np.empty(n)
     e = np.zeros(max(n - 1, 0))
     # the rank-2 update's two outer products live in buffers made once: a
     # fresh (n-1)^2 temporary per column is large enough for glibc malloc
     # to map and unmap it every time (~12 page faults per column at n = 150)
     vw = np.empty(e.size * e.size)
     wv = np.empty_like(vw)
+    # each updated trailing block is copied out contiguous, alternating
+    # between a spare buffer and the storage of ``a``, so the product and
+    # the update run over one contiguous array instead of strided rows
+    buffers = (np.empty_like(vw), a.reshape(-1))
+    turn = 0
     for k in range(n - 2):
-        x = a[k + 1 :, k]
+        d[k] = a[0, 0]
+        x = a[1:, 0]
         if not x[1:].any():
             # column already tridiagonal: no reflection, so an exact
             # block structure survives exactly
             e[k] = x[0]
+            a = a[1:, 1:]
             continue
         # H depends only on the direction of x, so scale x exactly by a
         # power of two: squares of a column near 1e-170 would underflow
-        exponent = math.frexp(float(np.max(np.abs(x))))[1]
+        exponent = math.frexp(float(np.abs(x).max()))[1]
         v = np.ldexp(x, -exponent)
         alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
         v[0] -= alpha
         beta = 2.0 / float(v @ v)
         # H B H with H = I - beta v v' is B - v w' - w v'
-        b = a[k + 1 :, k + 1 :]
+        m = v.size
+        b = buffers[turn][: m * m].reshape(m, m)
+        b[...] = a[1:, 1:]
+        turn = 1 - turn
         p = beta * (b @ v)
         w = p - (0.5 * beta * float(p @ v)) * v
-        m = v.size
         update = np.multiply.outer(v, w, out=vw[: m * m].reshape(m, m))
         update += np.multiply.outer(w, v, out=wv[: m * m].reshape(m, m))
         b -= update
         e[k] = math.ldexp(alpha, exponent)
+        a = b
+    d[max(n - 2, 0) :] = a.diagonal()
     if n >= 2:
         e[-1] = a[-1, -2]
-    return a.diagonal().copy(), e
+    return d, e
 
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Eigenvalues of the tridiagonal below each shift; e2[i] = e[i-1]**2.
 
-    The pivots of the LDL' factorization of T - xI, one recurrence step
-    per row for all shifts at once, counting pivots whose sign bit is set.
-    No pivot is guarded: a pivot of exactly +0 counts as nonnegative, and
-    the next one, -inf, counts the eigenvalue instead (Kahan 1966; Demmel,
-    Dhillon & Ren, ETNA 3, 1995). Every e2[i] past the first is nonzero,
-    so no step forms 0/0.
+    The pivots q_i = (d[i] - x) - e2[i] / q_{i-1} of the LDL' factorization
+    of T - xI, one recurrence step per row for all shifts at once, counting
+    pivots whose sign bit is set. No pivot is guarded: a pivot of exactly
+    +0 counts as nonnegative, and the next one, -inf, counts the
+    eigenvalue instead (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).
+    Every e2[i] past the first is nonzero, so no step forms 0/0.
+
+    A pivot's sign can be read after the recurrence has moved on, so the
+    rows run in blocks of at most ``PIVOT_BLOCK`` pivots, held in one
+    buffer: one call forms d[i] - x for the whole block, each row then
+    costs a divide and a subtract in place, and one call counts the
+    block's sign bits.
     """
-    count = np.zeros(shifts.shape, dtype=np.int64)
-    q = np.ones(shifts.shape)
+    x = shifts.ravel()
+    m = d.shape[0]
+    rows = max(1, min(m, PIVOT_BLOCK // max(x.size, 1)))
+    count = np.zeros(x.shape, dtype=np.int64)
+    r = np.empty(x.shape)
+    # row 0 carries the last pivot of the block before, and 1 at first
+    pivots = np.empty((rows + 1, x.size))
+    pivots[0] = 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        for i in range(d.shape[0]):
-            q = (d[i] - shifts) - e2[i] / q
-            count += np.signbit(q)
-    return count
+        for start in range(0, m, rows):
+            block = pivots[1 : 1 + min(rows, m - start)]
+            np.subtract.outer(d[start : start + rows], x, out=block)
+            q = pivots[0]
+            for i, row in enumerate(block, start):
+                np.divide(e2[i], q, out=r)
+                q = np.subtract(row, r, out=row)
+            count += np.count_nonzero(np.signbit(block), axis=0)
+            pivots[0] = q
+    return count.reshape(shifts.shape)
 
 
 def _counts_and_slopes(
@@ -193,39 +231,40 @@ def _counts_and_slopes(
 
 def _newton(
     d: np.ndarray, e2: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    target: float, budget: int,
+    live: np.ndarray, target: float, budget: int,
 ) -> int:
     """Refine isolated brackets by Newton's method; returns passes used.
 
-    Every index whose bracket is wider than ``target`` must own it alone.
-    Each step's Sturm count tightens the bracket, and the step x - f/f'
-    is taken only when it lands strictly inside; otherwise the point
-    moves to the bracket's midpoint. An index stops once its Newton
-    correction is at most target/4. One certificate pass then counts at
-    x -+ 3/8 target: where count(x - h) <= k < count(x + h) the index
-    takes that window as its bracket, at most the target wide because one
-    ulp of x is at most target/4. Brackets that fail keep what the counts
-    tightened, so multisection can finish them. ``lo`` and ``hi`` are
-    updated in place.
+    Every index in ``live`` must own its bracket alone. Each step's Sturm
+    count tightens the bracket, and the step x - f/f' is taken only when
+    it lands strictly inside; otherwise the point moves to the bracket's
+    midpoint. An index stops once its Newton correction is at most
+    target/4. One certificate pass then counts at x -+ 3/8 target: where
+    count(x - h) <= k < count(x + h) the index takes that window as its
+    bracket, at most the target wide because one ulp of x is at most
+    target/4. Brackets that fail keep what the counts tightened, so
+    multisection can finish them. ``lo`` and ``hi`` are updated in place.
     """
-    live = np.flatnonzero(hi - lo > target)
     x = 0.5 * (lo[live] + hi[live])
     active = np.arange(live.size)
     passes = 0
     while active.size and passes < min(NEWTON_STEPS, budget):
         k = live[active]
-        counts, slopes = _counts_and_slopes(d, e2, x[active])
+        point = x[active]
+        counts, slopes = _counts_and_slopes(d, e2, point)
         passes += 1
         below = counts <= k
-        lo[k[below]] = x[active[below]]
-        hi[k[~below]] = x[active[~below]]
+        left = np.where(below, point, lo[k])
+        right = np.where(below, hi[k], point)
+        lo[k] = left
+        hi[k] = right
         with np.errstate(divide="ignore", invalid="ignore"):
             correction = 1.0 / slopes
-            step = x[active] - correction
-            inside = (lo[k] < step) & (step < hi[k])
+            step = point - correction
+            inside = (left < step) & (step < right)
         # written so that a NaN correction keeps the index moving
         moving = ~(np.abs(correction) <= 0.25 * target)
-        step = np.where(inside, step, 0.5 * (lo[k] + hi[k]))
+        step = np.where(inside, step, 0.5 * (left + right))
         x[active[moving]] = step[moving]
         active = active[moving]
     if passes < budget:
@@ -244,13 +283,15 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
 
     Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
     count(lo[k]) <= k < count(hi[k]). Until Newton's phase, brackets are
-    pieces of one partition of the Gershgorin interval, so indices with
-    equal ``lo`` share a bracket: each pass splits every distinct bracket
-    wider than the target into 65 pieces, and each of its indices takes
-    the piece that holds it. Once no two unfinished indices share a
-    bracket, one Newton phase refines them all; whatever it leaves
-    uncertified is split on as before. Newton's steps and its certificate
-    count against ``MAX_PASSES`` like any other pass.
+    pieces of one partition of the Gershgorin interval, and ``lo`` is
+    nondecreasing in k, so the indices that share a bracket form a run of
+    equal ``lo``: each pass splits every distinct bracket wider than the
+    target into 65 pieces, and each of its indices takes the piece that
+    holds it. Once no two unfinished indices share a bracket, one Newton
+    phase refines them all; it only shrinks the brackets it leaves
+    unfinished, so they stay ordered and are split on as before. Newton's
+    steps and its certificate count against ``MAX_PASSES`` like any other
+    pass.
     """
     m = d.shape[0]
     e2 = np.concatenate([[0.0], e * e])
@@ -267,17 +308,23 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
     fractions = np.arange(1, SHIFTS_PER_BRACKET + 1) / (SHIFTS_PER_BRACKET + 1)
     passes = 0
     refined = False
-    while passes < MAX_PASSES and np.any(hi - lo > target):
+    while passes < MAX_PASSES:
         live = np.flatnonzero(hi - lo > target)
-        left, first, owner = np.unique(lo[live], return_index=True, return_inverse=True)
-        if not refined and left.size == live.size:
-            # every unfinished bracket holds one eigenvalue; Newton only
-            # shrinks the brackets it leaves unfinished, so ``lo`` still
-            # tells them apart
-            passes += _newton(d, e2, lo, hi, target, MAX_PASSES - passes)
+        if not live.size:
+            break
+        left = lo[live]
+        starts = np.empty(live.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(left[1:], left[:-1], out=starts[1:])
+        if not refined and starts.all():
+            # every unfinished bracket holds one eigenvalue
+            passes += _newton(d, e2, lo, hi, live, target, MAX_PASSES - passes)
             refined = True
             continue
-        right = hi[live][first]
+        owner = np.cumsum(starts) - 1
+        first = np.flatnonzero(starts)
+        left = left[first]
+        right = hi[live[first]]
         shifts = left[:, None] + (right - left)[:, None] * fractions
         # rounding may break the count's monotonicity; restore it so
         # every index falls in exactly one piece

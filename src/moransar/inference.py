@@ -139,13 +139,15 @@ def permutation_test(
     one counts exactly as that formula would count it.
 
     Raises:
-        InputError: if m < 1 or workers < 1.
+        InputError: if m < 1, workers < 1 or seed < 0.
         DimensionMismatch: if z and weights disagree on n.
     """
     if m < 1:
         raise InputError(f"permutation count must be at least 1, got {m}")
     if workers < 1:
         raise InputError(f"worker count must be at least 1, got {workers}")
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if weights.n != z.n:
         raise DimensionMismatch("weight matrix does not match vector length")
 

@@ -80,17 +80,21 @@ class AnalysisConfig:
     dw_critical_path: str | None = None
 
     def __post_init__(self) -> None:
-        _check_options(self.alpha, self.permutations, self.symmetrize)
+        _check_options(self.alpha, self.permutations, self.symmetrize, self.seed)
         if self.dist_format not in ("matrix", "long"):
             raise InputError(f"dist_format must be 'matrix' or 'long', got {self.dist_format!r}")
 
 
-def _check_options(alpha: float, permutations: int, symmetrize: str) -> None:
+def _check_options(
+    alpha: float, permutations: int, symmetrize: str, seed: int | None
+) -> None:
     """The option checks shared by AnalysisConfig and analyze_data."""
     if not (0.0 < alpha < 1.0):
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     if permutations < 0:
         raise InputError(f"permutations must be nonnegative, got {permutations}")
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if symmetrize not in SYMMETRIZE_POLICIES:
         raise InputError(f"symmetrize must be 'auto' or 'strict', got {symmetrize!r}")
 
@@ -181,7 +185,7 @@ def analyze_data(
     Raises:
         InputError: on an out-of-range option or bad data.
     """
-    _check_options(alpha, permutations, symmetrize)
+    _check_options(alpha, permutations, symmetrize, seed)
     inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
     z, weights = inputs.z, inputs.weights
     moran = inner_regression(inputs)

@@ -49,12 +49,15 @@ def simulate_sar(
             reciprocal eigenvalue, where Id - rho*W is singular.
         DegenerateZeroField: if a = 0 and noise_sd = 0 (the solution is
             identically zero and cannot be standardized downstream).
-        InputError: if a, rho or noise_sd is non-finite, noise_sd < 0, or from building W.
+        InputError: if a, rho or noise_sd is non-finite, noise_sd < 0,
+            seed < 0, or from building W.
     """
     if not np.all(np.isfinite([a, rho, noise_sd])):
         raise InputError(f"a, rho and noise_sd must be finite: {a}, {rho}, {noise_sd}")
     if noise_sd < 0.0:
         raise InputError(f"noise_sd must be nonnegative, got {noise_sd}")
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if a == 0.0 and noise_sd == 0.0:
         raise DegenerateZeroField(
             "a=0 with noise_sd=0 solves to the zero vector; nothing to analyze"

@@ -158,10 +158,12 @@ def run_suite(master_seed: int = 0, instances: int = 150) -> SuiteResult:
     """Fixtures plus a deck of random instances; collects all failures.
 
     Raises:
-        InputError: if instances is negative.
+        InputError: if instances or master_seed is negative.
     """
     if instances < 0:
         raise InputError(f"instance count must be nonnegative, got {instances}")
+    if master_seed < 0:
+        raise InputError(f"master seed must be nonnegative, got {master_seed}")
     start = time.perf_counter()
     failures: list[IdentityCheck] = []
     total = 0

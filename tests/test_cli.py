@@ -80,6 +80,22 @@ class TestAnalyzeVerb:
         assert rc == 1
         assert "input error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_before_writing(self, fixtures_dir, tmp_path, capsys):
+        # the 3-site chain enumerates its 3! relabelings and draws nothing,
+        # yet a negative seed is still refused
+        rc = main(chain_analyze(fixtures_dir, tmp_path / "out", "--seed", "-2"))
+        assert rc == 1
+        assert "--seed must be nonnegative, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_env_seed_is_an_input_error(self, fixtures_dir, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setenv("MORANSAR_SEED", "-5")
+        rc = main(chain_analyze(fixtures_dir, tmp_path / "out"))
+        assert rc == 1
+        assert "MORANSAR_SEED must be nonnegative, got '-5'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_3(self, fixtures_dir, tmp_path, capsys):
         rc = main([
             "analyze",
@@ -254,6 +270,12 @@ class TestSimulateVerb:
         ])
         assert rc == 1
 
+    def test_negative_seed_exits_1_without_files(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "5", "--seed", "-3", "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "--seed must be nonnegative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_rejected_draw_writes_no_file(self, tmp_path, capsys):
         # noiseless at rho = 0, every size equals a: the analysis rejects it
         rc = main(["simulate", "--n", "3", "--noise-sd", "0", "--out", str(tmp_path / "d")])
@@ -270,6 +292,16 @@ class TestVerifyVerb:
         out = capsys.readouterr().out
         assert "identity suite:" in out
         assert "[PASS]" in out
+
+    @pytest.mark.parametrize("flag, env", [("-1", None), (None, "-5")])
+    def test_negative_seed_exits_1(self, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("MORANSAR_SEED", env)
+        rc = main(["verify", "--instances", "2", *(["--seed", flag] if flag else [])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "must be nonnegative" in err
+        assert "Traceback" not in err
 
     def test_failures_exit_2(self, monkeypatch, capsys):
         broken = SuiteResult(

@@ -2,6 +2,8 @@
 external and analytic oracles."""
 
 import itertools
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,6 +83,22 @@ def jacobi_eigenvalues(m, max_sweeps=50):
             a[p, q] = 0.0
             a[q, p] = 0.0
     raise AssertionError(f"Jacobi oracle did not converge in {max_sweeps} sweeps")
+
+
+def row_by_row_sturm_counts(d, e2, shifts):
+    """The Sturm count as one recurrence step per row over all shifts.
+
+    The solver's kernel before it ran rows in blocks: five numpy calls per
+    row, and the same IEEE operations on the same operands, so its counts
+    must equal the kernel's exactly.
+    """
+    count = np.zeros(shifts.shape, dtype=np.int64)
+    q = np.ones(shifts.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(d.shape[0]):
+            q = (d[i] - shifts) - e2[i] / q
+            count += np.signbit(q)
+    return count
 
 
 class TestAgainstNumpyOracle:
@@ -403,6 +421,151 @@ class TestNewtonPhase:
         for n in (3, 8, 40, 150):
             w = weights_from_distances(np.ones((n, n)) - np.eye(n)).matrix
             assert symmetric_eigenvalues(w).sweeps in (0, 9)
+
+
+def squared_couplings(e):
+    return np.concatenate([[0.0], np.asarray(e, dtype=float) ** 2])
+
+
+def deck_matrices(deck):
+    """W, W'W and the lag's rank-1 outer product of deck instances (the
+    solves of one identity-suite instance), then equal-distance weights."""
+    for raw, dist in deck[:12]:
+        p = prepare(raw, dist)
+        w = p.weights.matrix
+        yield w
+        yield w.T @ w
+        yield np.outer(p.lag.values, p.lag.values)
+    for n in (3, 8, 40, 150):
+        yield weights_from_distances(np.ones((n, n)) - np.eye(n)).matrix
+
+
+def clustered_weights(n=150, seed=150):
+    """Weights of n points in six tight clusters, as in the benchmark's
+    large analysis: many near-equal off-diagonal weights."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 10.0, size=(6, 2))
+    points = centers[np.arange(n) % 6] + rng.normal(0.0, 0.8, size=(n, 2))
+    diff = points[:, None, :] - points[None, :, :]
+    return weights_from_distances(np.sqrt((diff * diff).sum(axis=-1))).matrix
+
+
+def assert_same_spectrum(a, b):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.max_offdiag_residual == b.max_offdiag_residual
+    assert a.sweeps == b.sweeps
+
+
+class TestBlockedSturmKernel:
+    """The blocked kernel against the row-by-row recurrence it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_shifts(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 60))
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        e2 = squared_couplings(e)
+        for shape in [(1,), (257,), (37, 64), (700, 64)]:
+            shifts = rng.uniform(-4.0, 4.0, size=shape)
+            np.testing.assert_array_equal(
+                eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
+            )
+
+    def test_shifts_at_diagonal_entries_and_eigenvalues(self):
+        # x = d[i] makes d[i] - x an exact zero, and x = 0, an exact
+        # eigenvalue of the zero-diagonal chain, drives its pivots through
+        # +0 and -inf; the other eigenvalues are hit to rounding, each
+        # shift also one ulp to either side
+        cases = [
+            ([0.0, 0.0, 0.0], [1.0, 1.0]),
+            (np.abs(np.arange(-10.0, 11.0)), np.ones(20)),
+            ([1.0, 2.0, 1.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+        ]
+        for d, e in cases:
+            d = np.asarray(d, dtype=float)
+            e2 = squared_couplings(e)
+            values = np.linalg.eigvalsh(tridiagonal(d, e))
+            shifts = np.concatenate([d, values, np.round(values), [0.0, -0.0]])
+            shifts = np.concatenate([shifts, np.nextafter(shifts, np.inf),
+                                     np.nextafter(shifts, -np.inf)])
+            np.testing.assert_array_equal(
+                eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
+            )
+
+    def test_underflowing_and_overflowing_quotients(self):
+        # e**2 near 1e-320 is subnormal; shifts next to a diagonal entry
+        # make tiny pivots whose quotients overflow to inf
+        d = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        e2 = squared_couplings([1.0, 1e-160, 1.0, 1e150])
+        shifts = np.concatenate([d, np.nextafter(d, np.inf), np.linspace(-1e150, 1e150, 101)])
+        np.testing.assert_array_equal(
+            eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
+        )
+
+    @pytest.mark.parametrize("block", [1, 640, 4096])
+    def test_pivot_block_changes_no_spectrum(self, deck, monkeypatch, block):
+        # 1 runs every row alone; 640 runs a 64-shift pass 10 rows at a
+        # time, with a shorter last block; 4096 holds up to 64 such rows
+        # and splits only the wider passes
+        matrices = [*deck_matrices(deck[:4]), clustered_weights(60), random_symmetric(3, 40)]
+        expected = [symmetric_eigenvalues(m) for m in matrices]
+        monkeypatch.setattr(eigen, "PIVOT_BLOCK", block)
+        for m, spectrum in zip(matrices, expected):
+            assert_same_spectrum(symmetric_eigenvalues(m), spectrum)
+
+    def test_row_by_row_oracle_gives_the_same_spectra(self, deck, monkeypatch):
+        matrices = list(deck_matrices(deck))
+        expected = [symmetric_eigenvalues(m) for m in matrices]
+        monkeypatch.setattr(eigen, "_sturm_counts", row_by_row_sturm_counts)
+        for m, spectrum in zip(matrices, expected):
+            assert_same_spectrum(symmetric_eigenvalues(m), spectrum)
+
+    @pytest.mark.parametrize("slope", [None, 0.0])
+    def test_live_brackets_stay_ordered(self, deck, monkeypatch, slope):
+        # the multisection finds shared brackets as runs of equal ``lo``,
+        # which holds only while live ``lo`` is nondecreasing in k; slope 0
+        # sends every index back from Newton's phase to multisection
+        passes = []
+
+        def spy(d, e2, shifts):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_multisection":
+                left = caller.f_locals["lo"][caller.f_locals["live"]]
+                assert np.all(np.diff(left) >= 0.0)
+                passes.append(left.size)
+            return real(d, e2, shifts)
+
+        real = eigen._sturm_counts
+        monkeypatch.setattr(eigen, "_sturm_counts", spy)
+        if slope is not None:
+            counts_and_slopes = eigen._counts_and_slopes
+            monkeypatch.setattr(
+                eigen, "_counts_and_slopes",
+                lambda d, e2, x: (counts_and_slopes(d, e2, x)[0], np.full(x.shape, slope)),
+            )
+        matrices = [
+            *deck_matrices(deck[:6]),
+            clustered_weights(),
+            tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20)),
+            graded(12, 1e-3),
+            rotated(np.concatenate([1.0 + 1e-12 * np.arange(3), np.linspace(-5.0, 5.0, 17)]), 1),
+        ]
+        for m in matrices:
+            assert_certified(m)
+        assert len(passes) > len(matrices)
+
+    def test_memory_of_the_large_solve_is_bounded(self):
+        # the n = 150 isolating pass counts at 9024 shifts; holding all of
+        # its pivots at once would peak near 12 MB instead of ~1 MB
+        w = clustered_weights()
+        symmetric_eigenvalues(w)
+        tracemalloc.start()
+        try:
+            symmetric_eigenvalues(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestAgainstJacobiOracle:

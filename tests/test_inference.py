@@ -236,6 +236,8 @@ class TestPermutationTest:
             permutation_test(z, weights, m=0)
         with pytest.raises(InputError):
             permutation_test(z, weights, workers=0)
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            permutation_test(z, weights, seed=-1)
 
 
 class TestRandomizationMoments:

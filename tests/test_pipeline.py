@@ -315,7 +315,8 @@ class TestConfigValidation:
             config_for(noisy_files, alpha=1.5)
 
     @pytest.mark.parametrize(
-        "option", [{"alpha": 1.5}, {"permutations": -3}, {"symmetrize": "Strict"}]
+        "option",
+        [{"alpha": 1.5}, {"permutations": -3}, {"symmetrize": "Strict"}, {"seed": -1}],
     )
     def test_config_and_library_reject_the_same_values(self, noisy_files, option):
         raw, dist, _, _ = noisy_files

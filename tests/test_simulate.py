@@ -74,6 +74,10 @@ class TestValidation:
         with pytest.raises(InputError):
             simulate_sar(ring_distances(4), a=1.0, rho=0.0, noise_sd=-0.1)
 
+    def test_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            simulate_sar(ring_distances(4), a=1.0, rho=0.0, noise_sd=1.0, seed=-3)
+
     def test_zero_field(self):
         with pytest.raises(DegenerateZeroField):
             simulate_sar(ring_distances(4), a=0.0, rho=1.0, noise_sd=0.0)

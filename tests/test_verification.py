@@ -4,8 +4,10 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 import moransar.verification
+from moransar.errors import InputError
 from moransar.pipeline import analyze_data
 from moransar.verification import (
     IdentityCheck,
@@ -115,6 +117,10 @@ class TestSuite:
         # 10 fixture checks plus at least 20 checks per instance
         assert result.total >= 10 + 3 * 20
         assert result.elapsed_seconds > 0.0
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(InputError, match="master seed must be nonnegative"):
+            run_suite(master_seed=-1, instances=2)
 
     def test_passed_property(self):
         ok = SuiteResult(total=1, failures=(), elapsed_seconds=0.0)
