@@ -12,10 +12,16 @@ Three steps:
    T with diagonal d and off-diagonal e, one rank-2 update of the
    trailing block per column (Householder, "Unitary triangularization of
    a nonsymmetric matrix", J. ACM 5, 1958). Each trailing block is copied
-   out contiguous before its update.
-2. T splits at off-diagonals whose square is exactly zero. A 1x1 block
-   is its own eigenvalue and a 2x2 block has a closed form, so both come
-   back exact when the matrix already had that shape.
+   out contiguous before its update. A column whose tail below the
+   subdiagonal is below rounding, tol = 4 eps ||A||_F per entry, is left
+   unreflected and its tail dropped.
+2. T splits at every off-diagonal |e_i| <= tol. Dropping an entry moves
+   each eigenvalue by at most its norm (Weyl), no more than the
+   reduction's own backward error (Wilkinson, "The Algebraic Eigenvalue
+   Problem", 1965), and what was dropped is reported. A rank-1 matrix
+   thus reduces to one 2x2 block and a diagonal of rounding noise. A 1x1
+   block is its own eigenvalue and a 2x2 block has a closed form, so both
+   come back exact when the matrix already had that shape.
 3. Every larger block is bisected by Sturm counts: the number of negative
    pivots of T - xI is the number of eigenvalues below x (Barth, Martin
    & Wilkinson, "Calculation of the eigenvalues of a symmetric
@@ -66,6 +72,11 @@ CERTIFICATE_WINDOW = 0.375
 # the per-call cost, and the bound keeps the 9024-shift pass at n = 150
 # from holding all of its 1.4 million pivots
 PIVOT_BLOCK = 1 << 15
+# entries the solver drops as rounding, in units of eps * ||A||_F: one
+# reflection's rank-2 update leaves noise of up to ~2 eps ||A||_F (seen on
+# rank-1 inputs, where at 1 eps ||A||_F about one solve in 70 kept a noise
+# coupling and took 9-14 passes), and 4 matches the bracket width
+DROP_TOL_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -77,12 +88,17 @@ class EigenSpectrum:
     midpoint. A bracket is at most 4 eps ||T|| wide, and one certified
     after Newton's phase about 3/4 of that. ``sweeps`` is the number of passes of the Sturm
     recurrence (multisection passes, Newton steps and the certificate
-    pass), summed over the tridiagonal's blocks.
+    pass), summed over the tridiagonal's blocks. ``dropped`` is the sum
+    of the 2-norms of every column tail and coupling discarded as below
+    rounding, in the input's scale (0.0 when none was). Up to the
+    rounding of the Householder reduction, each value lies within
+    ``dropped`` plus half its bracket of an eigenvalue of the input.
     """
 
     values: np.ndarray = field(repr=False)
     max_offdiag_residual: float
     sweeps: int
+    dropped: float
 
     @property
     def n(self) -> int:
@@ -115,11 +131,19 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return half + half.T
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of Q'AQ; overwrites ``a``."""
+def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal and off-diagonal of Q'AQ, and the norm dropped; overwrites ``a``.
+
+    A column whose tail below the subdiagonal has 2-norm at most
+    tol * sqrt(m), m the column's length below the diagonal, is taken as
+    already tridiagonal: the tail is dropped and no reflection runs. That
+    moves each eigenvalue by at most the tail's norm (Weyl), which is
+    summed into the returned norm.
+    """
     n = a.shape[0]
     d = np.empty(n)
     e = np.zeros(max(n - 1, 0))
+    dropped = 0.0
     # the rank-2 update's two outer products live in buffers made once: a
     # fresh (n-1)^2 temporary per column is large enough for glibc malloc
     # to map and unmap it every time (~12 page faults per column at n = 150)
@@ -133,21 +157,30 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(n - 2):
         d[k] = a[0, 0]
         x = a[1:, 0]
-        if not x[1:].any():
-            # column already tridiagonal: no reflection, so an exact
-            # block structure survives exactly
-            e[k] = x[0]
-            a = a[1:, 1:]
-            continue
+        m = x.size
+        magnitudes = np.abs(x)
+        tail = float(magnitudes[1:].max())
+        bound = tol * math.sqrt(m)
+        # the tail's largest entry bounds its norm from below, so only a
+        # tail already that small pays for the norm (hypot: a tail near
+        # 1e-170 would square to zero)
+        if tail <= bound:
+            norm = math.hypot(*x[1:].tolist())
+            if norm <= bound:
+                # column already tridiagonal up to rounding: no reflection,
+                # so an exact block structure survives exactly
+                e[k] = x[0]
+                dropped += norm
+                a = a[1:, 1:]
+                continue
         # H depends only on the direction of x, so scale x exactly by a
         # power of two: squares of a column near 1e-170 would underflow
-        exponent = math.frexp(float(np.abs(x).max()))[1]
+        exponent = math.frexp(max(float(magnitudes[0]), tail))[1]
         v = np.ldexp(x, -exponent)
         alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
         v[0] -= alpha
         beta = 2.0 / float(v @ v)
         # H B H with H = I - beta v v' is B - v w' - w v'
-        m = v.size
         b = buffers[turn][: m * m].reshape(m, m)
         b[...] = a[1:, 1:]
         turn = 1 - turn
@@ -161,7 +194,7 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d[max(n - 2, 0) :] = a.diagonal()
     if n >= 2:
         e[-1] = a[-1, -2]
-    return d, e
+    return d, e, dropped
 
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -196,7 +229,8 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarr
             for i, row in enumerate(block, start):
                 np.divide(e2[i], q, out=r)
                 q = np.subtract(row, r, out=row)
-            count += np.count_nonzero(np.signbit(block), axis=0)
+            # a block holds at most PIVOT_BLOCK < 2**16 rows
+            count += np.add.reduce(np.signbit(block), axis=0, dtype=np.uint16)
             pivots[0] = q
     return count.reshape(shifts.shape)
 
@@ -226,7 +260,8 @@ def _counts_and_slopes(
             r *= u
             r -= 1.0
             u = np.divide(r, q, out=terms[i])
-        return np.count_nonzero(np.signbit(pivots), axis=0), terms.sum(axis=0)
+        counts = np.add.reduce(np.signbit(pivots), axis=0, dtype=np.int32)
+        return counts, terms.sum(axis=0)
 
 
 def _newton(
@@ -346,7 +381,12 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
 
     Each eigenvalue of a block larger than 2x2 is the midpoint of a
     Sturm bracket at most 4 eps ||T|| wide, where ||T|| is the block's
-    Gershgorin bound.
+    Gershgorin bound. Work below rounding is skipped with one tolerance,
+    tol = 4 eps ||A||_F of the power-of-two-scaled input: a reduction
+    column whose tail has norm at most tol sqrt(m) is not reflected, and
+    T splits wherever |e_i| <= tol. Up to the reduction's own rounding,
+    each value lies within ``dropped`` (the sum of what was discarded)
+    plus half its bracket of an eigenvalue of A.
 
     Raises:
         NotSymmetric: if the input is not square, has non-finite entries,
@@ -360,10 +400,18 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
     # scaling by a power of two is exact and keeps the squares in the
     # reduction and in the Sturm recurrence clear of overflow and underflow
     exponent = int(np.frexp(np.max(np.abs(a)))[1]) if a.size else 0
-    d, e = _tridiagonalize(np.ldexp(a, -exponent))
+    scaled = np.ldexp(a, -exponent).reshape(-1)
+    # ||A||_F is invariant under the reduction and bounds ||T||_2; the
+    # scaled entries are at most 1, so their squares cannot overflow
+    tol = DROP_TOL_FACTOR * np.finfo(float).eps * math.sqrt(float(scaled @ scaled))
+    d, e, dropped = _tridiagonalize(scaled.reshape(a.shape), tol)
     n = d.shape[0]
-    # split where e**2 underflows too, so the Sturm recurrence never sees 0/0
-    edges = [0, *(np.flatnonzero(e * e == 0.0) + 1).tolist(), n] if n else [0]
+    # the largest scaled entry is at least 1/2, so tol >= 2 eps and every
+    # coupling whose square underflows splits too: the Sturm recurrence
+    # never sees 0/0
+    negligible = np.flatnonzero(np.abs(e) <= tol)
+    dropped += float(np.abs(e[negligible]).sum())
+    edges = [0, *(negligible + 1).tolist(), n] if n else [0]
     parts = [np.zeros(0)]
     widest = 0.0
     passes = 0
@@ -395,4 +443,5 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
         values=values,
         max_offdiag_residual=float(np.ldexp(widest, exponent)),
         sweeps=passes,
+        dropped=float(np.ldexp(dropped, exponent)),
     )

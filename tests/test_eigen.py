@@ -13,6 +13,7 @@ from moransar.bounds import bounds_report
 from moransar import eigen
 from moransar.eigen import MAX_PASSES, symmetric_eigenvalues
 from moransar.errors import NoConvergence, NotSymmetric, NumericalError
+from moransar.pipeline import EIGEN_TOL
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import prepare, weights_from_distances
 
@@ -262,6 +263,13 @@ def tridiagonal(d, e):
     return np.diag(np.asarray(d, dtype=float)) + np.diag(e, 1) + np.diag(e, -1)
 
 
+def drop_tolerance(m):
+    """The solver's tolerance for an input whose largest entry lies in
+    [1/2, 1), so that its power-of-two scaling is the identity."""
+    flat = np.asarray(m, dtype=float).ravel()
+    return eigen.DROP_TOL_FACTOR * np.finfo(float).eps * np.sqrt(flat @ flat)
+
+
 def multisection_sizes(monkeypatch):
     """Record the size of every block the solver bisects."""
     sizes = []
@@ -285,11 +293,35 @@ class TestUnguardedSturmCount:
         assert spectrum.values[0] == 1.0
         assert spectrum.max_offdiag_residual == 0.0
 
-    def test_subnormal_coupling_squared_does_not_split(self, monkeypatch):
-        # e**2 ~ 1e-322 is subnormal but not zero: one 5x5 block
+    def test_coupling_above_drop_tolerance_keeps_one_block(self, monkeypatch):
         sizes = multisection_sizes(monkeypatch)
-        assert_certified(tridiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1e-160, 1.0, 1.0]))
+        d, e = [0.5, 0.25, 0.75, 0.625, 0.5], [0.5, 0.0, 0.5, 0.5]
+        e[1] = np.nextafter(drop_tolerance(tridiagonal(d, e)), np.inf)
+        spectrum = assert_certified(tridiagonal(d, e))
         assert sizes == [5]
+        assert spectrum.dropped == 0.0
+
+    def test_coupling_at_drop_tolerance_splits(self, monkeypatch):
+        # a 2x2 block in closed form and a 3x3 block by multisection
+        sizes = multisection_sizes(monkeypatch)
+        d, e = [0.5, 0.25, 0.75, 0.625, 0.5], [0.5, 0.0, 0.5, 0.5]
+        e[1] = drop_tolerance(tridiagonal(d, e))
+        spectrum = assert_certified(tridiagonal(d, e))
+        assert sizes == [3]
+        assert spectrum.dropped == e[1]
+
+    def test_subnormal_coupling_squared_in_the_recurrence(self):
+        # e**2 ~ 1e-320 is subnormal but not zero; the solver would split
+        # there, so the recurrence sees it only through _multisection
+        d, e = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([1.0, 1e-160, 1.0, 1.0])
+        values, width, _ = eigen._multisection(d, e)
+        # to within 1e-160 the 2x2 block [[1, 1], [1, 2]] and the 3x3
+        # block with d = 3, 4, 5 and unit couplings: 4 and 4 -+ sqrt(3)
+        root5, root3 = np.sqrt(5.0), np.sqrt(3.0)
+        analytic = np.sort([1.5 - root5 / 2, 1.5 + root5 / 2, 4.0 - root3, 4.0, 4.0 + root3])
+        allowance = width + d.size * np.finfo(float).eps * np.linalg.norm(tridiagonal(d, e))
+        for reference in (analytic, np.linalg.eigvalsh(tridiagonal(d, e))):
+            assert np.max(np.abs(np.sort(values) - reference)) <= allowance
 
     def test_zero_diagonal_chain(self):
         # d = 0, e = 1: eigenvalues 2 cos(k pi / 4), one of them exactly 0
@@ -409,7 +441,8 @@ class TestNewtonPhase:
     def test_rank_one_and_equal_distances_never_enter_newton(self, monkeypatch):
         # their repeated eigenvalues share a bracket to the end, so they
         # take the pure multisection path: nine passes of the 65-way
-        # split, or none when the reduction already split the matrix
+        # split, or none when the reduction already split the matrix, as
+        # it always does a rank-1 one
         def forbidden(*args):
             raise AssertionError("Newton phase entered")
 
@@ -470,6 +503,22 @@ class TestBlockedSturmKernel:
             np.testing.assert_array_equal(
                 eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
             )
+
+    def test_counts_past_255_rows_in_one_block(self):
+        # one 600-row block: its sign bits are summed in a narrow integer
+        # type, which must hold counts past 255
+        rng = np.random.default_rng(600)
+        d, e = rng.normal(size=600), rng.normal(size=599)
+        e2 = squared_couplings(e)
+        shifts = np.array([-100.0, 0.0, 100.0])
+        assert 600 <= eigen.PIVOT_BLOCK // shifts.size
+        counts = eigen._sturm_counts(d, e2, shifts)
+        np.testing.assert_array_equal(counts, row_by_row_sturm_counts(d, e2, shifts))
+        assert counts[0] == 0 and 255 < counts[1] < 600 and counts[2] == 600
+        np.testing.assert_array_equal(eigen._counts_and_slopes(d, e2, shifts)[0], counts)
+
+    def test_pivot_block_fits_the_block_count_type(self):
+        assert eigen.PIVOT_BLOCK < 2**16
 
     def test_shifts_at_diagonal_entries_and_eigenvalues(self):
         # x = d[i] makes d[i] - x an exact zero, and x = 0, an exact
@@ -566,6 +615,52 @@ class TestBlockedSturmKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestDropBelowRounding:
+    def test_nothing_dropped_on_deck_and_fixtures(self, deck, two_site, chain):
+        # a drop would change the spectrum's bits; W and W'W keep them all
+        for raw, dist in [two_site, chain, *deck]:
+            w = prepare(raw, dist).weights.matrix
+            assert symmetric_eigenvalues(w).dropped == 0.0
+            assert symmetric_eigenvalues(w.T @ w).dropped == 0.0
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_rank_one_collapses(self, n):
+        # after one reflection the trailing block is rounding noise: the
+        # solve ends in a 2x2 block and a diagonal of noise. The zero
+        # eigenvalues carry what was dropped plus the reduction's rounding
+        u = np.random.default_rng(n).normal(size=n)
+        m = np.outer(u, u)
+        spectrum = symmetric_eigenvalues(m)
+        assert abs(spectrum.largest - float(u @ u)) <= EIGEN_TOL
+        rounding = n * np.finfo(float).eps * np.linalg.norm(m)
+        assert np.max(np.abs(spectrum.values[:-1])) <= spectrum.dropped + rounding
+        assert spectrum.sweeps <= 2
+
+    @pytest.mark.parametrize("factor", [1.0, 1.3])
+    def test_small_column_tail_is_not_reflected(self, factor):
+        # column 0's tail (t, t) has norm t sqrt(2), against a bound of
+        # tol sqrt(3): at t = tol it is dropped and x[0] kept as e[0]; at
+        # 1.3 tol it is reflected, and e[0] = -||x|| takes x[0]'s sign off
+        base = tridiagonal([0.5, 0.25, 0.75, 0.625], [0.5, 0.5, 0.5])
+        tol = drop_tolerance(base)
+        m = base.copy()
+        m[0, 2:] = m[2:, 0] = factor * tol
+        _, e, dropped = eigen._tridiagonalize(m, tol)
+        if factor == 1.0:
+            assert e[0] == 0.5 and dropped == np.hypot(tol, tol)
+        else:
+            assert e[0] < 0.0 and dropped == 0.0
+
+    def test_dropped_is_in_the_input_scale(self):
+        u = np.random.default_rng(12).normal(size=12)
+        base = symmetric_eigenvalues(np.outer(u, u))
+        assert base.dropped > 0.0
+        for k in (-600, 600):
+            scaled = symmetric_eigenvalues(np.ldexp(np.outer(u, u), k))
+            assert scaled.dropped == np.ldexp(base.dropped, k)
+            assert np.array_equal(scaled.values, np.ldexp(base.values, k))
 
 
 class TestAgainstJacobiOracle:
