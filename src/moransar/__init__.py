@@ -75,13 +75,11 @@ from .pipeline import (
 )
 from .sar import (
     SarFit,
-    TheoreticalCoefficients,
     centered_fit,
     closed_form_from_moran,
     fit_sar_ols,
     inverse_slope_relation,
     lag_energy_gap,
-    theoretical_coefficients,
 )
 from .simulate import simulate_sar
 from .spatial_data import (
@@ -116,9 +114,8 @@ __all__ = [
     "rank_one_identity_slack", "scatter_dataset",
     "MODE_AUTOCORRELATION", "MODE_AUTOREGRESSION",
     # autoregression
-    "SarFit", "TheoreticalCoefficients", "fit_sar_ols", "closed_form_from_moran",
-    "theoretical_coefficients", "lag_energy_gap", "centered_fit",
-    "inverse_slope_relation",
+    "SarFit", "fit_sar_ols", "closed_form_from_moran", "lag_energy_gap",
+    "centered_fit", "inverse_slope_relation",
     # eigensolver and bounds
     "EigenSpectrum", "symmetric_eigenvalues", "Containment", "RhoInterval",
     "MoranRangeVerdict", "QuadraticRangeVerdict",

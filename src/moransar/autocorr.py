@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, InputError, ZeroVariance
 from .inference import SignificanceResult, slope_t_test
 from .regression import fit_line
-from .sar import SarFit, theoretical_coefficients
+from .sar import SarFit, closed_form_from_moran
 from .spatial_data import (
     ProximityMatrix,
     RawSizeVector,
@@ -159,14 +159,17 @@ def eigen_check(inputs: SpatialInputs) -> float:
 
 
 def rank_one_identity_slack(inputs: SpatialInputs) -> float:
-    """Scalar companion to eigen_check: |I^2 - ((Wz).z) * I|.
+    """Scalar companion to eigen_check: |(Wz)'(z z')(Wz) - I (Wz)'z|.
 
-    Left-multiplying the eigen relation by (Wz)' collapses it to a scalar
-    identity between I squared and the lag/vector inner product times I.
+    Left-multiplying the eigen relation (z z') W z = I z by (Wz)'
+    collapses it to a scalar identity. The left side goes through the
+    rank-1 matrix z z' (O(n^2)), so the slack measures that product's
+    rounding; (Wz)'z alone is the same float as I, and against it the
+    slack would be 0 on every input.
     """
-    i_value = inputs.i_value
-    lag_dot_z = float(inputs.lag.values @ inputs.z.values)
-    return abs(i_value * i_value - lag_dot_z * i_value)
+    zv, lag = inputs.z.values, inputs.lag.values
+    projected = float(lag @ (np.outer(zv, zv) @ lag))
+    return abs(projected - inputs.i_value * float(lag @ zv))
 
 
 def scatter_dataset(
@@ -203,10 +206,8 @@ def scatter_dataset(
     if mode == MODE_AUTOREGRESSION:
         theoretical = None
         if not fit.zero_moran:
-            coeffs = theoretical_coefficients(i_value, lag.total, z.n)
-            theoretical = TrendLine(
-                slope=coeffs.rho, intercept=coeffs.a, label="exact-fit"
-            )
+            a, rho = closed_form_from_moran(i_value, 1.0, lag.total, z.n)
+            theoretical = TrendLine(slope=rho, intercept=a, label="exact-fit")
         empirical = TrendLine(slope=fit.rho_hat, intercept=fit.a_hat, label="fitted")
         return ScatterDataset(
             points=np.column_stack([lag.values, z.values]),

@@ -13,8 +13,11 @@ Three steps:
    trailing block per column (Householder, "Unitary triangularization of
    a nonsymmetric matrix", J. ACM 5, 1958). Each trailing block is copied
    out contiguous before its update. A column whose tail below the
-   subdiagonal is below rounding, tol = 4 eps ||A||_F per entry, is left
-   unreflected and its tail dropped.
+   subdiagonal has 2-norm at most tol sqrt(m), with tol = 4 eps ||A||_F
+   and m the column's length, is left unreflected and its tail dropped.
+   A reflected column's squared norm then exceeds 4 eps^2, far from
+   underflow, so one power-of-two scaling of the whole input is the only
+   rescaling the reduction needs.
 2. T splits at every off-diagonal |e_i| <= tol. Dropping an entry moves
    each eigenvalue by at most its norm (Weyl), no more than the
    reduction's own backward error (Wilkinson, "The Algebraic Eigenvalue
@@ -132,13 +135,21 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal and off-diagonal of Q'AQ, and the norm dropped; overwrites ``a``.
+    """Diagonal and off-diagonal of Q'AQ, and the norm dropped.
 
     A column whose tail below the subdiagonal has 2-norm at most
     tol * sqrt(m), m the column's length below the diagonal, is taken as
     already tridiagonal: the tail is dropped and no reflection runs. That
     moves each eigenvalue by at most the tail's norm (Weyl), which is
     summed into the returned norm.
+
+    Requires tol >= 2 eps max|a|, which ``symmetric_eigenvalues`` meets:
+    it passes entries of magnitude below 1, the largest at least 1/2, and
+    tol = 4 eps ||A||_F >= 2 eps. Then nothing underflows: a reflected
+    column has ||x||^2 > tol^2 m >= 4 eps^2, so v'v is normal and beta =
+    2 / v'v finite, and the squares of tail entries that underflow sum to
+    below an ulp of it. Nothing overflows either: every entry of a
+    trailing block stays at most ||A||_F <= n.
     """
     n = a.shape[0]
     d = np.empty(n)
@@ -149,17 +160,11 @@ def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, 
     # to map and unmap it every time (~12 page faults per column at n = 150)
     vw = np.empty(e.size * e.size)
     wv = np.empty_like(vw)
-    # each updated trailing block is copied out contiguous, alternating
-    # between a spare buffer and the storage of ``a``, so the product and
-    # the update run over one contiguous array instead of strided rows
-    buffers = (np.empty_like(vw), a.reshape(-1))
-    turn = 0
     for k in range(n - 2):
         d[k] = a[0, 0]
         x = a[1:, 0]
         m = x.size
-        magnitudes = np.abs(x)
-        tail = float(magnitudes[1:].max())
+        tail = float(np.abs(x[1:]).max())
         bound = tol * math.sqrt(m)
         # the tail's largest entry bounds its norm from below, so only a
         # tail already that small pays for the norm (hypot: a tail near
@@ -173,23 +178,20 @@ def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, 
                 dropped += norm
                 a = a[1:, 1:]
                 continue
-        # H depends only on the direction of x, so scale x exactly by a
-        # power of two: squares of a column near 1e-170 would underflow
-        exponent = math.frexp(max(float(magnitudes[0]), tail))[1]
-        v = np.ldexp(x, -exponent)
+        v = x.copy()
         alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
         v[0] -= alpha
         beta = 2.0 / float(v @ v)
-        # H B H with H = I - beta v v' is B - v w' - w v'
-        b = buffers[turn][: m * m].reshape(m, m)
-        b[...] = a[1:, 1:]
-        turn = 1 - turn
+        # H B H with H = I - beta v v' is B - v w' - w v'; the trailing
+        # block is copied out contiguous, so the product and the update
+        # run over one contiguous array instead of strided rows
+        b = a[1:, 1:].copy()
         p = beta * (b @ v)
         w = p - (0.5 * beta * float(p @ v)) * v
         update = np.multiply.outer(v, w, out=vw[: m * m].reshape(m, m))
         update += np.multiply.outer(w, v, out=wv[: m * m].reshape(m, m))
         b -= update
-        e[k] = math.ldexp(alpha, exponent)
+        e[k] = alpha
         a = b
     d[max(n - 2, 0) :] = a.diagonal()
     if n >= 2:
@@ -248,15 +250,14 @@ def _counts_and_slopes(
     caller's safeguard takes a bisection step instead.
     """
     m = d.shape[0]
-    pivots = np.empty((m, x.shape[0]))
+    pivots = np.subtract.outer(d, x)
     terms = np.empty_like(pivots)
-    shifted = d[:, None] - x
     q = np.ones(x.shape)
     u = np.zeros(x.shape)
     with np.errstate(all="ignore"):
         for i in range(m):
             r = e2[i] / q
-            q = np.subtract(shifted[i], r, out=pivots[i])
+            q = np.subtract(pivots[i], r, out=pivots[i])
             r *= u
             r -= 1.0
             u = np.divide(r, q, out=terms[i])

@@ -291,12 +291,11 @@ def _diagnose(
     seed: int,
     dw_table,
 ) -> DwDiagnostics:
-    if fit.degenerate:
-        return DwDiagnostics(result=None, degenerate=True, critical=None,
-                             residual_permutation=None)
     try:
-        dw = spatial_durbin_watson(fit.residuals, weights)
+        dw = None if fit.degenerate else spatial_durbin_watson(fit.residuals, weights)
     except ZeroVariance:
+        dw = None
+    if dw is None:
         return DwDiagnostics(result=None, degenerate=True, critical=None,
                              residual_permutation=None)
     critical = None

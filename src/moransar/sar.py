@@ -43,14 +43,6 @@ class SarFit:
     zero_moran: bool = False   # |I| below 1e-12; Moran cross-checks skipped
 
 
-@dataclass(frozen=True)
-class TheoreticalCoefficients:
-    """Coefficients of the errorless model, where rho * I = n exactly."""
-
-    a: float
-    rho: float
-
-
 def fit_sar_ols(inputs: SpatialInputs) -> SarFit:
     """Fit z on Wz with an intercept by the normal equations.
 
@@ -95,8 +87,10 @@ def closed_form_from_moran(
 ) -> tuple[float, float]:
     """Recover (a_hat, rho_hat) from the index, R2, and the lag sum.
 
-    rho_hat = n * R2 / I and a_hat = -(R2 / I) * (Wz)'o. Agrees with the
-    normal equations to 1e-9 relative on any valid instance.
+    rho_hat = n * R2 / I and a_hat = -R2 * (Wz)'o / I. Agrees with the
+    normal equations to 1e-9 relative on any valid instance. At R2 = 1 it
+    gives the errorless model, where rho * I = n exactly: rho = n / I and
+    a = -(Wz)'o / I, bit for bit.
 
     Raises:
         ZeroMoran: if |i_value| < 1e-12.
@@ -104,23 +98,8 @@ def closed_form_from_moran(
     if abs(i_value) < ZERO_MORAN_TOL:
         raise ZeroMoran("index is zero; closed form divides by it")
     rho_hat = n * r_squared / i_value
-    a_hat = -(r_squared / i_value) * wz_sum
+    a_hat = -(r_squared * wz_sum) / i_value
     return a_hat, rho_hat
-
-
-def theoretical_coefficients(
-    i_value: float, wz_sum: float, n: int
-) -> TheoreticalCoefficients:
-    """Coefficients of the errorless model: rho = n/I, a = -(Wz)'o / I.
-
-    Coincides with closed_form_from_moran exactly when R2 = 1.
-
-    Raises:
-        ZeroMoran: if |i_value| < 1e-12.
-    """
-    if abs(i_value) < ZERO_MORAN_TOL:
-        raise ZeroMoran("index is zero; theoretical coefficients undefined")
-    return TheoreticalCoefficients(a=-wz_sum / i_value, rho=n / i_value)
 
 
 def lag_energy_gap(inputs: SpatialInputs, i_value: float, r_squared: float) -> float:

@@ -10,7 +10,7 @@ and fails loudly (exit code 2) if any slack escapes its tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,14 +177,7 @@ def run_suite(master_seed: int = 0, instances: int = 150) -> SuiteResult:
             for check in instance_checks(raw, distances):
                 total += 1
                 if not check.passed:
-                    failures.append(
-                        IdentityCheck(
-                            name=f"instance[{k}].{check.name}",
-                            slack=check.slack,
-                            tolerance=check.tolerance,
-                            passed=False,
-                        )
-                    )
+                    failures.append(replace(check, name=f"instance[{k}].{check.name}"))
         except ZeroVariance:
             # astronomically unlikely with continuous sizes; skip honestly
             continue

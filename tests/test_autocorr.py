@@ -135,6 +135,19 @@ class TestEigenRelation:
         for raw, dist in deck[:10]:
             assert rank_one_identity_slack(prepare(raw, dist)) <= 1e-10
 
+    def test_rank_one_scalar_measures_the_projection(self, deck):
+        # (Wz)'z is the same float as I, so a slack taken against it alone
+        # would be 0 everywhere; through z z' it carries rounding
+        slacks = []
+        for raw, dist in deck:
+            p = prepare(raw, dist)
+            z, lag = p.z.values, p.lag.values
+            expected = abs(float(lag @ (np.outer(z, z) @ lag)) - p.i_value * float(lag @ z))
+            slack = rank_one_identity_slack(p)
+            assert slack == expected
+            slacks.append(slack)
+        assert max(slacks) > 0.0
+
 
 class TestScatterDataset:
     def test_autocorrelation_geometry(self, deck):

@@ -653,6 +653,26 @@ class TestDropBelowRounding:
         else:
             assert e[0] < 0.0 and dropped == 0.0
 
+    def test_smallest_reflected_column_has_no_underflow(self):
+        # column 0's tail is one entry just above tol sqrt(m) beside
+        # entries near 1e-300 whose squares underflow: the smallest column
+        # that is still reflected, and its reflection must stay finite
+        n = 8
+        m = tridiagonal(0.5 + 0.0625 * np.arange(n), np.full(n - 1, 0.25))
+        m[0, 3:] = m[3:, 0] = 1e-300 * np.arange(1, n - 2)
+        # tol depends on the entry placed from it: iterate to a fixed point
+        tol = 0.0
+        while tol != (tol := drop_tolerance(m)):
+            m[0, 2] = m[2, 0] = np.nextafter(tol * np.sqrt(n - 1), np.inf)
+        assert np.all(m[0, 3:] ** 2 == 0.0)
+        d, e, dropped = eigen._tridiagonalize(m.copy(), tol)
+        assert np.all(np.isfinite(d)) and np.all(np.isfinite(e))
+        assert e[0] == -np.hypot(m[1, 0], m[2, 0]) and dropped == 0.0
+        spectrum = symmetric_eigenvalues(m)
+        allowance = (spectrum.dropped + 0.5 * spectrum.max_offdiag_residual
+                     + n * np.finfo(float).eps * np.linalg.norm(m))
+        assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(m))) <= allowance
+
     def test_dropped_is_in_the_input_scale(self):
         u = np.random.default_rng(12).normal(size=12)
         base = symmetric_eigenvalues(np.outer(u, u))

@@ -21,7 +21,6 @@ from moransar.sar import (
     fit_sar_ols,
     inverse_slope_relation,
     lag_energy_gap,
-    theoretical_coefficients,
 )
 from moransar.spatial_data import RawSizeVector, SpatialLag, prepare, standardize
 from moransar.verification import random_instance
@@ -139,20 +138,22 @@ class TestIdentities:
 
 
 class TestTheoreticalCoefficients:
+    # the errorless model, rho * I = n, is the closed form at R2 = 1
     def test_rho_is_n_over_index(self, chain):
         p = prepare(*chain)
         z, weights, lag = p.z, p.weights, p.lag
         i_value = moran_index(z, weights)
-        coeffs = theoretical_coefficients(i_value, lag.total, z.n)
-        assert coeffs.rho == pytest.approx(z.n / i_value, abs=0.0)
+        a, rho = closed_form_from_moran(i_value, 1.0, lag.total, z.n)
+        assert rho == z.n / i_value
+        assert a == -lag.total / i_value
         # chain is an exact fit, so theoretical and fitted agree
         fit = fit_sar_ols(p)
-        assert coeffs.rho == pytest.approx(fit.rho_hat, rel=1e-12)
-        assert coeffs.a == pytest.approx(fit.a_hat, abs=1e-12)
+        assert rho == pytest.approx(fit.rho_hat, rel=1e-12)
+        assert a == pytest.approx(fit.a_hat, abs=1e-12)
 
     def test_zero_index_rejected(self):
         with pytest.raises(ZeroMoran):
-            theoretical_coefficients(0.0, 0.1, 10)
+            closed_form_from_moran(0.0, 1.0, 0.1, 10)
         with pytest.raises(ZeroMoran):
             closed_form_from_moran(1e-13, 0.5, 0.1, 10)
 
