@@ -190,18 +190,23 @@ def range_outer(inputs: SpatialInputs) -> OuterRangeVerdict:
     )
 
 
-def bounds_report(inputs: SpatialInputs, r_squared: float) -> BoundsReport:
+def bounds_report(
+    inputs: SpatialInputs, r_squared: float, spectrum: EigenSpectrum | None = None
+) -> BoundsReport:
     """Evaluate all three ranges for one dataset.
 
-    W is solved once, and the report keeps that spectrum; the second
-    range reads its squares, so no eigensolve of W'W runs.
+    ``spectrum`` is W's when the caller has solved it already (``moransar
+    verify`` solves W together with its oracle matrices); otherwise W is
+    solved here. The report keeps that spectrum; the second range reads
+    its squares, so no eigensolve of W'W runs.
 
     The magnitude |I| is reported alongside as a correlation-style
     reading; it is informational and never enforced, since the spectral
     intervals are the operative bounds.
     """
     i_value = inputs.i_value
-    spectrum = symmetric_eigenvalues(inputs.weights.matrix)
+    if spectrum is None:
+        spectrum = symmetric_eigenvalues(inputs.weights.matrix)
     return BoundsReport(
         range1=range_moran(inputs, spectrum, r_squared),
         range2=range_quadratic(inputs, spectrum, r_squared),

@@ -47,12 +47,23 @@ Three steps:
    multisection. Repeated eigenvalues share a bracket to the end, so
    they never enter Newton's phase. Every bracket ends at most a few
    ulps of the block's norm wide.
+
+A stack of k matrices of one size, shape (k, n, n), is solved in one
+call, each member bit for bit as it would be alone. The reduction runs
+one sweep over the members that reflect, batching the copy and rank-2
+update of their trailing blocks. The blocks of one length, across the
+stack, then advance in lockstep, each with its own brackets and phases:
+a round makes one kernel call for all their multisection passes and one
+for their Newton steps and certificates, so at the sizes of ``moransar
+verify`` (n <= 40, where a pass costs numpy calls per row more than
+arithmetic) W and W'W share most of their calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,32 +127,58 @@ class EigenSpectrum:
         return float(self.values[-1])
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotSymmetric("matrix has non-finite entries")
+def _member(j: int, stacked: bool) -> str:
+    return f"stack matrix {j}" if stacked else "matrix"
+
+
+def _check_symmetric(a: np.ndarray, stacked: bool) -> np.ndarray:
+    """The stack made exactly symmetric; raises before any member is solved."""
+    if a.shape[1] != a.shape[2]:
+        prefix = f"{_member(0, stacked)}: " if stacked else ""
+        raise NotSymmetric(f"{prefix}expected a square matrix, got shape {a.shape[1:]}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NotSymmetric(f"{_member(j, stacked)} has non-finite entries")
     # halve first: m + m.T and m - m.T overflow for entries near the float limit
-    half = 0.5 * m
-    asym = 2.0 * float(np.max(np.abs(half - half.T))) if m.size else 0.0
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if asym > SYMMETRY_TOL * max(scale, 1.0):
+    half = 0.5 * a
+    flipped = half.transpose(0, 2, 1)
+    with np.errstate(over="ignore"):
+        asym = 2.0 * np.max(np.abs(half - flipped), axis=(1, 2), initial=0.0)
+    # relative to the largest entry, so the verdict does not depend on scale
+    bad = asym > SYMMETRY_TOL * np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
         raise NotSymmetric(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:g}"
+            f"{_member(j, stacked)} asymmetry {asym[j]:.3e} exceeds tolerance "
+            f"{SYMMETRY_TOL:g}"
         )
     # kill sub-tolerance drift so the reflections see an exactly symmetric matrix
-    return half + half.T
+    return half + flipped
 
 
-def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal and off-diagonal of Q'AQ, and the norm dropped.
+def _tridiagonalize(
+    a: np.ndarray, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals and off-diagonals of Q'AQ for a stack (k, n, n), and the
+    norm dropped from each member; ``tol`` holds one tolerance per member.
 
     A column whose tail below the subdiagonal has 2-norm at most
     tol * sqrt(m), m the column's length below the diagonal, is taken as
     already tridiagonal: the tail is dropped and no reflection runs. That
     moves each eigenvalue by at most the tail's norm (Weyl), which is
-    summed into the returned norm.
+    summed into the member's dropped norm.
+
+    One sweep of reflections runs over the members that reflect. Each
+    member's Householder vector and its product with the trailing block
+    are formed as for a lone matrix (the product is a BLAS call per
+    member either way); the copy of the trailing blocks and the rank-2
+    update, the work of order m^2 per member, run batched over the
+    sweep, elementwise, so each member gets the bits it would get alone.
+    A member whose column is dropped leaves the sweep, its trailing block
+    unchanged, and drops column after column until one needs a
+    reflection again; there it rejoins. A rank-1 member leaves after its
+    first column for good.
 
     Requires tol >= 2 eps max|a|, which ``symmetric_eigenvalues`` meets:
     it passes entries of magnitude below 1, the largest at least 1/2, and
@@ -151,63 +188,126 @@ def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, 
     below an ulp of it. Nothing overflows either: every entry of a
     trailing block stays at most ||A||_F <= n.
     """
-    n = a.shape[0]
-    d = np.empty(n)
-    e = np.zeros(max(n - 1, 0))
-    dropped = 0.0
+    k, n = a.shape[:2]
+    d = np.empty((k, n))
+    e = np.zeros((k, max(n - 1, 0)))
+    dropped = np.zeros(k)
+    limits = tol.tolist()
+
+    def rest(j: int, block: np.ndarray, c: int) -> int:
+        """Member j's columns from c on, while they drop; returns the
+        column that needs a reflection, or n when none does."""
+        for i in range(block.shape[0] - 2):
+            x = block[i + 1 :, i]
+            bound = limits[j] * math.sqrt(x.size)
+            # the tail's largest entry bounds its norm from below, so only
+            # a tail already that small pays for the norm (hypot: a tail
+            # near 1e-170 would square to zero)
+            if float(np.abs(x[1:]).max()) > bound:
+                return c + i
+            norm = math.hypot(*x[1:].tolist())
+            if norm > bound:
+                return c + i
+            # column already tridiagonal up to rounding: no reflection,
+            # so an exact block structure survives exactly
+            d[j, c + i] = block[i, i]
+            e[j, c + i] = x[0]
+            dropped[j] += norm
+        d[j, n - 2 :] = block[-2:, -2:].diagonal()
+        e[j, -1] = block[-1, -2]
+        return n
+
     # the rank-2 update's two outer products live in buffers made once: a
     # fresh (n-1)^2 temporary per column is large enough for glibc malloc
     # to map and unmap it every time (~12 page faults per column at n = 150)
-    vw = np.empty(e.size * e.size)
+    vw = np.empty(k * e.shape[1] ** 2)
     wv = np.empty_like(vw)
-    for k in range(n - 2):
-        d[k] = a[0, 0]
-        x = a[1:, 0]
-        m = x.size
-        tail = float(np.abs(x[1:]).max())
-        bound = tol * math.sqrt(m)
-        # the tail's largest entry bounds its norm from below, so only a
-        # tail already that small pays for the norm (hypot: a tail near
-        # 1e-170 would square to zero)
-        if tail <= bound:
-            norm = math.hypot(*x[1:].tolist())
-            if norm <= bound:
-                # column already tridiagonal up to rounding: no reflection,
-                # so an exact block structure survives exactly
-                e[k] = x[0]
-                dropped += norm
-                a = a[1:, 1:]
+    rows = list(range(k))  # row r of ``a`` is member rows[r]
+    waking: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for c in range(n - 2):
+        if c in waking:
+            joining = waking.pop(c)
+            blocks = np.stack([block for _, block in joining])
+            a = np.concatenate([a, blocks]) if rows else blocks
+            rows += [j for j, _ in joining]
+        if not rows:
+            continue
+        m = n - 1 - c
+        tails = np.abs(a[:, 2:, 0]).max(axis=1).tolist()
+        resting = []
+        for r, j in enumerate(rows):
+            if tails[r] <= limits[j] * math.sqrt(m):
+                wake = rest(j, a[r], c)
+                if wake > c:
+                    resting.append(r)
+                if c < wake < n:
+                    waking.setdefault(wake, []).append((j, a[r, wake - c :, wake - c :]))
+        if resting:
+            awake = [r for r in range(len(rows)) if r not in resting]
+            a = a[awake]
+            rows = [rows[r] for r in awake]
+            if not rows:
                 continue
-        v = x.copy()
-        alpha = -math.copysign(math.sqrt(float(v @ v)), v[0])
-        v[0] -= alpha
-        beta = 2.0 / float(v @ v)
         # H B H with H = I - beta v v' is B - v w' - w v'; the trailing
-        # block is copied out contiguous, so the product and the update
-        # run over one contiguous array instead of strided rows
-        b = a[1:, 1:].copy()
-        p = beta * (b @ v)
-        w = p - (0.5 * beta * float(p @ v)) * v
-        update = np.multiply.outer(v, w, out=vw[: m * m].reshape(m, m))
-        update += np.multiply.outer(w, v, out=wv[: m * m].reshape(m, m))
+        # blocks are copied out contiguous, so the products and the update
+        # run over contiguous arrays instead of strided rows
+        v = a[:, 1:, 0].copy()
+        b = a[:, 1:, 1:].copy()
+        w = np.empty_like(v)
+        # each member's vectors, by the operations a lone matrix runs
+        for r, (j, x) in enumerate(zip(rows, v)):
+            d[j, c] = a[r, 0, 0]
+            alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
+            x[0] -= alpha
+            beta = 2.0 / float(x @ x)
+            e[j, c] = alpha
+            p = beta * (b[r] @ x)
+            np.subtract(p, (0.5 * beta * float(p @ x)) * x, out=w[r])
+        size = len(rows) * m * m
+        update = np.multiply(v[:, :, None], w[:, None, :],
+                             out=vw[:size].reshape(len(rows), m, m))
+        update += np.multiply(w[:, :, None], v[:, None, :],
+                              out=wv[:size].reshape(len(rows), m, m))
         b -= update
-        e[k] = alpha
         a = b
-    d[max(n - 2, 0) :] = a.diagonal()
-    if n >= 2:
-        e[-1] = a[-1, -2]
+    if rows:
+        d[rows, max(n - 2, 0) :] = a[:, -2:, -2:].diagonal(axis1=1, axis2=2)
+        if n >= 2:
+            e[rows, -1] = a[:, -1, -2]
     return d, e, dropped
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the tridiagonal below each shift; e2[i] = e[i-1]**2.
+def _broadcast_rows(
+    d: np.ndarray, e2: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """d and e2 shaped so that row i meets every shift of its tridiagonal.
 
-    The pivots q_i = (d[i] - x) - e2[i] / q_{i-1} of the LDL' factorization
-    of T - xI, one recurrence step per row for all shifts at once, counting
-    pivots whose sign bit is set. No pivot is guarded: a pivot of exactly
-    +0 counts as nonnegative, and the next one, -inf, counts the
-    eigenvalue instead (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).
-    Every e2[i] past the first is nonzero, so no step forms 0/0.
+    A lone tridiagonal's e2[i] stays a scalar, the cheapest divisor.
+    """
+    if d.ndim == 1:
+        return d[:, None], e2
+    if x.ndim == 1:
+        return d, e2
+    return d[:, :, None], e2[:, :, None]
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift, for one tridiagonal or g of one length.
+
+    One tridiagonal comes as d and e2 of shape (m,), with e2[i] =
+    e[i-1]**2, and shifts of shape (s,). For g of them, column j of ``d``
+    and ``e2``, shape (m, g), holds tridiagonal j and row j of ``shifts``,
+    shape (g, s), its shifts; with shifts of shape (g,), shift j alone.
+    The counts come back in the shifts' shape.
+
+    The pivots q_i = (d[i] - x) - e2[i] / q_{i-1} of the LDL'
+    factorization of T - xI run one recurrence step per row for all
+    shifts at once, counting pivots whose sign bit is set. Each shift sees only its own tridiagonal's
+    entries, so its count is the one a lone call would give. No pivot is
+    guarded: a pivot of exactly +0 counts as nonnegative, and the next
+    one, -inf, counts the eigenvalue instead (Kahan 1966; Demmel, Dhillon
+    & Ren, ETNA 3, 1995). Every e2[i] past the first is nonzero, so no
+    step forms 0/0.
 
     A pivot's sign can be read after the recurrence has moved on, so the
     rows run in blocks of at most ``PIVOT_BLOCK`` pivots, held in one
@@ -215,71 +315,82 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarr
     costs a divide and a subtract in place, and one call counts the
     block's sign bits.
     """
-    x = shifts.ravel()
+    x = shifts
     m = d.shape[0]
     rows = max(1, min(m, PIVOT_BLOCK // max(x.size, 1)))
     count = np.zeros(x.shape, dtype=np.int64)
     r = np.empty(x.shape)
     # row 0 carries the last pivot of the block before, and 1 at first
-    pivots = np.empty((rows + 1, x.size))
+    pivots = np.empty((rows + 1, *x.shape))
     pivots[0] = 1.0
+    d, e2 = _broadcast_rows(d, e2, x)
     with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, m, rows):
             block = pivots[1 : 1 + min(rows, m - start)]
-            np.subtract.outer(d[start : start + rows], x, out=block)
+            np.subtract(d[start : start + rows], x, out=block)
             q = pivots[0]
-            for i, row in enumerate(block, start):
-                np.divide(e2[i], q, out=r)
+            for row, coupling in zip(block, e2[start : start + rows]):
+                np.divide(coupling, q, out=r)
                 q = np.subtract(row, r, out=row)
             # a block holds at most PIVOT_BLOCK < 2**16 rows
             count += np.add.reduce(np.signbit(block), axis=0, dtype=np.uint16)
             pivots[0] = q
-    return count.reshape(shifts.shape)
+    return count
 
 
 def _counts_and_slopes(
-    d: np.ndarray, e2: np.ndarray, x: np.ndarray
+    d: np.ndarray, e2: np.ndarray, x: np.ndarray, lone: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sturm counts at each point and f'/f there, f(x) = det(T - xI).
 
-    The pivots q_i are those of ``_sturm_counts``, formed by the same
-    operations, so the counts are exactly its counts. f is the product of
-    the pivots, so f'/f is the sum of u_i = q_i'/q_i, and differentiating
-    the pivot recurrence gives u_i = (r_i u_{i-1} - 1) / q_i with r_i =
-    e2[i] / q_{i-1}. At an exact zero pivot u turns inf or NaN; the
-    caller's safeguard takes a bisection step instead.
+    Shapes as in ``_sturm_counts``. The pivots q_i are its pivots, formed
+    by the same operations, so the counts are exactly its counts. f is the
+    product of the pivots, so f'/f is the sum of u_i = q_i'/q_i, and
+    differentiating the pivot recurrence gives u_i = (r_i u_{i-1} - 1) /
+    q_i with r_i = e2[i] / q_{i-1}. At an exact zero pivot u turns inf or
+    NaN; the caller's safeguard takes a bisection step instead.
+
+    numpy sums several columns of terms row by row but a lone column
+    pairwise, so the slope at each shift listed in ``lone`` (the one point
+    of a tridiagonal that asked for one) is summed alone, as it would be
+    unstacked.
     """
-    m = d.shape[0]
-    pivots = np.subtract.outer(d, x)
+    d, e2 = _broadcast_rows(d, e2, x)
+    # C order, as numpy.subtract.outer gives: the sum below runs row by
+    # row only when the rows are the outer axis in memory
+    pivots = np.empty((d.shape[0], *x.shape))
+    np.subtract(d, x, out=pivots)
     terms = np.empty_like(pivots)
     q = np.ones(x.shape)
     u = np.zeros(x.shape)
     with np.errstate(all="ignore"):
-        for i in range(m):
-            r = e2[i] / q
-            q = np.subtract(pivots[i], r, out=pivots[i])
+        for row, coupling, term in zip(pivots, e2, terms):
+            r = coupling / q
+            q = np.subtract(row, r, out=row)
             r *= u
             r -= 1.0
-            u = np.divide(r, q, out=terms[i])
+            u = np.divide(r, q, out=term)
         counts = np.add.reduce(np.signbit(pivots), axis=0, dtype=np.int32)
-        return counts, terms.sum(axis=0)
+        slopes = terms.sum(axis=0)
+        for j in lone or ():
+            slopes[j] = terms[:, j].sum(axis=0)
+    return counts, slopes
 
 
-def _newton(
-    d: np.ndarray, e2: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    live: np.ndarray, target: float, budget: int,
-) -> int:
+def _newton(lo: np.ndarray, hi: np.ndarray, live: np.ndarray, target: float, budget: int):
     """Refine isolated brackets by Newton's method; returns passes used.
 
-    Every index in ``live`` must own its bracket alone. Each step's Sturm
-    count tightens the bracket, and the step x - f/f' is taken only when
-    it lands strictly inside; otherwise the point moves to the bracket's
-    midpoint. An index stops once its Newton correction is at most
-    target/4. One certificate pass then counts at x -+ 3/8 target: where
-    count(x - h) <= k < count(x + h) the index takes that window as its
-    bracket, at most the target wide because one ulp of x is at most
-    target/4. Brackets that fail keep what the counts tightened, so
-    multisection can finish them. ``lo`` and ``hi`` are updated in place.
+    A generator, like ``_multisection``: it yields each set of points it
+    needs counts and slopes at. Every index in ``live`` must own its
+    bracket alone. Each step's Sturm count tightens the bracket, and the
+    step x - f/f' is taken only when it lands strictly inside; otherwise
+    the point moves to the bracket's midpoint. An index stops once its
+    Newton correction is at most target/4. One certificate pass then
+    counts at x -+ 3/8 target: where count(x - h) <= k < count(x + h) the
+    index takes that window as its bracket, at most the target wide
+    because one ulp of x is at most target/4. Brackets that fail keep what
+    the counts tightened, so multisection can finish them. ``lo`` and
+    ``hi`` are updated in place.
     """
     x = 0.5 * (lo[live] + hi[live])
     active = np.arange(live.size)
@@ -287,7 +398,7 @@ def _newton(
     while active.size and passes < min(NEWTON_STEPS, budget):
         k = live[active]
         point = x[active]
-        counts, slopes = _counts_and_slopes(d, e2, point)
+        counts, slopes = yield point, True
         passes += 1
         below = counts <= k
         left = np.where(below, point, lo[k])
@@ -306,7 +417,7 @@ def _newton(
     if passes < budget:
         h = CERTIFICATE_WINDOW * target
         window = np.concatenate([x - h, x + h])
-        counts = _sturm_counts(d, e2, window)
+        counts = yield window, False
         passes += 1
         sure = (counts[: live.size] <= live) & (live < counts[live.size :])
         lo[live[sure]] = window[: live.size][sure]
@@ -314,8 +425,15 @@ def _newton(
     return passes
 
 
-def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _multisection(d: np.ndarray, e: np.ndarray):
     """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes.
+
+    A generator: each pass yields ``(points, slopes)``, the points it
+    needs Sturm counts at (a row of shifts per bracket it splits, or a
+    vector from Newton's phase) and whether it needs f'/f there too, and
+    takes back the counts, or the counts and the slopes, in the points'
+    shape. It returns its result through StopIteration, or raises
+    NoConvergence. ``_lockstep`` runs many of them side by side.
 
     Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
     count(lo[k]) <= k < count(hi[k]). Until Newton's phase, brackets are
@@ -330,7 +448,6 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
     pass.
     """
     m = d.shape[0]
-    e2 = np.concatenate([[0.0], e * e])
     radius = np.zeros(m)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
@@ -345,7 +462,7 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
     passes = 0
     refined = False
     while passes < MAX_PASSES:
-        live = np.flatnonzero(hi - lo > target)
+        live = (hi - lo > target).nonzero()[0]
         if not live.size:
             break
         left = lo[live]
@@ -354,18 +471,18 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
         np.not_equal(left[1:], left[:-1], out=starts[1:])
         if not refined and starts.all():
             # every unfinished bracket holds one eigenvalue
-            passes += _newton(d, e2, lo, hi, live, target, MAX_PASSES - passes)
+            passes += yield from _newton(lo, hi, live, target, MAX_PASSES - passes)
             refined = True
             continue
-        owner = np.cumsum(starts) - 1
-        first = np.flatnonzero(starts)
+        owner = starts.cumsum() - 1
+        first = starts.nonzero()[0]
         left = left[first]
         right = hi[live[first]]
         shifts = left[:, None] + (right - left)[:, None] * fractions
         # rounding may break the count's monotonicity; restore it so
         # every index falls in exactly one piece
-        counts = np.maximum.accumulate(_sturm_counts(d, e2, shifts), axis=1)
-        piece = np.sum(counts[owner] <= live[:, None], axis=1)
+        counts = np.maximum.accumulate((yield shifts, False), axis=1)
+        piece = (counts[owner] <= live[:, None]).sum(axis=1)
         edges = np.concatenate([left[:, None], shifts, right[:, None]], axis=1)
         lo[live] = edges[owner, piece]
         hi[live] = edges[owner, piece + 1]
@@ -377,7 +494,71 @@ def _multisection(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, int]
     return 0.5 * (lo + hi), widest, passes
 
 
-def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
+def _lockstep(d: np.ndarray, e: np.ndarray) -> list:
+    """``_multisection`` on g unreduced tridiagonals of one length m at once.
+
+    Column j of ``d`` (m, g) and ``e`` (m-1, g) is tridiagonal j. Each
+    keeps its own multisection, Newton, certificate and fallback state,
+    and runs the passes it would run alone. They advance in rounds, and
+    each round makes at most two kernel calls: one ``_sturm_counts`` call
+    for the multisection passes, whose rows are the brackets they split
+    (64 shifts each), and one for the Newton steps and certificates,
+    whose points form one vector: ``_counts_and_slopes`` if any of them
+    needs slopes (a certificate reads only its counts), else
+    ``_sturm_counts``. Each row or point carries its own tridiagonal's
+    column of d and e2, so nothing is padded. A tridiagonal alone in a call runs the
+    one-tridiagonal form of the kernel, as a solve of one matrix always
+    did. Returns (values, widest, passes), or the NoConvergence it ended
+    in, for each.
+    """
+    g = d.shape[1]
+    e2 = np.concatenate([np.zeros((1, g)), e * e])
+    runs = [_multisection(d[:, j], e[:, j]) for j in range(g)]
+    outcomes: list = [None] * g
+    asked: list = [None] * g
+    replies: list = [None] * g
+    waiting = list(range(g))
+    while waiting:
+        for j in waiting:
+            try:
+                asked[j] = runs[j].send(replies[j])
+            except StopIteration as done:
+                outcomes[j], asked[j] = done.value, None
+            except NoConvergence as failure:
+                outcomes[j], asked[j] = failure, None
+        waiting = [j for j in waiting if asked[j] is not None]
+        for bracketed in (True, False):
+            kin = [j for j in waiting if (asked[j][0].ndim == 2) is bracketed]
+            if not kin:
+                continue
+            slopes = any(asked[j][1] for j in kin)
+            kernel = _counts_and_slopes if slopes else _sturm_counts
+            if len(kin) == 1:
+                [j] = kin
+                points = asked[j][0]
+                reply = kernel(d[:, j], e2[:, j], points.ravel())
+                replies[j] = reply if slopes else reply.reshape(points.shape)
+                continue
+            rows = [asked[j][0] for j in kin]
+            sizes = [len(r) for r in rows]
+            ends = list(accumulate(sizes))
+            owner = np.repeat(kin, sizes)
+            args = (d[:, owner], e2[:, owner], np.concatenate(rows))
+            if slopes:
+                lone = [end - 1 for j, end in zip(kin, ends)
+                        if asked[j][1] and asked[j][0].size == 1]
+                counts, slope = kernel(*args, lone)
+            else:
+                counts = kernel(*args)
+            for j, start, end in zip(kin, [0, *ends], ends):
+                if slopes and asked[j][1]:
+                    replies[j] = counts[start:end], slope[start:end]
+                else:
+                    replies[j] = counts[start:end]
+    return outcomes
+
+
+def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum | tuple[EigenSpectrum, ...]:
     """All eigenvalues of a symmetric matrix, ascending.
 
     Each eigenvalue of a block larger than 2x2 is the midpoint of a
@@ -389,60 +570,106 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum:
     each value lies within ``dropped`` (the sum of what was discarded)
     plus half its bracket of an eigenvalue of A.
 
+    A stack of k matrices of one size, shape (k, n, n), returns a tuple
+    of k spectra, each bit for bit the one its matrix gets alone: one
+    Householder sweep and one series of Sturm passes serve the whole
+    stack. Errors then name the stack matrix they concern; every member
+    is checked before any is solved.
+
     Raises:
-        NotSymmetric: if the input is not square, has non-finite entries,
-            or deviates from symmetry beyond 1e-9.
+        NotSymmetric: if the input is not a square matrix or a stack of
+            them, has non-finite entries, or deviates from symmetry by
+            more than 1e-9 of its largest entry.
         NoConvergence: if a bracket is still wider than its target after
             ``MAX_PASSES`` passes.
         NumericalError: if an eigenvalue's magnitude exceeds the largest
             float.
     """
-    a = _check_symmetric(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3):
+        raise NotSymmetric(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
+        )
+    stacked = a.ndim == 3
+    a = _check_symmetric(a if stacked else a[None], stacked)
+    k, n = a.shape[:2]
     # scaling by a power of two is exact and keeps the squares in the
     # reduction and in the Sturm recurrence clear of overflow and underflow
-    exponent = int(np.frexp(np.max(np.abs(a)))[1]) if a.size else 0
-    scaled = np.ldexp(a, -exponent).reshape(-1)
+    exponents = np.frexp(np.max(np.abs(a), axis=(1, 2), initial=0.0))[1]
+    scaled = np.ldexp(a, -exponents[:, None, None])
     # ||A||_F is invariant under the reduction and bounds ||T||_2; the
     # scaled entries are at most 1, so their squares cannot overflow
-    tol = DROP_TOL_FACTOR * np.finfo(float).eps * math.sqrt(float(scaled @ scaled))
-    d, e, dropped = _tridiagonalize(scaled.reshape(a.shape), tol)
-    n = d.shape[0]
-    # the largest scaled entry is at least 1/2, so tol >= 2 eps and every
-    # coupling whose square underflows splits too: the Sturm recurrence
-    # never sees 0/0
-    negligible = np.flatnonzero(np.abs(e) <= tol)
-    dropped += float(np.abs(e[negligible]).sum())
-    edges = [0, *(negligible + 1).tolist(), n] if n else [0]
-    parts = [np.zeros(0)]
-    widest = 0.0
-    passes = 0
-    for start, stop in zip(edges[:-1], edges[1:]):
-        block_d, block_e = d[start:stop], e[start : stop - 1]
-        if stop - start == 1:
-            parts.append(block_d)
-        elif stop - start == 2:
-            mid = 0.5 * (block_d[0] + block_d[1])
-            r = np.hypot(0.5 * (block_d[0] - block_d[1]), block_e[0])
-            parts.append(np.array([mid - r, mid + r]))
-        else:
-            values, width, count = _multisection(block_d, block_e)
-            parts.append(values)
-            widest = max(widest, width)
-            passes += count
-    values = np.sort(np.concatenate(parts))
-    top = float(np.max(np.abs(values))) if n else 0.0
-    mantissa, power = math.frexp(top)
-    if power + exponent > np.finfo(float).maxexp:
-        digits = math.log10(mantissa) + (power + exponent) * math.log10(2.0)
-        raise NumericalError(
-            f"an eigenvalue of magnitude {10.0 ** (digits % 1.0):.3f}"
-            f"e+{math.floor(digits)} exceeds the float range"
+    tol = np.array([
+        DROP_TOL_FACTOR * np.finfo(float).eps * math.sqrt(float(flat @ flat))
+        for flat in scaled.reshape(k, n * n)
+    ])
+    d, e, dropped = _tridiagonalize(scaled, tol)
+
+    # each block's values go where the block sits, so the sort below sees
+    # them in the order a solve of one matrix always produced
+    values = d.copy()
+    lengths: dict[int, list[tuple[int, int]]] = {}
+    for j in range(k):
+        # the largest scaled entry is at least 1/2, so tol >= 2 eps and
+        # every coupling whose square underflows splits too: the Sturm
+        # recurrence never sees 0/0
+        negligible = (np.abs(e[j]) <= tol[j]).nonzero()[0]
+        if n > 2 and not negligible.size:
+            lengths.setdefault(n, []).append((j, 0))
+            continue
+        dropped[j] += float(np.abs(e[j, negligible]).sum())
+        edges = np.array([0, *(negligible + 1).tolist(), n])
+        starts, sizes = edges[:-1], np.diff(edges)
+        # a 1x1 block is its own eigenvalue; a 2x2 block has a closed form
+        pair = starts[sizes == 2]
+        mid = 0.5 * (d[j, pair] + d[j, pair + 1])
+        r = np.hypot(0.5 * (d[j, pair] - d[j, pair + 1]), e[j, pair])
+        values[j, pair] = mid - r
+        values[j, pair + 1] = mid + r
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            if size > 2:
+                lengths.setdefault(size, []).append((j, start))
+    # every larger block of one length, across the stack, bisects side by side
+    widest = np.zeros(k)
+    passes = np.zeros(k, dtype=np.int64)
+    failures: dict[int, tuple[int, NoConvergence]] = {}
+    for size, places in lengths.items():
+        outcomes = _lockstep(
+            np.stack([d[j, start : start + size] for j, start in places], axis=1),
+            np.stack([e[j, start : start + size - 1] for j, start in places], axis=1),
         )
-    values = np.ldexp(values, exponent)
-    values.flags.writeable = False
-    return EigenSpectrum(
-        values=values,
-        max_offdiag_residual=float(np.ldexp(widest, exponent)),
-        sweeps=passes,
-        dropped=float(np.ldexp(dropped, exponent)),
-    )
+        for (j, start), outcome in zip(places, outcomes):
+            if isinstance(outcome, NoConvergence):
+                # a solve of one matrix stops at its first such block
+                if j not in failures or start < failures[j][0]:
+                    failures[j] = (start, outcome)
+                continue
+            values[j, start : start + size], width, count = outcome
+            widest[j] = max(widest[j], width)
+            passes[j] += count
+
+    spectra = []
+    for j in range(k):
+        if j in failures:
+            failure = failures[j][1]
+            raise NoConvergence(failure.residual, failure.sweeps, member=j if stacked else None)
+        values_j = np.sort(values[j])
+        top = float(np.max(np.abs(values_j))) if n else 0.0
+        mantissa, power = math.frexp(top)
+        exponent = int(exponents[j])
+        if power + exponent > np.finfo(float).maxexp:
+            digits = math.log10(mantissa) + (power + exponent) * math.log10(2.0)
+            prefix = f"{_member(j, stacked)}: " if stacked else ""
+            raise NumericalError(
+                f"{prefix}an eigenvalue of magnitude {10.0 ** (digits % 1.0):.3f}"
+                f"e+{math.floor(digits)} exceeds the float range"
+            )
+        values_j = np.ldexp(values_j, exponent)
+        values_j.flags.writeable = False
+        spectra.append(EigenSpectrum(
+            values=values_j,
+            max_offdiag_residual=float(np.ldexp(widest[j], exponent)),
+            sweeps=int(passes[j]),
+            dropped=float(np.ldexp(dropped[j], exponent)),
+        ))
+    return tuple(spectra) if stacked else spectra[0]

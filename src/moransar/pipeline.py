@@ -7,10 +7,12 @@ serializes deterministically: same inputs and seed give byte-identical
 JSON except for the isolated timestamp field.
 
 ``analyze`` (files) and ``analyze_data`` (arrays) are the only analysis
-path; the CLI's ``analyze`` verb and ``moransar verify`` wrap them. The
-first steps run once, in ``spatial_data.prepare``, and the report keeps
-the resulting inputs (outside the JSON) so that ``emit_report`` draws
-the scatterplot SVGs from the report itself. Later steps reuse the fits'
+path; the CLI's ``analyze`` verb wraps them, and ``moransar verify``
+calls ``analyze_prepared``, the body of ``analyze_data`` after
+``prepare``, with the spectrum of W it has solved. The first steps run
+once, in ``spatial_data.prepare``, and the report keeps the resulting
+inputs (outside the JSON) so that ``emit_report`` draws the scatterplot
+SVGs from the report itself. Later steps reuse the fits'
 t-tests and one Durbin-Watson result instead of deriving them again.
 """
 
@@ -38,6 +40,7 @@ from .autocorr import (
 )
 from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
 from .dataio import align_to_ids, load_critical_values, load_distances, load_sizes
+from .eigen import EigenSpectrum
 from .errors import InputError, MissingCriticalValues, ZeroVariance
 from .inference import (
     DwCriticalValues,
@@ -187,10 +190,40 @@ def analyze_data(
     """
     _check_options(alpha, permutations, symmetrize, seed)
     inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
+    return analyze_prepared(
+        inputs,
+        apply_log=apply_log,
+        permutations=permutations,
+        seed=seed,
+        alpha=alpha,
+        dw_table=dw_table,
+        sizes_sha256=sizes_sha256,
+        dist_sha256=dist_sha256,
+    )
+
+
+def analyze_prepared(
+    inputs: SpatialInputs,
+    spectrum: EigenSpectrum | None = None,
+    *,
+    apply_log: bool = False,
+    permutations: int = 999,
+    seed: int = 0,
+    alpha: float = 0.05,
+    dw_table: dict[tuple[int, float], DwCriticalValues] | None = None,
+    sizes_sha256: str = "",
+    dist_sha256: str = "",
+) -> AnalysisReport:
+    """The analysis after ``prepare``: the body of ``analyze_data``.
+
+    ``spectrum`` is W's when the caller has solved it already, as
+    ``moransar verify`` does together with its oracle matrices; the
+    options are ``analyze_data``'s and are taken as checked.
+    """
     z, weights = inputs.z, inputs.weights
     moran = inner_regression(inputs)
     fit = fit_sar_ols(inputs)
-    bounds = bounds_report(inputs, fit.r_squared)
+    bounds = bounds_report(inputs, fit.r_squared, spectrum)
 
     i_perm = None
     if permutations >= 1:

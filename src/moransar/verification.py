@@ -1,8 +1,10 @@
 """Identity suite: every exact relation in the package, checked end to end.
 
-Each instance runs through ``pipeline.analyze_data``, the path that
-``moransar analyze`` ships, and keeps the report's identity checks;
-independent oracles are added on top. The ``verify`` command runs the
+Each instance runs through ``pipeline.analyze_prepared``, the body of
+the ``analyze_data`` path that ``moransar analyze`` ships, and keeps the
+report's identity checks; independent oracles are added on top. W, W'W
+and the lag's rank-1 outer product are solved in one stacked call, and
+the analysis reads W's spectrum from it. The ``verify`` command runs the
 battery on the bundled fixtures plus a deck of seeded random instances
 and fails loudly (exit code 2) if any slack escapes its tolerance.
 """
@@ -25,10 +27,11 @@ from .pipeline import (
     REL_TOL,
     IdentityCheck,
     analyze_data,
+    analyze_prepared,
 )
 from .sar import centered_fit, closed_form_from_moran, inverse_slope_relation
 from .simulate import random_distances
-from .spatial_data import RawSizeVector
+from .spatial_data import RawSizeVector, prepare
 
 _check = IdentityCheck.within
 
@@ -37,9 +40,18 @@ def instance_checks(
     raw: RawSizeVector, distances: np.ndarray
 ) -> list[IdentityCheck]:
     """The report's checks on one (sizes, distances) instance, then oracles."""
-    report = analyze_data(raw, distances, permutations=0)
-    inputs, moran, fit = report.inputs, report.moran, report.sar
+    inputs = prepare(raw, distances)
     z, weights, lag, n = inputs.z, inputs.weights, inputs.lag, inputs.n
+    # the direct solves of W'W and of the rank-1 outer product are
+    # independent oracles for what the bounds derive; one stacked call
+    # solves them with W, each member exactly as alone
+    spec_w, spec_gram, spec_outer = symmetric_eigenvalues(np.stack([
+        weights.matrix,
+        weights.matrix.T @ weights.matrix,
+        np.outer(lag.values, lag.values),
+    ]))
+    report = analyze_prepared(inputs, spec_w, permutations=0)
+    moran, fit = report.moran, report.sar
     checks = list(report.identities)
 
     checks.append(
@@ -78,19 +90,14 @@ def instance_checks(
                          (moran.i_value / n) * fit.rho_hat - fit.r_squared,
                          REL_TOL * max(1.0, fit.r_squared)))
 
-    # the direct solves below are independent oracles for what the bounds
-    # derive: the rank-1 outer spectrum, and spec(W'W) as squares of spec(W)
-    spec_w = report.bounds.spectrum
+    # the rank-1 outer spectrum, and spec(W'W) as squares of spec(W)
     checks.append(
         _check(
             "outer_lambda_analytic",
-            symmetric_eigenvalues(np.outer(lag.values, lag.values)).largest
-            - report.bounds.range3.lambda_outer_max,
+            spec_outer.largest - report.bounds.range3.lambda_outer_max,
             EIGEN_TOL,
         )
     )
-
-    spec_gram = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
     squared = np.sort(spec_w.values**2)
     checks.append(
         _check("gram_spectrum_squares",

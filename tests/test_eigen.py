@@ -2,7 +2,6 @@
 external and analytic oracles."""
 
 import itertools
-import sys
 import tracemalloc
 import warnings
 
@@ -91,8 +90,12 @@ def row_by_row_sturm_counts(d, e2, shifts):
 
     The solver's kernel before it ran rows in blocks: five numpy calls per
     row, and the same IEEE operations on the same operands, so its counts
-    must equal the kernel's exactly.
+    must equal the kernel's exactly. Shapes as the kernel takes them: one
+    tridiagonal's d and e2 with a vector of shifts, or column j of d and
+    e2 as tridiagonal j with row j of the shifts, or with shift j alone.
     """
+    if d.ndim > 1 and shifts.ndim > 1:
+        d, e2 = d[:, :, None], e2[:, :, None]
     count = np.zeros(shifts.shape, dtype=np.int64)
     q = np.ones(shifts.shape)
     with np.errstate(divide="ignore", over="ignore"):
@@ -100,6 +103,17 @@ def row_by_row_sturm_counts(d, e2, shifts):
             q = (d[i] - shifts) - e2[i] / q
             count += np.signbit(q)
     return count
+
+
+def column(d, e2):
+    """One tridiagonal as the kernels take it: a single column of d and e2."""
+    return np.asarray(d, dtype=float)[:, None], np.asarray(e2, dtype=float)[:, None]
+
+
+def tridiagonalize_one(m, tol):
+    """The reduction of one matrix, run as a stack of one."""
+    d, e, dropped = eigen._tridiagonalize(np.asarray(m, dtype=float)[None], np.array([tol]))
+    return d[0], e[0], dropped[0]
 
 
 class TestAgainstNumpyOracle:
@@ -314,7 +328,7 @@ class TestUnguardedSturmCount:
         # e**2 ~ 1e-320 is subnormal but not zero; the solver would split
         # there, so the recurrence sees it only through _multisection
         d, e = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([1.0, 1e-160, 1.0, 1.0])
-        values, width, _ = eigen._multisection(d, e)
+        [(values, width, _)] = eigen._lockstep(d[:, None], e[:, None])
         # to within 1e-160 the 2x2 block [[1, 1], [1, 2]] and the 3x3
         # block with d = 3, 4, 5 and unit couplings: 4 and 4 -+ sqrt(3)
         root5, root3 = np.sqrt(5.0), np.sqrt(3.0)
@@ -379,11 +393,12 @@ class TestNewtonPhase:
     def test_counts_match_sturm_and_slopes_are_log_derivative(self):
         m = random_symmetric(21, 9)
         d, e = np.diag(m).copy(), np.diag(m, 1).copy()
-        e2 = np.concatenate([[0.0], e * e])
         values = np.linalg.eigvalsh(tridiagonal(d, e))
+        d, e2 = column(d, np.concatenate([[0.0], e * e]))
         x = np.linspace(values[0] - 1.0, values[-1] + 1.0, 257)
-        counts, slopes = eigen._counts_and_slopes(d, e2, x)
-        np.testing.assert_array_equal(counts, eigen._sturm_counts(d, e2, x))
+        counts, slopes = eigen._counts_and_slopes(d, e2, x[None])
+        np.testing.assert_array_equal(counts, eigen._sturm_counts(d, e2, x[None]))
+        slopes = slopes[0]
         # f'/f of det(T - xI) = prod(lambda - x) is sum 1 / (x - lambda)
         expected = np.sum(1.0 / (x[:, None] - values), axis=1)
         np.testing.assert_allclose(slopes, expected, rtol=1e-9)
@@ -399,8 +414,8 @@ class TestNewtonPhase:
         # claims convergence at once, at the midpoint of an isolated
         # bracket and so off the eigenvalue; NaN is what a zero pivot
         # leaves. The certificate must turn them back to multisection.
-        def wrong_slopes(d, e2, x):
-            counts, slopes = real(d, e2, x)
+        def wrong_slopes(*args):
+            counts, slopes = real(*args)
             return counts, np.full_like(slopes, slope)
 
         real = eigen._counts_and_slopes
@@ -487,6 +502,7 @@ def assert_same_spectrum(a, b):
     assert a.values.tobytes() == b.values.tobytes()
     assert a.max_offdiag_residual == b.max_offdiag_residual
     assert a.sweeps == b.sweeps
+    assert a.dropped == b.dropped
 
 
 class TestBlockedSturmKernel:
@@ -496,10 +512,9 @@ class TestBlockedSturmKernel:
     def test_random_shifts(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 60))
-        d, e = rng.normal(size=n), rng.normal(size=n - 1)
-        e2 = squared_couplings(e)
+        d, e2 = column(rng.normal(size=n), squared_couplings(rng.normal(size=n - 1)))
         for shape in [(1,), (257,), (37, 64), (700, 64)]:
-            shifts = rng.uniform(-4.0, 4.0, size=shape)
+            shifts = rng.uniform(-4.0, 4.0, size=shape).reshape(1, -1)
             np.testing.assert_array_equal(
                 eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
             )
@@ -508,13 +523,12 @@ class TestBlockedSturmKernel:
         # one 600-row block: its sign bits are summed in a narrow integer
         # type, which must hold counts past 255
         rng = np.random.default_rng(600)
-        d, e = rng.normal(size=600), rng.normal(size=599)
-        e2 = squared_couplings(e)
-        shifts = np.array([-100.0, 0.0, 100.0])
+        d, e2 = column(rng.normal(size=600), squared_couplings(rng.normal(size=599)))
+        shifts = np.array([[-100.0, 0.0, 100.0]])
         assert 600 <= eigen.PIVOT_BLOCK // shifts.size
         counts = eigen._sturm_counts(d, e2, shifts)
         np.testing.assert_array_equal(counts, row_by_row_sturm_counts(d, e2, shifts))
-        assert counts[0] == 0 and 255 < counts[1] < 600 and counts[2] == 600
+        assert counts[0, 0] == 0 and 255 < counts[0, 1] < 600 and counts[0, 2] == 600
         np.testing.assert_array_equal(eigen._counts_and_slopes(d, e2, shifts)[0], counts)
 
     def test_pivot_block_fits_the_block_count_type(self):
@@ -532,11 +546,11 @@ class TestBlockedSturmKernel:
         ]
         for d, e in cases:
             d = np.asarray(d, dtype=float)
-            e2 = squared_couplings(e)
             values = np.linalg.eigvalsh(tridiagonal(d, e))
             shifts = np.concatenate([d, values, np.round(values), [0.0, -0.0]])
             shifts = np.concatenate([shifts, np.nextafter(shifts, np.inf),
-                                     np.nextafter(shifts, -np.inf)])
+                                     np.nextafter(shifts, -np.inf)])[None]
+            d, e2 = column(d, squared_couplings(e))
             np.testing.assert_array_equal(
                 eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
             )
@@ -545,8 +559,9 @@ class TestBlockedSturmKernel:
         # e**2 near 1e-320 is subnormal; shifts next to a diagonal entry
         # make tiny pivots whose quotients overflow to inf
         d = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        e2 = squared_couplings([1.0, 1e-160, 1.0, 1e150])
         shifts = np.concatenate([d, np.nextafter(d, np.inf), np.linspace(-1e150, 1e150, 101)])
+        d, e2 = column(d, squared_couplings([1.0, 1e-160, 1.0, 1e150]))
+        shifts = shifts[None]
         np.testing.assert_array_equal(
             eigen._sturm_counts(d, e2, shifts), row_by_row_sturm_counts(d, e2, shifts)
         )
@@ -576,21 +591,31 @@ class TestBlockedSturmKernel:
         # sends every index back from Newton's phase to multisection
         passes = []
 
-        def spy(d, e2, shifts):
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "_multisection":
-                left = caller.f_locals["lo"][caller.f_locals["live"]]
-                assert np.all(np.diff(left) >= 0.0)
-                passes.append(left.size)
-            return real(d, e2, shifts)
+        def spy(d, e):
+            # relays the block's requests, and at each multisection pass
+            # (not a Newton step or certificate, which ``_newton`` yields)
+            # reads the generator's own lo and live
+            run = real(d, e)
+            reply = None
+            while True:
+                try:
+                    request = run.send(reply)
+                except StopIteration as done:
+                    return done.value
+                if run.gi_yieldfrom is None:
+                    state = run.gi_frame.f_locals
+                    left = state["lo"][state["live"]]
+                    assert np.all(np.diff(left) >= 0.0)
+                    passes.append(left.size)
+                reply = yield request
 
-        real = eigen._sturm_counts
-        monkeypatch.setattr(eigen, "_sturm_counts", spy)
+        real = eigen._multisection
+        monkeypatch.setattr(eigen, "_multisection", spy)
         if slope is not None:
             counts_and_slopes = eigen._counts_and_slopes
             monkeypatch.setattr(
                 eigen, "_counts_and_slopes",
-                lambda d, e2, x: (counts_and_slopes(d, e2, x)[0], np.full(x.shape, slope)),
+                lambda *args: (counts_and_slopes(*args)[0], np.full(args[2].shape, slope)),
             )
         matrices = [
             *deck_matrices(deck[:6]),
@@ -602,6 +627,34 @@ class TestBlockedSturmKernel:
         for m in matrices:
             assert_certified(m)
         assert len(passes) > len(matrices)
+
+    def test_stacked_rows_count_as_lone_calls(self):
+        # rows of shifts, each with its own tridiagonal's column of d and
+        # e2, against one lone call per tridiagonal; the slopes of a
+        # tridiagonal that asks for one point are summed alone
+        rng = np.random.default_rng(17)
+        m = 12
+        d = rng.normal(size=(m, 3))
+        e2 = np.vstack([np.zeros((1, 3)), rng.normal(size=(m - 1, 3)) ** 2])
+        shifts = [rng.uniform(-3.0, 3.0, size=s) for s in (64, 5, 1)]
+        for j, x in enumerate(shifts):
+            rows = [j]
+            np.testing.assert_array_equal(
+                eigen._sturm_counts(d[:, rows], e2[:, rows], x[None])[0],
+                eigen._sturm_counts(d[:, j], e2[:, j], x),
+            )
+        # a vector of points, each with its tridiagonal's column
+        owner = np.repeat([0, 1, 2], [x.size for x in shifts])
+        points = np.concatenate(shifts)
+        np.testing.assert_array_equal(
+            eigen._sturm_counts(d[:, owner], e2[:, owner], points),
+            np.concatenate([eigen._sturm_counts(d[:, j], e2[:, j], x) for j, x in enumerate(shifts)]),
+        )
+        counts, slopes = eigen._counts_and_slopes(d[:, owner], e2[:, owner], points, [69])
+        for j, x in enumerate(shifts):
+            lone_counts, lone_slopes = eigen._counts_and_slopes(d[:, j], e2[:, j], x)
+            np.testing.assert_array_equal(counts[owner == j], lone_counts)
+            assert slopes[owner == j].tobytes() == lone_slopes.tobytes()
 
     def test_memory_of_the_large_solve_is_bounded(self):
         # the n = 150 isolating pass counts at 9024 shifts; holding all of
@@ -647,7 +700,7 @@ class TestDropBelowRounding:
         tol = drop_tolerance(base)
         m = base.copy()
         m[0, 2:] = m[2:, 0] = factor * tol
-        _, e, dropped = eigen._tridiagonalize(m, tol)
+        _, e, dropped = tridiagonalize_one(m, tol)
         if factor == 1.0:
             assert e[0] == 0.5 and dropped == np.hypot(tol, tol)
         else:
@@ -665,7 +718,7 @@ class TestDropBelowRounding:
         while tol != (tol := drop_tolerance(m)):
             m[0, 2] = m[2, 0] = np.nextafter(tol * np.sqrt(n - 1), np.inf)
         assert np.all(m[0, 3:] ** 2 == 0.0)
-        d, e, dropped = eigen._tridiagonalize(m.copy(), tol)
+        d, e, dropped = tridiagonalize_one(m.copy(), tol)
         assert np.all(np.isfinite(d)) and np.all(np.isfinite(e))
         assert e[0] == -np.hypot(m[1, 0], m[2, 0]) and dropped == 0.0
         spectrum = symmetric_eigenvalues(m)
@@ -781,6 +834,13 @@ class TestInputValidation:
         spectrum = symmetric_eigenvalues(m)
         assert spectrum.n == 2
 
+    @pytest.mark.parametrize("k", [0, -100, -400, -700])
+    def test_asymmetry_is_judged_relative_to_scale(self, k):
+        # the tolerance is relative to the largest entry, so an asymmetric
+        # matrix is rejected at every scale, not averaged below unit scale
+        with pytest.raises(NotSymmetric, match="asymmetry"):
+            symmetric_eigenvalues(np.ldexp([[0.0, 1.0], [3.0, 0.0]], k))
+
     def test_symmetric_near_float_limit_solves(self):
         m = np.array([[1e308, 1.0], [1.0, 1e308]])
         with warnings.catch_warnings(record=True) as caught:
@@ -811,6 +871,119 @@ class TestInputValidation:
         top = np.finfo(float).max
         values = symmetric_eigenvalues(np.array([[top, 0.0], [0.0, -top]])).values
         np.testing.assert_array_equal(values, [-top, top])
+
+
+def lone_and_stacked(matrices):
+    """Each matrix solved alone, and the stack of them in one call."""
+    return [symmetric_eigenvalues(m) for m in matrices], symmetric_eigenvalues(np.stack(matrices))
+
+
+class TestStackedSolve:
+    """A stack (k, n, n) returns k spectra, each bit for bit its lone solve."""
+
+    def test_deck_stacks(self, deck):
+        # W, W'W and the lag's rank-1 outer product: one verify instance
+        for raw, dist in deck:
+            p = prepare(raw, dist)
+            w = p.weights.matrix
+            lone, stacked = lone_and_stacked([w, w.T @ w, np.outer(p.lag.values, p.lag.values)])
+            assert isinstance(stacked, tuple) and len(stacked) == 3
+            for a, b in zip(lone, stacked):
+                assert_same_spectrum(a, b)
+
+    def test_member_with_two_blocks_of_one_length(self, monkeypatch):
+        # a block-diagonal member splits into two 5x5 blocks that bisect
+        # side by side, beside the 10x10 blocks of the other members
+        m = np.zeros((10, 10))
+        m[:5, :5] = random_symmetric(51, 5)
+        m[5:, 5:] = random_symmetric(52, 5)
+        matrices = [m, random_symmetric(53, 10), m @ m]
+        lone = [symmetric_eigenvalues(x) for x in matrices]
+        sizes = multisection_sizes(monkeypatch)
+        for a, b in zip(lone, symmetric_eigenvalues(np.stack(matrices))):
+            assert_same_spectrum(a, b)
+        assert sorted(sizes) == [5, 5, 5, 5, 10]
+
+    def test_member_that_splits(self):
+        # 1x1, 2x2, 5x5 and 2x2 blocks next to unsplit members
+        m = np.zeros((10, 10))
+        m[0, 0] = 2.0
+        m[1:3, 1:3] = [[3.0, 4.0], [4.0, -3.0]]
+        m[3:8, 3:8] = random_symmetric(11, 5)
+        m[8:10, 8:10] = [[2.0, 1.0], [1.0, 2.0]]
+        lone, stacked = lone_and_stacked([random_symmetric(12, 10), m, m + np.eye(10)])
+        for a, b in zip(lone, stacked):
+            assert_same_spectrum(a, b)
+
+    def test_rank_one_member_takes_no_pass(self):
+        u = np.random.default_rng(9).normal(size=25)
+        lone, stacked = lone_and_stacked([random_symmetric(9, 25), np.outer(u, u)])
+        assert stacked[1].sweeps == 0 and stacked[1].dropped > 0.0
+        for a, b in zip(lone, stacked):
+            assert_same_spectrum(a, b)
+
+    @pytest.mark.parametrize("block", [1, 640, 4096])
+    def test_pivot_block_changes_no_member(self, deck, monkeypatch, block):
+        stacks = [np.stack([w, w.T @ w]) for w in (prepare(*pair).weights.matrix for pair in deck[:4])]
+        expected = [[symmetric_eigenvalues(m) for m in stack] for stack in stacks]
+        monkeypatch.setattr(eigen, "PIVOT_BLOCK", block)
+        for stack, lone in zip(stacks, expected):
+            for a, b in zip(lone, symmetric_eigenvalues(stack)):
+                assert_same_spectrum(a, b)
+
+    def test_row_by_row_oracle_gives_the_same_members(self, deck, monkeypatch):
+        stacks = [np.stack([w, w.T @ w]) for w in (prepare(*pair).weights.matrix for pair in deck[:6])]
+        expected = [[symmetric_eigenvalues(m) for m in stack] for stack in stacks]
+        monkeypatch.setattr(eigen, "_sturm_counts", row_by_row_sturm_counts)
+        for stack, lone in zip(stacks, expected):
+            for a, b in zip(lone, symmetric_eigenvalues(stack)):
+                assert_same_spectrum(a, b)
+
+    def test_members_share_kernel_calls(self, deck, monkeypatch):
+        w = prepare(*deck[5]).weights.matrix
+        calls = spy_on(monkeypatch, "_sturm_counts")
+        spy_on(monkeypatch, "_counts_and_slopes", calls)
+        lone = [symmetric_eigenvalues(m) for m in (w, w.T @ w)]
+        alone = len(calls)
+        calls.clear()
+        symmetric_eigenvalues(np.stack([w, w.T @ w]))
+        # one pass of each member is one kernel call when alone
+        assert alone == sum(s.sweeps for s in lone)
+        assert max(s.sweeps for s in lone) <= len(calls) < alone
+
+    def test_empty_stack(self):
+        assert symmetric_eigenvalues(np.zeros((0, 3, 3))) == ()
+
+    def test_errors_name_the_member(self, monkeypatch):
+        good = random_symmetric(1, 4)
+        bad = good.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(NotSymmetric, match="^stack matrix 1 has non-finite entries$"):
+            symmetric_eigenvalues(np.stack([good, bad, good]))
+        bad = good.copy()
+        bad[0, 1] += 1.0
+        reductions = spy_on(monkeypatch, "_tridiagonalize")
+        with pytest.raises(NotSymmetric, match="^stack matrix 2 asymmetry"):
+            symmetric_eigenvalues(np.stack([good, good, bad]))
+        assert reductions == []
+        with pytest.raises(NotSymmetric, match="^stack matrix 0: expected a square matrix"):
+            symmetric_eigenvalues(np.ones((2, 3, 4)))
+        for shape in [(3,), (1, 2, 2, 2)]:
+            with pytest.raises(NotSymmetric, match="or a stack of them"):
+                symmetric_eigenvalues(np.ones(shape))
+
+    def test_numerical_errors_name_the_member(self, monkeypatch):
+        huge = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(NumericalError, match=r"^stack matrix 1: an eigenvalue of magnitude"):
+            symmetric_eigenvalues(np.stack([np.eye(2), huge]))
+        monkeypatch.setattr(eigen, "MAX_PASSES", 2)
+        m = random_symmetric(7, 30)
+        with pytest.raises(NoConvergence) as lone:
+            symmetric_eigenvalues(m)
+        with pytest.raises(NoConvergence, match="^stack matrix 1: ") as stacked:
+            symmetric_eigenvalues(np.stack([np.diag(np.arange(30.0)), m]))
+        assert stacked.value.member == 1 and lone.value.member is None
+        assert (stacked.value.residual, stacked.value.sweeps) == (lone.value.residual, lone.value.sweeps)
 
 
 class TestIndependentOfLapack:

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import moransar.bounds
 import moransar.verification
+from moransar.eigen import symmetric_eigenvalues
 from moransar.errors import InputError
-from moransar.pipeline import analyze_data
+from moransar.pipeline import analyze_data, analyze_prepared
 from moransar.verification import (
     IdentityCheck,
     SuiteResult,
@@ -65,12 +67,28 @@ class TestChecks:
 
         def spy(*args, **kwargs):
             calls.append(kwargs)
-            return analyze_data(*args, **kwargs)
+            return analyze_prepared(*args, **kwargs)
 
-        monkeypatch.setattr(moransar.verification, "analyze_data", spy)
+        monkeypatch.setattr(moransar.verification, "analyze_prepared", spy)
         raw, dist = deck[3]
         instance_checks(raw, dist)
         assert calls == [{"permutations": 0}]
+
+    def test_instance_checks_make_one_stacked_solve(self, deck, monkeypatch):
+        # W, W'W and the lag's outer product in one call; the bounds read
+        # W's spectrum from it instead of solving W again
+        shapes = []
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return symmetric_eigenvalues(m)
+
+        for module in (moransar.verification, moransar.bounds):
+            monkeypatch.setattr(module, "symmetric_eigenvalues", spy)
+        for raw, dist in deck[:3]:
+            shapes.clear()
+            instance_checks(raw, dist)
+            assert shapes == [(3, raw.n, raw.n)]
 
     def test_instance_checks_cover_every_family(self, deck):
         raw, dist = deck[1]
