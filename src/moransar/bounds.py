@@ -8,8 +8,11 @@ Three containments, each a Rayleigh-quotient consequence:
    Rayleigh quotient of W'W itself, so it always holds; the theoretical
    form drops the R2 factor and is only guaranteed from above (it equals
    the empirical form exactly when R2 = 1). W is symmetric, so W'W = W^2
-   and its spectrum is the squared spectrum of W: one eigensolve of W
-   serves the first two ranges.
+   and its spectrum is the squared spectrum of W: the first two ranges
+   read four eigenvalues of W, the least and the greatest and the two
+   either side of 0, whose squares hold the least and greatest of W'W.
+   One solve of W finds those four alone; it does not yield W's whole
+   spectrum.
 3. I^2/n lies in [0, (Wz)'(Wz)], the analytic spectrum of the rank-1
    outer product of the lag.
 
@@ -90,7 +93,8 @@ class BoundsReport:
     range3: OuterRangeVerdict
     abs_index: float
     pearson_analogy_ok: bool  # |I| <= 1, informational only
-    # the solved spectrum of W, for oracles that check it; not serialized
+    # the spectrum of W the ranges read: the caller's, or the partial one
+    # solved here (``EigenSpectrum.indices`` set); not serialized
     spectrum: EigenSpectrum = field(repr=False, metadata={"json": False})
 
 
@@ -147,8 +151,9 @@ def range_quadratic(
     """Second range: eigenvalues of W'W bracket the lag-energy quotient.
 
     The lag Wz, I and n come from ``inputs``. ``spectrum`` is that of W,
-    which is symmetric: W'W = W^2 is bracketed by the least and greatest
-    squared eigenvalue of W, and is never solved.
+    whole or partial, holding at least its ends and the eigenvalues either
+    side of 0: W is symmetric, so W'W = W^2 is bracketed by the least and
+    greatest squared eigenvalue of W, and is never solved.
 
     The empirical left-hand side equals the Rayleigh quotient of W'W at z
     and is always contained. The theoretical side is smaller by
@@ -196,9 +201,12 @@ def bounds_report(
     """Evaluate all three ranges for one dataset.
 
     ``spectrum`` is W's when the caller has solved it already (``moransar
-    verify`` solves W together with its oracle matrices); otherwise W is
-    solved here. The report keeps that spectrum; the second range reads
-    its squares, so no eigensolve of W'W runs.
+    verify`` solves W's whole spectrum together with its oracle
+    matrices). Otherwise only the four eigenvalues the ranges read are
+    solved here: the least, the greatest and the two either side of 0.
+    The report keeps that spectrum, so ``report.spectrum`` is W's whole
+    spectrum only when the caller passed one. The second range reads its
+    squares, so no eigensolve of W'W runs.
 
     The magnitude |I| is reported alongside as a correlation-style
     reading; it is informational and never enforced, since the spectral
@@ -206,7 +214,7 @@ def bounds_report(
     """
     i_value = inputs.i_value
     if spectrum is None:
-        spectrum = symmetric_eigenvalues(inputs.weights.matrix)
+        spectrum = symmetric_eigenvalues(inputs.weights.matrix, extremes=True)
     return BoundsReport(
         range1=range_moran(inputs, spectrum, r_squared),
         range2=range_quadratic(inputs, spectrum, r_squared),

@@ -32,7 +32,7 @@ from .dataio import (
     write_scatter_csv,
     write_sizes,
 )
-from .errors import InputError, NumericalError
+from .errors import InputError, NonPositiveValue, NumericalError
 from .pipeline import AnalysisConfig, analyze, emit_report
 from .sar import fit_sar_ols
 from .simulate import random_distances, simulate_sar
@@ -87,8 +87,11 @@ def _symmetrize_policy(args) -> str:
 def _prepared(args):
     raw = load_sizes(args.sizes)
     ids, distances = load_distances(args.dist, args.dist_format)
-    return prepare(align_to_ids(raw, ids), distances, apply_log=args.log,
-                   symmetrize=_symmetrize_policy(args))
+    try:
+        return prepare(align_to_ids(raw, ids), distances, apply_log=args.log,
+                       symmetrize=_symmetrize_policy(args))
+    except NonPositiveValue as exc:
+        raise exc.in_file(args.sizes) from None
 
 
 def cmd_analyze(args) -> int:

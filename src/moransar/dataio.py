@@ -25,6 +25,7 @@ last row, and line 0 means the file as a whole.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from importlib import resources
@@ -44,46 +45,70 @@ from .inference import DwCriticalValues
 from .spatial_data import RawSizeVector
 
 
-def _rows(path: str | Path) -> list[tuple[int, list[str]]]:
+def _text(path: str | Path, data: bytes | None = None) -> str:
+    """The file's text, from ``data`` when the caller has read its bytes.
+
+    Raises:
+        ParseError: if the bytes are not UTF-8, at the line of the first
+            one that is not.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r or \r\n, as for the CSV reader
+        line = len((exc.object[: exc.start] + b"x").splitlines())
+        raise ParseError(str(path), line, f"not UTF-8 text ({exc.reason})") from None
+
+
+def _rows(path: str | Path, text: str) -> list[tuple[int, list[str]]]:
     """Non-empty CSV rows as (1-based line number, stripped fields).
 
     A row whose quoted field spans lines carries the number of its last
     line.
 
     Raises:
-        ParseError: if the file is not UTF-8 text or not valid CSV.
+        ParseError: if the text is not valid CSV.
     """
     out = []
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                fields = [f.strip() for f in row]
-                if not fields or all(f == "" for f in fields):
-                    continue
-                if fields[0].startswith("#"):
-                    continue
-                out.append((reader.line_num, fields))
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(path), _undecodable_line(path),
-                         f"not UTF-8 text ({exc.reason})") from None
+        for row in reader:
+            fields = [f.strip() for f in row]
+            if not fields or all(f == "" for f in fields):
+                continue
+            if fields[0].startswith("#"):
+                continue
+            out.append((reader.line_num, fields))
     except csv.Error as exc:
         raise ParseError(str(path), reader.line_num, f"malformed CSV: {exc}") from None
     return out
 
 
-def _undecodable_line(path: str | Path) -> int:
-    """Line of the first byte that is not UTF-8.
+def _plain_lines(text: str) -> list[tuple[int, str]] | None:
+    """The lines ``_rows`` keeps, as (line number, line), when splitting
+    the text at LF and each line at commas gives its rows; None where
+    csv.reader may read the text otherwise.
 
-    The text reader decodes in blocks, so its own error names no line.
+    Without a quote, a carriage return or a NUL, the reader ends lines
+    only at LF and fields only at commas; it raises on a field longer
+    than its limit, so a line that long is left to it as well. Blank and
+    comment rows are judged on stripped fields, as ``_rows`` judges them.
+    The lines stay whole, so a caller splits one row at a time.
     """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # lines end at \n, \r or \r\n, as for the CSV reader
-        return len((exc.object[:exc.start] + b"x").splitlines())
-    return 0
+    if any(c in text for c in ('"', "\r", "\0")):
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        head = line.split(",", 1)[0].strip()
+        if head.startswith("#") or not (head or line.replace(",", "").strip()):
+            continue
+        out.append((lineno, line))
+    return out
 
 
 _NUMBER_STARTS = frozenset("0123456789+-.")
@@ -119,14 +144,17 @@ def _parse_float(path: str | Path, lineno: int, text: str, what: str) -> float:
     return value
 
 
-def load_sizes(path: str | Path) -> RawSizeVector:
+def load_sizes(path: str | Path, *, data: bytes | None = None) -> RawSizeVector:
     """Read an ``id,value`` CSV into a raw size vector.
+
+    ``data`` is the file's bytes when the caller has read them already;
+    ``path`` then only names the file in messages.
 
     Raises:
         ParseError: malformed rows or too few of them.
         DuplicateId: an id appears twice.
     """
-    rows = _skip_header(_rows(path), 1)
+    rows = _skip_header(_rows(path, _text(path, data)), 1)
     ids: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
@@ -144,12 +172,19 @@ def load_sizes(path: str | Path) -> RawSizeVector:
     return RawSizeVector(ids=tuple(ids), values=np.asarray(values))
 
 
-def _load_distance_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = _rows(path)
+def _load_distance_matrix(path: str | Path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    # split rows keep their whitespace: an id is stripped here, and float()
+    # ignores the whitespace around a number that strip() removes
+    lines = _plain_lines(text)
+    rows = _rows(path, text) if lines is None else lines
+
+    def fields_of(row) -> list[str]:
+        return row if lines is None else row.split(",")
+
     if not rows:
         raise ParseError(str(path), 0, "empty distance file")
 
-    first_fields = rows[0][1]
+    first_fields = [f.strip() for f in fields_of(rows[0][1])]
     has_header = not all(_is_number(f) for f in first_fields)
     if has_header:
         ids = tuple(first_fields[1:])
@@ -167,16 +202,18 @@ def _load_distance_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray
         lineno = body[n][0] if len(body) > n else rows[-1][0]
         raise NonSquare(f"{path}:{lineno}: {n} columns but {len(body)} data rows")
     matrix = np.zeros((n, n))
-    for i, (lineno, fields) in enumerate(body):
+    for i, (lineno, row) in enumerate(body):
+        fields = fields_of(row)
         if has_header:
             if len(fields) != n + 1:
                 raise NonSquare(
                     f"{path}:{lineno}: expected id plus {n} values, got {len(fields)} fields"
                 )
-            if fields[0] != ids[i]:
+            ident = fields[0].strip()
+            if ident != ids[i]:
                 raise ParseError(
                     str(path), lineno,
-                    f"row id {fields[0]!r} does not match header id {ids[i]!r}",
+                    f"row id {ident!r} does not match header id {ids[i]!r}",
                 )
             numbers = fields[1:]
         else:
@@ -191,13 +228,16 @@ def _load_distance_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray
         except ValueError:
             clean = False
         if not clean:
-            # the same float() cell by cell, which names the first bad cell
-            matrix[i] = [_parse_float(path, lineno, text, "distance") for text in numbers]
+            # the same float() cell by cell on stripped cells, which names
+            # the first bad cell (float() rejects the separators \x1c-\x1f
+            # that strip() removes)
+            matrix[i] = [_parse_float(path, lineno, cell.strip(), "distance")
+                         for cell in numbers]
     return ids, matrix
 
 
-def _load_distance_long(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = _skip_header(_rows(path), 2)
+def _load_distance_long(path: str | Path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    rows = _skip_header(_rows(path, text), 2)
     pair_values: dict[frozenset[str], float] = {}
     order: list[str] = []
     seen: set[str] = set()
@@ -236,21 +276,23 @@ def _load_distance_long(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def load_distances(
-    path: str | Path, dist_format: str = "matrix"
+    path: str | Path, dist_format: str = "matrix", *, data: bytes | None = None
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a distance file; returns (ids, raw distance matrix).
 
-    Symmetry and positivity are enforced downstream when the matrix is
-    inverted into proximities, under the caller's symmetrize policy.
+    ``data`` is the file's bytes when the caller has read them already;
+    ``path`` then only names the file in messages. Symmetry and
+    positivity are enforced downstream when the matrix is inverted into
+    proximities, under the caller's symmetrize policy.
 
     Raises:
         ParseError, NonSquare, DuplicateId, MissingPair: per format.
         InputError: on an unknown dist_format.
     """
     if dist_format == "matrix":
-        return _load_distance_matrix(path)
+        return _load_distance_matrix(path, _text(path, data))
     if dist_format == "long":
-        return _load_distance_long(path)
+        return _load_distance_long(path, _text(path, data))
     raise InputError(f"unknown distance format: {dist_format!r}")
 
 
@@ -281,7 +323,7 @@ def load_critical_values(path: str | Path) -> dict[tuple[int, float], DwCritical
         ParseError: malformed rows, missing header, duplicate (n, alpha),
             or rows violating 0 < d_l < d_u < 2.
     """
-    rows = _rows(path)
+    rows = _rows(path, _text(path))
     if not rows or [f.lower() for f in rows[0][1]] != ["n", "alpha", "d_l", "d_u"]:
         raise ParseError(str(path), rows[0][0] if rows else 0,
                          "expected header 'n,alpha,d_l,d_u'")
@@ -320,9 +362,9 @@ def load_reference_values() -> dict:
 
 
 def write_sizes(raw: RawSizeVector, path: str | Path) -> None:
-    """Write a size vector as an ``id,value`` CSV."""
+    """Write a size vector as an ``id,value`` CSV with LF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "value"])
         for ident, value in zip(raw.ids, raw.values):
             writer.writerow([ident, repr(float(value))])
@@ -331,9 +373,11 @@ def write_sizes(raw: RawSizeVector, path: str | Path) -> None:
 def write_distance_matrix(
     ids: tuple[str, ...], matrix: np.ndarray, path: str | Path
 ) -> None:
-    """Write a distance matrix in the header-row CSV format."""
+    """Write a distance matrix in the header-row CSV format with LF line
+    ends, which the loader reads without csv.reader when no id needs
+    quotes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", *ids])
         for ident, row in zip(ids, matrix):
             writer.writerow([ident, *(repr(float(v)) for v in row)])

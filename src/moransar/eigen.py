@@ -48,6 +48,14 @@ Three steps:
    they never enter Newton's phase. Every bracket ends at most a few
    ulps of the block's norm wide.
 
+With ``extremes=True`` the caller gets only the ends of the spectra of A
+and A^2 from the same reduction: one Sturm count at 0 per block finds the
+eigenvalues either side of 0, and only those and the block's least and
+greatest keep brackets. A bracket's counts at its ends tell how many
+eigenvalues it holds, tracked or not, and Newton's phase starts once each
+unfinished tracked bracket holds one (Barth, Martin & Wilkinson select
+indices the same way; so does LAPACK's dstebz with RANGE='I').
+
 A stack of k matrices of one size, shape (k, n, n), is solved in one
 call, each member bit for bit as it would be alone. The reduction runs
 one sweep over the members that reflect, batching the copy and rank-2
@@ -97,12 +105,20 @@ DROP_TOL_FACTOR = 4.0
 class EigenSpectrum:
     """Real eigenvalues in ascending order plus the solver's certificate.
 
+    The spectrum is whole unless ``indices`` is set: then ``values`` holds
+    only the eigenvalues at those places of the ascending spectrum
+    (``symmetric_eigenvalues(..., extremes=True)``), which always include
+    the first and the last, so ``smallest``, ``largest`` and ``n`` read as
+    for a whole spectrum.
+
     ``max_offdiag_residual`` is the width of the widest final bracket (0.0
     when every block was 1x1 or 2x2): each value is its bracket's
     midpoint. A bracket is at most 4 eps ||T|| wide, and one certified
-    after Newton's phase about 3/4 of that. ``sweeps`` is the number of passes of the Sturm
-    recurrence (multisection passes, Newton steps and the certificate
-    pass), summed over the tridiagonal's blocks. ``dropped`` is the sum
+    after Newton's phase about 3/4 of that; a partial spectrum counts only
+    the brackets it kept. ``sweeps`` is the number of passes of the Sturm
+    recurrence (multisection passes, Newton steps, the certificate pass
+    and a partial solve's count at 0), summed over the tridiagonal's
+    blocks. ``dropped`` is the sum
     of the 2-norms of every column tail and coupling discarded as below
     rounding, in the input's scale (0.0 when none was). Up to the
     rounding of the Householder reduction, each value lies within
@@ -113,10 +129,12 @@ class EigenSpectrum:
     max_offdiag_residual: float
     sweeps: int
     dropped: float
+    indices: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        """The order of the matrix: a partial spectrum holds index n - 1."""
+        return self.values.shape[0] if self.indices is None else int(self.indices[-1]) + 1
 
     @property
     def smallest(self) -> float:
@@ -377,12 +395,16 @@ def _counts_and_slopes(
     return counts, slopes
 
 
-def _newton(lo: np.ndarray, hi: np.ndarray, live: np.ndarray, target: float, budget: int):
+def _newton(
+    lo: np.ndarray, hi: np.ndarray, live: np.ndarray, index: np.ndarray,
+    target: float, budget: int,
+):
     """Refine isolated brackets by Newton's method; returns passes used.
 
     A generator, like ``_multisection``: it yields each set of points it
-    needs counts and slopes at. Every index in ``live`` must own its
-    bracket alone. Each step's Sturm count tightens the bracket, and the
+    needs counts and slopes at. ``live`` lists the brackets to refine and
+    ``index`` the eigenvalue each of them holds, alone. Each step's Sturm
+    count tightens the bracket, and the
     step x - f/f' is taken only when it lands strictly inside; otherwise
     the point moves to the bracket's midpoint. An index stops once its
     Newton correction is at most target/4. One certificate pass then
@@ -400,7 +422,7 @@ def _newton(lo: np.ndarray, hi: np.ndarray, live: np.ndarray, target: float, bud
         point = x[active]
         counts, slopes = yield point, True
         passes += 1
-        below = counts <= k
+        below = counts <= index[active]
         left = np.where(below, point, lo[k])
         right = np.where(below, hi[k], point)
         lo[k] = left
@@ -419,13 +441,13 @@ def _newton(lo: np.ndarray, hi: np.ndarray, live: np.ndarray, target: float, bud
         window = np.concatenate([x - h, x + h])
         counts = yield window, False
         passes += 1
-        sure = (counts[: live.size] <= live) & (live < counts[live.size :])
+        sure = (counts[: live.size] <= index) & (index < counts[live.size :])
         lo[live[sure]] = window[: live.size][sure]
         hi[live[sure]] = window[live.size :][sure]
     return passes
 
 
-def _multisection(d: np.ndarray, e: np.ndarray):
+def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
     """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes.
 
     A generator: each pass yields ``(points, slopes)``, the points it
@@ -435,17 +457,21 @@ def _multisection(d: np.ndarray, e: np.ndarray):
     shape. It returns its result through StopIteration, or raises
     NoConvergence. ``_lockstep`` runs many of them side by side.
 
-    Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
+    ``want`` lists the indices to solve, ascending; None means all of
+    them. Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
     count(lo[k]) <= k < count(hi[k]). Until Newton's phase, brackets are
     pieces of one partition of the Gershgorin interval, and ``lo`` is
     nondecreasing in k, so the indices that share a bracket form a run of
     equal ``lo``: each pass splits every distinct bracket wider than the
     target into 65 pieces, and each of its indices takes the piece that
-    holds it. Once no two unfinished indices share a bracket, one Newton
-    phase refines them all; it only shrinks the brackets it leaves
-    unfinished, so they stay ordered and are split on as before. Newton's
-    steps and its certificate count against ``MAX_PASSES`` like any other
-    pass.
+    holds it. Once every unfinished bracket holds one eigenvalue, one
+    Newton phase refines them all. With every index wanted, that is when
+    no two unfinished indices share a bracket; with some, untracked
+    eigenvalues may share it too, so the counts at each bracket's ends
+    are kept and their difference decides. Newton's phase only shrinks
+    the brackets it leaves unfinished, so they stay ordered and are split
+    on as before. Newton's steps and its certificate count against
+    ``MAX_PASSES`` like any other pass.
     """
     m = d.shape[0]
     radius = np.zeros(m)
@@ -456,8 +482,14 @@ def _multisection(d: np.ndarray, e: np.ndarray):
     norm = max(abs(lower), abs(upper))
     target = WIDTH_TOL_FACTOR * np.finfo(float).eps * norm
 
-    lo = np.full(m, lower - target)
-    hi = np.full(m, upper + target)
+    index = np.arange(m) if want is None else want
+    lo = np.full(index.size, lower - target)
+    hi = np.full(index.size, upper + target)
+    # count(lo) and count(hi) of each bracket, kept only when some indices
+    # are not wanted: with all of them, a bracket that no other index
+    # shares holds one eigenvalue
+    below = np.zeros(index.size, dtype=np.int64)
+    above = np.full(index.size, m, dtype=np.int64)
     fractions = np.arange(1, SHIFTS_PER_BRACKET + 1) / (SHIFTS_PER_BRACKET + 1)
     passes = 0
     refined = False
@@ -469,23 +501,30 @@ def _multisection(d: np.ndarray, e: np.ndarray):
         starts = np.empty(live.size, dtype=bool)
         starts[0] = True
         np.not_equal(left[1:], left[:-1], out=starts[1:])
-        if not refined and starts.all():
+        if not refined and (
+            starts.all() if want is None else (above[live] - below[live] == 1).all()
+        ):
             # every unfinished bracket holds one eigenvalue
-            passes += yield from _newton(lo, hi, live, target, MAX_PASSES - passes)
+            budget = MAX_PASSES - passes
+            passes += yield from _newton(lo, hi, live, index[live], target, budget)
             refined = True
             continue
         owner = starts.cumsum() - 1
-        first = starts.nonzero()[0]
-        left = left[first]
-        right = hi[live[first]]
+        first = live[starts]
+        left = lo[first]
+        right = hi[first]
         shifts = left[:, None] + (right - left)[:, None] * fractions
         # rounding may break the count's monotonicity; restore it so
         # every index falls in exactly one piece
         counts = np.maximum.accumulate((yield shifts, False), axis=1)
-        piece = (counts[owner] <= live[:, None]).sum(axis=1)
+        piece = (counts[owner] <= index[live, None]).sum(axis=1)
         edges = np.concatenate([left[:, None], shifts, right[:, None]], axis=1)
         lo[live] = edges[owner, piece]
         hi[live] = edges[owner, piece + 1]
+        if want is not None and not refined:
+            tallies = np.concatenate([below[first, None], counts, above[first, None]], axis=1)
+            below[live] = tallies[owner, piece]
+            above[live] = tallies[owner, piece + 1]
         passes += 1
 
     widest = float(np.max(hi - lo))
@@ -494,10 +533,11 @@ def _multisection(d: np.ndarray, e: np.ndarray):
     return 0.5 * (lo + hi), widest, passes
 
 
-def _lockstep(d: np.ndarray, e: np.ndarray) -> list:
+def _lockstep(d: np.ndarray, e: np.ndarray, wants: list | None = None) -> list:
     """``_multisection`` on g unreduced tridiagonals of one length m at once.
 
-    Column j of ``d`` (m, g) and ``e`` (m-1, g) is tridiagonal j. Each
+    Column j of ``d`` (m, g) and ``e`` (m-1, g) is tridiagonal j, and
+    ``wants[j]`` the indices it solves (all when ``wants`` is None). Each
     keeps its own multisection, Newton, certificate and fallback state,
     and runs the passes it would run alone. They advance in rounds, and
     each round makes at most two kernel calls: one ``_sturm_counts`` call
@@ -513,7 +553,8 @@ def _lockstep(d: np.ndarray, e: np.ndarray) -> list:
     """
     g = d.shape[1]
     e2 = np.concatenate([np.zeros((1, g)), e * e])
-    runs = [_multisection(d[:, j], e[:, j]) for j in range(g)]
+    wants = wants or [None] * g
+    runs = [_multisection(d[:, j], e[:, j], wants[j]) for j in range(g)]
     outcomes: list = [None] * g
     asked: list = [None] * g
     replies: list = [None] * g
@@ -558,8 +599,33 @@ def _lockstep(d: np.ndarray, e: np.ndarray) -> list:
     return outcomes
 
 
-def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum | tuple[EigenSpectrum, ...]:
-    """All eigenvalues of a symmetric matrix, ascending.
+def _ends_and_zero_sides(values: np.ndarray, negative: np.ndarray):
+    """The smallest and largest eigenvalue and the two either side of 0,
+    ascending, with their indices in the whole spectrum.
+
+    ``values`` holds a member's eigenvalues where its blocks solved them
+    and NaN elsewhere; ``negative`` marks those its blocks counted below
+    0, solved or not. The k counted below 0 take indices 0..k-1, so index
+    k-1 is the greatest of them and index k the least of the rest.
+    """
+    n = values.size
+    k = int(np.count_nonzero(negative))
+    picked = {}
+    if k:
+        picked[k - 1] = np.nanmax(values[negative])
+    if k < n:
+        picked[k] = np.nanmin(values[~negative])
+    picked[0] = np.nanmin(values)
+    picked[n - 1] = np.nanmax(values)
+    indices = np.array(sorted(picked))
+    return np.sort([picked[i] for i in indices.tolist()]), indices
+
+
+def symmetric_eigenvalues(
+    m: np.ndarray, *, extremes: bool = False
+) -> EigenSpectrum | tuple[EigenSpectrum, ...]:
+    """All eigenvalues of a symmetric matrix, ascending, or with
+    ``extremes`` only the ends of the spectra of A and of A^2.
 
     Each eigenvalue of a block larger than 2x2 is the midpoint of a
     Sturm bracket at most 4 eps ||T|| wide, where ||T|| is the block's
@@ -569,6 +635,17 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum | tuple[EigenSpectrum,
     T splits wherever |e_i| <= tol. Up to the reduction's own rounding,
     each value lies within ``dropped`` (the sum of what was discarded)
     plus half its bracket of an eigenvalue of A.
+
+    With ``extremes`` the spectrum is partial: it holds the smallest and
+    the largest eigenvalue and the two nearest 0 from below and from
+    above (so the least and greatest square are among them), at most
+    four values, and ``indices`` gives their places in the whole
+    spectrum. The reduction is the same; then one Sturm count at 0 per
+    block larger than 2x2 finds, in that block, the eigenvalues either
+    side of 0, and its brackets are kept for those and its two ends
+    alone. Each value is certified as in a whole solve, but it need not
+    equal that solve's bit for bit: Newton's phase starts once the
+    tracked brackets are isolated, which can be a different pass.
 
     A stack of k matrices of one size, shape (k, n, n), returns a tuple
     of k spectra, each bit for bit the one its matrix gets alone: one
@@ -629,22 +706,39 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum | tuple[EigenSpectrum,
         for start, size in zip(starts.tolist(), sizes.tolist()):
             if size > 2:
                 lengths.setdefault(size, []).append((j, start))
+    # the exact small blocks' eigenvalues below 0; each larger block's
+    # count replaces its entries
+    negative = values < 0.0 if extremes else None
     # every larger block of one length, across the stack, bisects side by side
     widest = np.zeros(k)
     passes = np.zeros(k, dtype=np.int64)
     failures: dict[int, tuple[int, NoConvergence]] = {}
     for size, places in lengths.items():
-        outcomes = _lockstep(
-            np.stack([d[j, start : start + size] for j, start in places], axis=1),
-            np.stack([e[j, start : start + size - 1] for j, start in places], axis=1),
-        )
-        for (j, start), outcome in zip(places, outcomes):
+        blocks_d = np.stack([d[j, start : start + size] for j, start in places], axis=1)
+        blocks_e = np.stack([e[j, start : start + size - 1] for j, start in places], axis=1)
+        wants = None
+        if extremes:
+            g = len(places)
+            blocks_e2 = np.concatenate([np.zeros((1, g)), blocks_e * blocks_e])
+            below = _sturm_counts(blocks_d, blocks_e2, np.zeros(g)).tolist()
+            wants = [np.array(sorted({0, max(c - 1, 0), min(c, size - 1), size - 1}))
+                     for c in below]
+            for (j, start), c in zip(places, below):
+                negative[j, start : start + size] = np.arange(size) < c
+                values[j, start : start + size] = np.nan
+                passes[j] += 1
+        outcomes = _lockstep(blocks_d, blocks_e, wants)
+        for p, ((j, start), outcome) in enumerate(zip(places, outcomes)):
             if isinstance(outcome, NoConvergence):
                 # a solve of one matrix stops at its first such block
                 if j not in failures or start < failures[j][0]:
                     failures[j] = (start, outcome)
                 continue
-            values[j, start : start + size], width, count = outcome
+            solved, width, count = outcome
+            if wants is None:
+                values[j, start : start + size] = solved
+            else:
+                values[j, start + wants[p]] = solved
             widest[j] = max(widest[j], width)
             passes[j] += count
 
@@ -653,7 +747,11 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum | tuple[EigenSpectrum,
         if j in failures:
             failure = failures[j][1]
             raise NoConvergence(failure.residual, failure.sweeps, member=j if stacked else None)
-        values_j = np.sort(values[j])
+        indices = None
+        if extremes and n:
+            values_j, indices = _ends_and_zero_sides(values[j], negative[j])
+        else:
+            values_j = np.sort(values[j])
         top = float(np.max(np.abs(values_j))) if n else 0.0
         mantissa, power = math.frexp(top)
         exponent = int(exponents[j])
@@ -671,5 +769,6 @@ def symmetric_eigenvalues(m: np.ndarray) -> EigenSpectrum | tuple[EigenSpectrum,
             max_offdiag_residual=float(np.ldexp(widest[j], exponent)),
             sweeps=int(passes[j]),
             dropped=float(np.ldexp(dropped[j], exponent)),
+            indices=indices,
         ))
     return tuple(spectra) if stacked else spectra[0]

@@ -26,12 +26,20 @@ class NumericalError(MoranSarError):
 # ---------------------------------------------------------------------------
 
 class NonPositiveValue(InputError):
-    """A value that must be strictly positive is zero or negative."""
+    """A size is zero or negative, so its logarithm is undefined."""
 
-    def __init__(self, index: int, value: float):
+    def __init__(self, index: int, value: float, ident: str, path: str | None = None):
         self.index = index
         self.value = value
-        super().__init__(f"value at index {index} is not positive: {value!r}")
+        self.ident = ident
+        self.path = path
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}size of id {ident!r} is not positive: {value!r}; "
+                         f"the log transform (--log) needs positive sizes")
+
+    def in_file(self, path) -> NonPositiveValue:
+        """The same error, naming the sizes file it came from."""
+        return NonPositiveValue(self.index, self.value, self.ident, str(path))
 
 
 class ZeroVariance(InputError):

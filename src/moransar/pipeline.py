@@ -41,7 +41,7 @@ from .autocorr import (
 from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
 from .dataio import align_to_ids, load_critical_values, load_distances, load_sizes
 from .eigen import EigenSpectrum
-from .errors import InputError, MissingCriticalValues, ZeroVariance
+from .errors import InputError, MissingCriticalValues, NonPositiveValue, ZeroVariance
 from .inference import (
     DwCriticalValues,
     DwResult,
@@ -160,14 +160,6 @@ class AnalysisReport:
     @property
     def all_identities_pass(self) -> bool:
         return all(check.passed for check in self.identities)
-
-
-def _sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def analyze_data(
@@ -350,30 +342,44 @@ def _diagnose(
                          residual_permutation=residual_perm)
 
 
+def _load_hashed(load, path, *args):
+    """``load`` on the file's bytes, read once, and the SHA-256 of them."""
+    data = Path(path).read_bytes()
+    return load(path, *args, data=data), hashlib.sha256(data).hexdigest()
+
+
 def analyze(config: AnalysisConfig) -> AnalysisReport:
     """Load the configured files and run the analysis.
+
+    Each input file is read once: the provenance digests are those of
+    the bytes parsed.
 
     Raises:
         InputError subclasses on bad data; OSError on unreadable files.
     """
-    raw = load_sizes(config.sizes_path)
-    ids, distances = load_distances(config.dist_path, config.dist_format)
+    raw, sizes_sha256 = _load_hashed(load_sizes, config.sizes_path)
+    (ids, distances), dist_sha256 = _load_hashed(
+        load_distances, config.dist_path, config.dist_format
+    )
     raw = align_to_ids(raw, ids)
     dw_table = None
     if config.dw_critical_path is not None:
         dw_table = load_critical_values(config.dw_critical_path)
-    return analyze_data(
-        raw,
-        distances,
-        apply_log=config.log_transform,
-        permutations=config.permutations,
-        seed=config.seed,
-        alpha=config.alpha,
-        symmetrize=config.symmetrize,
-        dw_table=dw_table,
-        sizes_sha256=_sha256_file(config.sizes_path),
-        dist_sha256=_sha256_file(config.dist_path),
-    )
+    try:
+        return analyze_data(
+            raw,
+            distances,
+            apply_log=config.log_transform,
+            permutations=config.permutations,
+            seed=config.seed,
+            alpha=config.alpha,
+            symmetrize=config.symmetrize,
+            dw_table=dw_table,
+            sizes_sha256=sizes_sha256,
+            dist_sha256=dist_sha256,
+        )
+    except NonPositiveValue as exc:
+        raise exc.in_file(config.sizes_path) from None
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def log_transform(raw: RawSizeVector) -> RawSizeVector:
     """
     bad = np.flatnonzero(raw.values <= 0.0)
     if bad.size:
-        raise NonPositiveValue(int(bad[0]), float(raw.values[bad[0]]))
+        raise NonPositiveValue(int(bad[0]), float(raw.values[bad[0]]), raw.ids[bad[0]])
     return RawSizeVector(ids=raw.ids, values=np.log(raw.values))
 
 

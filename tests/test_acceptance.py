@@ -169,8 +169,11 @@ def test_criterion_5_spectral_suite(prepared1000):
             theoretical_low_misses += 1
         wtw = float(lag.values @ lag.values)
         worst_outer = max(worst_outer, abs(report.range3.lambda_outer_max - wtw))
-        spec_w = report.spectrum
-        spec_gram = symmetric_eigenvalues(weights.matrix.T @ weights.matrix)
+        # the report solves only the eigenvalues its ranges read; W's whole
+        # spectrum comes from one stacked solve with W'W, as in verify
+        spec_w, spec_gram = symmetric_eigenvalues(
+            np.stack([weights.matrix, weights.matrix.T @ weights.matrix])
+        )
         worst_gram = max(
             worst_gram,
             float(np.max(np.abs(spec_gram.values - np.sort(spec_w.values**2)))),

@@ -10,7 +10,7 @@ from moransar.bounds import bounds_report, reciprocal_interval
 from moransar.eigen import symmetric_eigenvalues
 from moransar.errors import ZeroRSquared
 from moransar.sar import fit_sar_ols
-from moransar.spatial_data import prepare
+from moransar.spatial_data import RawSizeVector, prepare
 from moransar.verification import random_instance
 
 
@@ -165,6 +165,56 @@ class TestChainNumbers:
         assert c.value == pytest.approx(-0.1, abs=1e-15)
         assert c.lower < -0.1 < c.upper
         assert report.pearson_analogy_ok
+
+
+def clustered_instance(seed, n=150):
+    """Sizes and distances of n points in six tight clusters, the shape
+    of the benchmark's large analysis."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 10.0, size=(6, 2))
+    points = centers[np.arange(n) % 6] + rng.normal(0.0, 0.8, size=(n, 2))
+    diff = points[:, None, :] - points[None, :, :]
+    sizes = RawSizeVector.from_values(rng.lognormal(size=n))
+    return sizes, np.sqrt((diff * diff).sum(axis=-1))
+
+
+class TestSelectedSpectrum:
+    """The ranges from the four eigenvalues solved alone, against the
+    ranges from W's whole spectrum."""
+
+    def test_verdicts_match_the_whole_spectrum(self, deck, far_clusters, two_site, chain):
+        rng = np.random.default_rng(5)
+        equal = [(RawSizeVector.from_values(rng.uniform(1.0, 9.0, size=n)),
+                  np.ones((n, n)) - np.eye(n)) for n in (3, 8, 40)]
+        cases = [*deck, far_clusters, two_site, chain, *equal,
+                 *(clustered_instance(seed) for seed in (1, 2, 3))]
+        for raw, dist in cases:
+            p = prepare(raw, dist)
+            fit = fit_sar_ols(p)
+            report = bounds_report(p, fit.r_squared)
+            whole = symmetric_eigenvalues(p.weights.matrix)
+            reference = bounds_report(p, fit.r_squared, whole)
+            assert report.spectrum.indices is not None
+            assert reference.spectrum is whole
+            pairs = [
+                (report.range1.containment, reference.range1.containment),
+                (report.range2.theoretical, reference.range2.theoretical),
+                (report.range2.empirical, reference.range2.empirical),
+                (report.range3.containment, reference.range3.containment),
+            ]
+            for got, want in pairs:
+                assert got.contained == want.contained
+                assert got.value == want.value
+            allowance = 0.5 * (report.spectrum.max_offdiag_residual
+                               + whole.max_offdiag_residual)
+            r1, w1 = report.range1.containment, reference.range1.containment
+            assert abs(r1.lower - w1.lower) <= allowance
+            assert abs(r1.upper - w1.upper) <= allowance
+            top = max(abs(w1.lower), abs(w1.upper))
+            for got, want in pairs[1:3]:
+                assert abs(got.lower - want.lower) <= 2.0 * top * allowance
+                assert abs(got.upper - want.upper) <= 2.0 * top * allowance
+            assert report.range1.rho_theoretical.kind == reference.range1.rho_theoretical.kind
 
 
 class TestValidation:

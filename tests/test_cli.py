@@ -285,6 +285,23 @@ class TestSimulateVerb:
         assert not (tmp_path / "d" / "distances.csv").exists()
 
 
+    @pytest.mark.parametrize("verb", [["analyze", "--permutations", "0"], ["bounds"]])
+    def test_log_of_a_nonpositive_simulated_size_is_located(self, tmp_path, capsys, verb):
+        # the default --a 1 --noise-sd 1 draws a negative size at id 16
+        data = tmp_path / "data"
+        assert main(["simulate", "--n", "35", "--seed", "7", "--out", str(data)]) == 0
+        sizes = str(data / "sizes.csv")
+        args = [*verb, "--sizes", sizes, "--dist", str(data / "distances.csv"), "--log"]
+        if verb[0] == "analyze":
+            args += ["--out", str(tmp_path / "report")]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"moransar: input error: {sizes}: size of id '16' is not positive")
+        assert "(--log) needs positive sizes" in err
+        assert "Traceback" not in err
+
+
 class TestVerifyVerb:
     def test_small_suite_passes(self, capsys):
         rc = main(["verify", "--instances", "3"])

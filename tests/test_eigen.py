@@ -2,6 +2,7 @@
 external and analytic oracles."""
 
 import itertools
+import sys
 import tracemalloc
 import warnings
 
@@ -288,9 +289,9 @@ def multisection_sizes(monkeypatch):
     """Record the size of every block the solver bisects."""
     sizes = []
 
-    def spy(d, e):
+    def spy(d, e, want=None):
         sizes.append(d.shape[0])
-        return real(d, e)
+        return real(d, e, want)
 
     real = eigen._multisection
     monkeypatch.setattr(eigen, "_multisection", spy)
@@ -591,11 +592,11 @@ class TestBlockedSturmKernel:
         # sends every index back from Newton's phase to multisection
         passes = []
 
-        def spy(d, e):
+        def spy(d, e, want=None):
             # relays the block's requests, and at each multisection pass
             # (not a Newton step or certificate, which ``_newton`` yields)
             # reads the generator's own lo and live
-            run = real(d, e)
+            run = real(d, e, want)
             reply = None
             while True:
                 try:
@@ -984,6 +985,100 @@ class TestStackedSolve:
             symmetric_eigenvalues(np.stack([np.diag(np.arange(30.0)), m]))
         assert stacked.value.member == 1 and lone.value.member is None
         assert (stacked.value.residual, stacked.value.sweeps) == (lone.value.residual, lone.value.sweeps)
+
+
+def equal_distance_weights(n):
+    return weights_from_distances(np.ones((n, n)) - np.eye(n)).matrix
+
+
+def selection_matrices(deck, far_clusters, two_site, chain):
+    """W of the seed-0 deck, of two clusters 1e170 apart (T splits), of
+    equal distances (one eigenvalue of multiplicity n-1), of two and
+    three sites, and of n = 150 points in tight clusters."""
+    for raw, dist in deck:
+        yield prepare(raw, dist).weights.matrix
+    for _, dist in (far_clusters, two_site, chain):
+        yield weights_from_distances(dist).matrix
+    for n in (3, 4, 8, 40, 150):
+        yield equal_distance_weights(n)
+    for seed in (150, 1, 2):
+        yield clustered_weights(seed=seed)
+
+
+class TestSelectedEigenvalues:
+    """``extremes=True`` against the whole solve of the same matrix."""
+
+    def test_values_lie_in_the_whole_solves_brackets(self, deck, far_clusters, two_site, chain):
+        for m in selection_matrices(deck, far_clusters, two_site, chain):
+            whole = symmetric_eigenvalues(m)
+            some = symmetric_eigenvalues(m, extremes=True)
+            n = m.shape[0]
+            k = int(np.count_nonzero(whole.values < 0.0))
+            expected = sorted({0, k - 1, k, n - 1} & set(range(n)))
+            np.testing.assert_array_equal(some.indices, expected)
+            assert some.n == whole.n == n
+            assert whole.indices is None
+            assert some.dropped == whole.dropped
+            # both brackets hold the same eigenvalue of the same T
+            allowance = 0.5 * (some.max_offdiag_residual + whole.max_offdiag_residual)
+            gap = np.abs(some.values - whole.values[some.indices])
+            assert np.all(gap <= allowance)
+
+    def test_a_split_tridiagonal_selects_in_every_block(self, far_clusters, monkeypatch):
+        _, dist = far_clusters
+        w = weights_from_distances(dist).matrix
+        whole = symmetric_eigenvalues(w)
+        sizes = multisection_sizes(monkeypatch)
+        some = symmetric_eigenvalues(w, extremes=True)
+        assert sizes == [4, 4]
+        assert some.dropped > 0.0
+        allowance = 0.5 * (some.max_offdiag_residual + whole.max_offdiag_residual)
+        assert np.all(np.abs(some.values - whole.values[some.indices]) <= allowance)
+
+    def test_multiple_eigenvalue_never_enters_newton(self, monkeypatch):
+        # indices 0 and n-2 share the bracket of -1/(n(n-1)) to the end
+        def forbidden(*args):
+            raise AssertionError("Newton phase entered")
+
+        monkeypatch.setattr(eigen, "_newton", forbidden)
+        for n in (3, 8, 40, 150):
+            some = symmetric_eigenvalues(equal_distance_weights(n), extremes=True)
+            np.testing.assert_array_equal(some.indices, sorted({0, n - 2, n - 1}))
+            expected = [-1.0 / (n * (n - 1))] * (some.values.size - 1) + [1.0 / n]
+            np.testing.assert_allclose(some.values, expected, rtol=0, atol=1e-15)
+
+    def test_newton_starts_on_brackets_of_one_eigenvalue(self, deck, monkeypatch):
+        # the counts at a tracked bracket's ends, recomputed on the block
+        # the multisection runs on, differ by exactly one
+        entries = []
+
+        def spy(lo, hi, live, index, target, budget):
+            state = sys._getframe(1).f_locals
+            d, e = state["d"], state["e"]
+            e2 = np.concatenate([[0.0], e * e])
+            below = eigen._sturm_counts(d, e2, lo[live])
+            above = eigen._sturm_counts(d, e2, hi[live])
+            np.testing.assert_array_equal(below, index)
+            np.testing.assert_array_equal(above, index + 1)
+            entries.append(live.size)
+            return real(lo, hi, live, index, target, budget)
+
+        real = eigen._newton
+        monkeypatch.setattr(eigen, "_newton", spy)
+        matrices = [clustered_weights(seed=seed) for seed in (150, 1, 2)]
+        matrices += [prepare(raw, dist).weights.matrix for raw, dist in deck[:10]]
+        for m in matrices:
+            symmetric_eigenvalues(m, extremes=True)
+            symmetric_eigenvalues(m)
+        assert len(entries) >= len(matrices)
+
+    def test_stacked_members_select_as_alone(self, deck):
+        w = prepare(*deck[4]).weights.matrix
+        matrices = [w, w.T @ w, -w, clustered_weights(n=w.shape[0])]
+        lone = [symmetric_eigenvalues(m, extremes=True) for m in matrices]
+        for a, b in zip(lone, symmetric_eigenvalues(np.stack(matrices), extremes=True)):
+            assert_same_spectrum(a, b)
+            np.testing.assert_array_equal(a.indices, b.indices)
 
 
 class TestIndependentOfLapack:

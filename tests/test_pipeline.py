@@ -1,9 +1,14 @@
 """End-to-end analysis: loading, reporting, determinism, serialization."""
 
+import builtins
 import csv
 import dataclasses
+import hashlib
+import io
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +94,26 @@ class TestAnalyze:
         assert len(report.provenance.sizes_sha256) == 64
         assert len(report.provenance.dist_sha256) == 64
         assert report.provenance.seed == 5
+
+    def test_each_input_is_read_once_and_hashed(self, noisy_files, monkeypatch):
+        _, _, sizes, dist = noisy_files
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        report = analyze(config_for(noisy_files, permutations=0))
+        monkeypatch.undo()
+        assert opened.count(sizes) == 1
+        assert opened.count(dist) == 1
+        digest = hashlib.sha256(Path(dist).read_bytes()).hexdigest()
+        assert report.provenance.dist_sha256 == digest
+        digest = hashlib.sha256(Path(sizes).read_bytes()).hexdigest()
+        assert report.provenance.sizes_sha256 == digest
 
 
 class TestDegenerateFixture:
