@@ -384,7 +384,8 @@ def write_distance_matrix(
 
 
 def write_scatter_csv(dataset, path: str | Path) -> None:
-    """Write scatter points as x,y rows, with trend lines in # comments."""
+    """Write scatter points as x,y rows, with trend lines in # comments,
+    all with LF line ends."""
     lines = [dataset.empirical_line]
     if dataset.theoretical_line is not None:
         lines.insert(0, dataset.theoretical_line)
@@ -392,7 +393,7 @@ def write_scatter_csv(dataset, path: str | Path) -> None:
         fh.write(f"# mode {dataset.mode}\n")
         for line in lines:
             fh.write(f"# line {line.slope!r} {line.intercept!r} {line.label}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([dataset.x_label.replace(" ", "_"),
                         dataset.y_label.replace(" ", "_")])
         for x, y in dataset.points:

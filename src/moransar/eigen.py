@@ -14,8 +14,9 @@ Three steps:
    a nonsymmetric matrix", J. ACM 5, 1958). Each trailing block is copied
    out contiguous before its update. A column whose tail below the
    subdiagonal has 2-norm at most tol sqrt(m), with tol = 4 eps ||A||_F
-   and m the column's length, is left unreflected and its tail dropped.
-   A reflected column's squared norm then exceeds 4 eps^2, far from
+   and m the column's length, is left unreflected and its tail dropped;
+   its rank-2 update is by zero vectors, which changes no bit. A
+   reflected column's squared norm then exceeds 4 eps^2, far from
    underflow, so one power-of-two scaling of the whole input is the only
    rescaling the reduction needs.
 2. T splits at every off-diagonal |e_i| <= tol. Dropping an entry moves
@@ -37,9 +38,11 @@ Three steps:
    -inf (Demmel, Dhillon & Ren, ETNA 3, 1995). A count needs only each
    pivot's sign bit, so pivots are kept for a block of rows and counted
    together: two numpy calls per row, in memory bounded by
-   ``PIVOT_BLOCK`` pivots. Once no two unfinished
-   eigenvalues share a bracket, bisection gains only 6 bits a pass, so
-   one Newton phase takes over: the same recurrence, differentiated,
+   ``PIVOT_BLOCK`` pivots. A bracket's counts at its ends tell how many
+   eigenvalues it holds. Once every unfinished bracket holds one,
+   bisection gains only 6 bits a pass, so one Newton phase takes over
+   (Barth, Martin & Wilkinson select indices the same way; so does
+   LAPACK's dstebz with RANGE='I'): the same recurrence, differentiated,
    gives f'/f of f(x) = det(T - xI) at one point per eigenvalue, and
    each step's count also tightens the bracket. A final Sturm pass
    certifies every refined value by a window of 3/4 the target around
@@ -51,16 +54,15 @@ Three steps:
 With ``extremes=True`` the caller gets only the ends of the spectra of A
 and A^2 from the same reduction: one Sturm count at 0 per block finds the
 eigenvalues either side of 0, and only those and the block's least and
-greatest keep brackets. A bracket's counts at its ends tell how many
-eigenvalues it holds, tracked or not, and Newton's phase starts once each
-unfinished tracked bracket holds one (Barth, Martin & Wilkinson select
-indices the same way; so does LAPACK's dstebz with RANGE='I').
+greatest keep brackets. Newton's phase starts by the same rule as in a
+whole solve: once each unfinished tracked bracket holds one eigenvalue,
+the untracked ones counted too.
 
 A stack of k matrices of one size, shape (k, n, n), is solved in one
 call, each member bit for bit as it would be alone. The reduction runs
-one sweep over the members that reflect, batching the copy and rank-2
-update of their trailing blocks. The blocks of one length, across the
-stack, then advance in lockstep, each with its own brackets and phases:
+one sweep over every member, batching the copy and rank-2 update of
+their trailing blocks. The blocks of one length, across the stack, then
+advance in lockstep, each with its own brackets and phases:
 a round makes one kernel call for all their multisection passes and one
 for their Newton steps and certificates, so at the sizes of ``moransar
 verify`` (n <= 40, where a pass costs numpy calls per row more than
@@ -187,16 +189,14 @@ def _tridiagonalize(
     moves each eigenvalue by at most the tail's norm (Weyl), which is
     summed into the member's dropped norm.
 
-    One sweep of reflections runs over the members that reflect. Each
-    member's Householder vector and its product with the trailing block
-    are formed as for a lone matrix (the product is a BLAS call per
+    One sweep of reflections runs over every member for every column.
+    Each member's Householder vector and its product with the trailing
+    block are formed as for a lone matrix (the product is a BLAS call per
     member either way); the copy of the trailing blocks and the rank-2
-    update, the work of order m^2 per member, run batched over the
-    sweep, elementwise, so each member gets the bits it would get alone.
-    A member whose column is dropped leaves the sweep, its trailing block
-    unchanged, and drops column after column until one needs a
-    reflection again; there it rejoins. A rank-1 member leaves after its
-    first column for good.
+    update, the work of order m^2 per member, run batched over the stack,
+    elementwise, so each member gets the bits it would get alone. A
+    member whose column is dropped takes v = w = +0 in that update, which
+    leaves its trailing block bit for bit as it was.
 
     Requires tol >= 2 eps max|a|, which ``symmetric_eigenvalues`` meets:
     it passes entries of magnitude below 1, the largest at least 1/2, and
@@ -211,87 +211,55 @@ def _tridiagonalize(
     e = np.zeros((k, max(n - 1, 0)))
     dropped = np.zeros(k)
     limits = tol.tolist()
-
-    def rest(j: int, block: np.ndarray, c: int) -> int:
-        """Member j's columns from c on, while they drop; returns the
-        column that needs a reflection, or n when none does."""
-        for i in range(block.shape[0] - 2):
-            x = block[i + 1 :, i]
-            bound = limits[j] * math.sqrt(x.size)
-            # the tail's largest entry bounds its norm from below, so only
-            # a tail already that small pays for the norm (hypot: a tail
-            # near 1e-170 would square to zero)
-            if float(np.abs(x[1:]).max()) > bound:
-                return c + i
-            norm = math.hypot(*x[1:].tolist())
-            if norm > bound:
-                return c + i
-            # column already tridiagonal up to rounding: no reflection,
-            # so an exact block structure survives exactly
-            d[j, c + i] = block[i, i]
-            e[j, c + i] = x[0]
-            dropped[j] += norm
-        d[j, n - 2 :] = block[-2:, -2:].diagonal()
-        e[j, -1] = block[-1, -2]
-        return n
-
     # the rank-2 update's two outer products live in buffers made once: a
     # fresh (n-1)^2 temporary per column is large enough for glibc malloc
     # to map and unmap it every time (~12 page faults per column at n = 150)
     vw = np.empty(k * e.shape[1] ** 2)
     wv = np.empty_like(vw)
-    rows = list(range(k))  # row r of ``a`` is member rows[r]
-    waking: dict[int, list[tuple[int, np.ndarray]]] = {}
     for c in range(n - 2):
-        if c in waking:
-            joining = waking.pop(c)
-            blocks = np.stack([block for _, block in joining])
-            a = np.concatenate([a, blocks]) if rows else blocks
-            rows += [j for j, _ in joining]
-        if not rows:
-            continue
         m = n - 1 - c
-        tails = np.abs(a[:, 2:, 0]).max(axis=1).tolist()
-        resting = []
-        for r, j in enumerate(rows):
-            if tails[r] <= limits[j] * math.sqrt(m):
-                wake = rest(j, a[r], c)
-                if wake > c:
-                    resting.append(r)
-                if c < wake < n:
-                    waking.setdefault(wake, []).append((j, a[r, wake - c :, wake - c :]))
-        if resting:
-            awake = [r for r in range(len(rows)) if r not in resting]
-            a = a[awake]
-            rows = [rows[r] for r in awake]
-            if not rows:
-                continue
         # H B H with H = I - beta v v' is B - v w' - w v'; the trailing
         # blocks are copied out contiguous, so the products and the update
         # run over contiguous arrays instead of strided rows
         v = a[:, 1:, 0].copy()
         b = a[:, 1:, 1:].copy()
         w = np.empty_like(v)
+        d[:, c] = a[:, 0, 0]
+        # the tail's largest entry bounds its norm from below, so only a
+        # tail already that small pays for the norm
+        tails = np.abs(v[:, 1:]).max(axis=1).tolist()
         # each member's vectors, by the operations a lone matrix runs
-        for r, (j, x) in enumerate(zip(rows, v)):
-            d[j, c] = a[r, 0, 0]
+        for j, x in enumerate(v):
+            bound = limits[j] * math.sqrt(m)
+            if tails[j] <= bound:
+                # hypot: a tail near 1e-170 would square to zero
+                norm = math.hypot(*x[1:].tolist())
+                if norm <= bound:
+                    # column already tridiagonal up to rounding: no
+                    # reflection, and v = w = +0 make the update subtract
+                    # +0.0, which keeps every bit of the block (-0.0 too),
+                    # so an exact block structure survives exactly
+                    e[j, c] = x[0]
+                    dropped[j] += norm
+                    x[:] = 0.0
+                    w[j] = 0.0
+                    continue
             alpha = -math.copysign(math.sqrt(float(x @ x)), x[0])
             x[0] -= alpha
             beta = 2.0 / float(x @ x)
             e[j, c] = alpha
-            p = beta * (b[r] @ x)
-            np.subtract(p, (0.5 * beta * float(p @ x)) * x, out=w[r])
-        size = len(rows) * m * m
+            p = beta * (b[j] @ x)
+            np.subtract(p, (0.5 * beta * float(p @ x)) * x, out=w[j])
+        size = k * m * m
         update = np.multiply(v[:, :, None], w[:, None, :],
-                             out=vw[:size].reshape(len(rows), m, m))
+                             out=vw[:size].reshape(k, m, m))
         update += np.multiply(w[:, :, None], v[:, None, :],
-                              out=wv[:size].reshape(len(rows), m, m))
+                              out=wv[:size].reshape(k, m, m))
         b -= update
         a = b
-    if rows:
-        d[rows, max(n - 2, 0) :] = a[:, -2:, -2:].diagonal(axis1=1, axis2=2)
-        if n >= 2:
-            e[rows, -1] = a[:, -1, -2]
+    d[:, max(n - 2, 0) :] = a[:, -2:, -2:].diagonal(axis1=1, axis2=2)
+    if n >= 2:
+        e[:, -1] = a[:, -1, -2]
     return d, e, dropped
 
 
@@ -464,13 +432,11 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
     nondecreasing in k, so the indices that share a bracket form a run of
     equal ``lo``: each pass splits every distinct bracket wider than the
     target into 65 pieces, and each of its indices takes the piece that
-    holds it. Once every unfinished bracket holds one eigenvalue, one
-    Newton phase refines them all. With every index wanted, that is when
-    no two unfinished indices share a bracket; with some, untracked
-    eigenvalues may share it too, so the counts at each bracket's ends
-    are kept and their difference decides. Newton's phase only shrinks
-    the brackets it leaves unfinished, so they stay ordered and are split
-    on as before. Newton's steps and its certificate count against
+    holds it. The counts at each bracket's ends tell how many eigenvalues
+    it holds, wanted or not; once every unfinished bracket holds one, one
+    Newton phase refines them all. Newton's phase only shrinks the
+    brackets it leaves unfinished, so they stay ordered and are split on
+    as before. Newton's steps and its certificate count against
     ``MAX_PASSES`` like any other pass.
     """
     m = d.shape[0]
@@ -485,9 +451,7 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
     index = np.arange(m) if want is None else want
     lo = np.full(index.size, lower - target)
     hi = np.full(index.size, upper + target)
-    # count(lo) and count(hi) of each bracket, kept only when some indices
-    # are not wanted: with all of them, a bracket that no other index
-    # shares holds one eigenvalue
+    # count(lo) and count(hi) of each bracket until Newton's phase
     below = np.zeros(index.size, dtype=np.int64)
     above = np.full(index.size, m, dtype=np.int64)
     fractions = np.arange(1, SHIFTS_PER_BRACKET + 1) / (SHIFTS_PER_BRACKET + 1)
@@ -501,9 +465,7 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
         starts = np.empty(live.size, dtype=bool)
         starts[0] = True
         np.not_equal(left[1:], left[:-1], out=starts[1:])
-        if not refined and (
-            starts.all() if want is None else (above[live] - below[live] == 1).all()
-        ):
+        if not refined and (above[live] - below[live] == 1).all():
             # every unfinished bracket holds one eigenvalue
             budget = MAX_PASSES - passes
             passes += yield from _newton(lo, hi, live, index[live], target, budget)
@@ -521,7 +483,7 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
         edges = np.concatenate([left[:, None], shifts, right[:, None]], axis=1)
         lo[live] = edges[owner, piece]
         hi[live] = edges[owner, piece + 1]
-        if want is not None and not refined:
+        if not refined:
             tallies = np.concatenate([below[first, None], counts, above[first, None]], axis=1)
             below[live] = tallies[owner, piece]
             above[live] = tallies[owner, piece + 1]

@@ -482,7 +482,7 @@ def emit_report(
     if "csv" in formats:
         path = out_dir / "summary.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["measure", "parameter", "coefficient", "p_value",
                              "r_squared"])
             writer.writerows(summary_rows(report))

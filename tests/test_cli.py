@@ -1,9 +1,11 @@
 """Command-line verbs, flag handling, exit codes, and console output."""
 
+import csv
 import json
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -385,3 +387,43 @@ class TestVersionAndEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
         assert (out / "scatter_autoregression.svg").exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestWrittenArtifacts:
+    def test_every_file_is_lf_only_and_valid(self, fixtures_dir, tmp_path):
+        # every verb that writes files (bounds only prints), into its own
+        # directory, then every file it left checked in its format
+        runs = {
+            "analyze": chain_analyze(fixtures_dir, tmp_path / "analyze",
+                                     "--permutations", "19", "--seed", "1", "--svg"),
+            "simulate": ["simulate", "--n", "8", "--seed", "5", "--rho", "1.0",
+                         "--out", str(tmp_path / "simulate")],
+        }
+        for mode in ("autocorr", "sar"):
+            for svg in ([], ["--svg"]):
+                out = tmp_path / f"scatter_{mode}{'_svg' if svg else ''}"
+                runs[out.name] = ["scatter", *input_args(fixtures_dir), "--mode", mode,
+                                  *svg, "--out", str(out)]
+        for argv in runs.values():
+            assert main(argv) == 0
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        # report, summary and two plots; a csv per scatter run, a plot for
+        # two of them; sizes and distances
+        assert len(files) == 4 + 4 + 2 + 2
+        for path in files:
+            data = path.read_bytes()
+            assert b"\r" not in data, path
+            text = data.decode("utf-8")
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=reject_constant)
+            elif path.suffix == ".csv":
+                rows = list(csv.reader(line for line in text.splitlines()
+                                       if not line.startswith("#")))
+                assert rows and len({len(row) for row in rows}) == 1, path
+            else:
+                assert path.suffix == ".svg", path
+                ET.fromstring(data)

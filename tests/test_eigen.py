@@ -923,6 +923,34 @@ class TestStackedSolve:
         for a, b in zip(lone, stacked):
             assert_same_spectrum(a, b)
 
+    def test_reduction_of_each_member_as_alone(self):
+        # (d, e, dropped) bit for bit: the signs of e, which no spectrum
+        # shows, included. The split member drops columns 0-2 and reflects
+        # at column 3; the rank-1 one reflects once and drops the rest;
+        # the last drops column 0 and then reflects on a column that
+        # starts with -0.0, which copysign reads
+        split = np.zeros((10, 10))
+        split[0, 0] = 2.0
+        split[1:3, 1:3] = [[3.0, 4.0], [4.0, -3.0]]
+        split[3:8, 3:8] = random_symmetric(11, 5)
+        split[8:10, 8:10] = [[2.0, 1.0], [1.0, 2.0]]
+        u = np.random.default_rng(9).normal(size=10)
+        signed = np.zeros((10, 10))
+        signed[0, 0] = 0.5
+        signed[1:, 1:] = random_symmetric(13, 9)
+        signed[1, 2] = signed[2, 1] = -0.0
+        members = [split, np.outer(u, u), random_symmetric(12, 10), signed]
+        # largest entry in [1/2, 1), as the solver passes it
+        members = [np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in members]
+        tol = np.array([drop_tolerance(m) for m in members])
+        d, e, dropped = eigen._tridiagonalize(np.stack(members), tol)
+        for j, m in enumerate(members):
+            alone = tridiagonalize_one(m, tol[j])
+            for got, want in zip((d[j], e[j], dropped[j]), alone):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # alpha = -copysign(norm, -0.0) > 0 only if the -0.0 survived column 0
+        assert e[3, 0] == 0.0 and e[3, 1] > 0.0 and dropped[3] == 0.0
+
     @pytest.mark.parametrize("block", [1, 640, 4096])
     def test_pivot_block_changes_no_member(self, deck, monkeypatch, block):
         stacks = [np.stack([w, w.T @ w]) for w in (prepare(*pair).weights.matrix for pair in deck[:4])]
