@@ -238,40 +238,38 @@ def _load_distance_matrix(path: str | Path, text: str) -> tuple[tuple[str, ...],
 
 def _load_distance_long(path: str | Path, text: str) -> tuple[tuple[str, ...], np.ndarray]:
     rows = _skip_header(_rows(path, text), 2)
-    pair_values: dict[frozenset[str], float] = {}
-    order: list[str] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}
+    pair_values: dict[tuple[int, int], float] = {}
     for lineno, fields in rows:
         if len(fields) != 3:
             raise ParseError(str(path), lineno, f"expected 3 fields, got {len(fields)}")
         id_a, id_b, raw_value = fields
         value = _parse_float(path, lineno, raw_value, "distance")
-        for ident in (id_a, id_b):
-            if ident not in seen:
-                seen.add(ident)
-                order.append(ident)
-        if id_a == id_b:
+        a, b = index.setdefault(id_a, len(index)), index.setdefault(id_b, len(index))
+        if a == b:
             continue  # self-distance is never used
-        key = frozenset((id_a, id_b))
-        if key in pair_values and pair_values[key] != value:
+        key = (min(a, b), max(a, b))
+        known = pair_values.get(key, value)
+        if known != value:
             raise ParseError(
                 str(path), lineno,
-                f"pair ({id_a}, {id_b}) already given as {pair_values[key]!r}, "
-                f"now {value!r}",
+                f"pair ({id_a}, {id_b}) already given as {known!r}, now {value!r}",
             )
         pair_values[key] = value
-    if len(order) < 2:
+    if len(index) < 2:
         raise ParseError(str(path), 0, "long-form file names fewer than 2 elements")
-    ids = tuple(order)
+    ids = tuple(index)
     n = len(ids)
-    index = {ident: k for k, ident in enumerate(ids)}
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = frozenset((ids[i], ids[j]))
-            if key not in pair_values:
-                raise MissingPair(str(path), rows[-1][0], ids[i], ids[j])
-            matrix[i, j] = matrix[j, i] = pair_values[key]
+    matrix = np.full((n, n), np.nan)
+    np.fill_diagonal(matrix, 0.0)
+    i, j = np.array(list(pair_values), dtype=np.intp).reshape(-1, 2).T
+    matrix[i, j] = matrix[j, i] = list(pair_values.values())
+    # row by row the first gap lies above the diagonal: a gap below it
+    # mirrors one in an earlier row
+    missing = np.argwhere(np.isnan(matrix))
+    if missing.size:
+        i, j = missing[0].tolist()
+        raise MissingPair(str(path), rows[-1][0], ids[i], ids[j])
     return ids, matrix
 
 
@@ -361,40 +359,40 @@ def load_reference_values() -> dict:
     return json.loads(text)
 
 
-def write_sizes(raw: RawSizeVector, path: str | Path) -> None:
-    """Write a size vector as an ``id,value`` CSV with LF line ends."""
+def write_csv(path: str | Path, header: list[str], rows, comments=()) -> None:
+    """Write each of ``comments`` as a ``# `` line, then ``header`` and the
+    iterable ``rows`` of string lists as CSV, all with LF line ends; every
+    CSV artifact is written here."""
     with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "value"])
-        for ident, value in zip(raw.ids, raw.values):
-            writer.writerow([ident, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_sizes(raw: RawSizeVector, path: str | Path) -> None:
+    """Write a size vector as an ``id,value`` CSV."""
+    write_csv(path, ["id", "value"],
+              ([ident, repr(float(value))] for ident, value in zip(raw.ids, raw.values)))
 
 
 def write_distance_matrix(
     ids: tuple[str, ...], matrix: np.ndarray, path: str | Path
 ) -> None:
-    """Write a distance matrix in the header-row CSV format with LF line
-    ends, which the loader reads without csv.reader when no id needs
-    quotes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", *ids])
-        for ident, row in zip(ids, matrix):
-            writer.writerow([ident, *(repr(float(v)) for v in row)])
+    """Write a distance matrix in the header-row CSV format, which the
+    loader reads without csv.reader when no id needs quotes."""
+    write_csv(path, ["id", *ids],
+              ([ident, *(repr(float(v)) for v in row)] for ident, row in zip(ids, matrix)))
 
 
 def write_scatter_csv(dataset, path: str | Path) -> None:
-    """Write scatter points as x,y rows, with trend lines in # comments,
-    all with LF line ends."""
-    lines = [dataset.empirical_line]
-    if dataset.theoretical_line is not None:
-        lines.insert(0, dataset.theoretical_line)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# mode {dataset.mode}\n")
-        for line in lines:
-            fh.write(f"# line {line.slope!r} {line.intercept!r} {line.label}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([dataset.x_label.replace(" ", "_"),
-                        dataset.y_label.replace(" ", "_")])
-        for x, y in dataset.points:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    """Write scatter points as x,y rows, with trend lines in # comments."""
+    lines = [line for line in (dataset.theoretical_line, dataset.empirical_line)
+             if line is not None]
+    write_csv(
+        path,
+        [dataset.x_label.replace(" ", "_"), dataset.y_label.replace(" ", "_")],
+        ([repr(float(x)), repr(float(y))] for x, y in dataset.points),
+        comments=[f"mode {dataset.mode}",
+                  *(f"line {line.slope!r} {line.intercept!r} {line.label}" for line in lines)],
+    )

@@ -211,11 +211,12 @@ def _tridiagonalize(
     e = np.zeros((k, max(n - 1, 0)))
     dropped = np.zeros(k)
     limits = tol.tolist()
-    # the rank-2 update's two outer products live in buffers made once: a
-    # fresh (n-1)^2 temporary per column is large enough for glibc malloc
-    # to map and unmap it every time (~12 page faults per column at n = 150)
+    # the rank-2 update's outer product and its sum with its transpose live
+    # in buffers made once: a fresh (n-1)^2 temporary per column is large
+    # enough for glibc malloc to map and unmap it every time (~12 page
+    # faults per column at n = 150)
     vw = np.empty(k * e.shape[1] ** 2)
-    wv = np.empty_like(vw)
+    update = np.empty_like(vw)
     for c in range(n - 2):
         m = n - 1 - c
         # H B H with H = I - beta v v' is B - v w' - w v'; the trailing
@@ -250,12 +251,11 @@ def _tridiagonalize(
             e[j, c] = alpha
             p = beta * (b[j] @ x)
             np.subtract(p, (0.5 * beta * float(p @ x)) * x, out=w[j])
+        # v w' + w v' as v w' plus its transpose: w_i v_j and v_j w_i are
+        # the same float, so each sum is the one both products give
         size = k * m * m
-        update = np.multiply(v[:, :, None], w[:, None, :],
-                             out=vw[:size].reshape(k, m, m))
-        update += np.multiply(w[:, :, None], v[:, None, :],
-                              out=wv[:size].reshape(k, m, m))
-        b -= update
+        outer = np.multiply(v[:, :, None], w[:, None, :], out=vw[:size].reshape(k, m, m))
+        b -= np.add(outer, outer.transpose(0, 2, 1), out=update[:size].reshape(k, m, m))
         a = b
     d[:, max(n - 2, 0) :] = a[:, -2:, -2:].diagonal(axis1=1, axis2=2)
     if n >= 2:

@@ -18,10 +18,10 @@ t-tests and one Durbin-Watson result instead of deriving them again.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,7 +39,8 @@ from .autocorr import (
     scatter_dataset,
 )
 from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
-from .dataio import align_to_ids, load_critical_values, load_distances, load_sizes
+from .dataio import (align_to_ids, load_critical_values, load_distances, load_sizes,
+                     write_csv)
 from .eigen import EigenSpectrum
 from .errors import InputError, MissingCriticalValues, NonPositiveValue, ZeroVariance
 from .inference import (
@@ -172,10 +173,9 @@ def analyze_data(
     alpha: float = 0.05,
     symmetrize: str = "auto",
     dw_table: dict[tuple[int, float], DwCriticalValues] | None = None,
-    sizes_sha256: str = "",
-    dist_sha256: str = "",
 ) -> AnalysisReport:
-    """Run the full analysis on in-memory inputs.
+    """Run the full analysis on in-memory inputs; the provenance digests
+    are empty, as no file was read.
 
     Raises:
         InputError: on an out-of-range option or bad data.
@@ -189,8 +189,6 @@ def analyze_data(
         seed=seed,
         alpha=alpha,
         dw_table=dw_table,
-        sizes_sha256=sizes_sha256,
-        dist_sha256=dist_sha256,
     )
 
 
@@ -203,8 +201,6 @@ def analyze_prepared(
     seed: int = 0,
     alpha: float = 0.05,
     dw_table: dict[tuple[int, float], DwCriticalValues] | None = None,
-    sizes_sha256: str = "",
-    dist_sha256: str = "",
 ) -> AnalysisReport:
     """The analysis after ``prepare``: the body of ``analyze_data``.
 
@@ -232,8 +228,8 @@ def analyze_prepared(
     identities = _identity_checks(inputs, moran, fit, diagnostics.result, bounds)
 
     provenance = Provenance(
-        sizes_sha256=sizes_sha256,
-        dist_sha256=dist_sha256,
+        sizes_sha256="",  # the files' digests, which only ``analyze`` knows
+        dist_sha256="",
         seed=seed,
         version=__version__,
         n=z.n,
@@ -351,8 +347,8 @@ def _load_hashed(load, path, *args):
 def analyze(config: AnalysisConfig) -> AnalysisReport:
     """Load the configured files and run the analysis.
 
-    Each input file is read once: the provenance digests are those of
-    the bytes parsed.
+    Each input file is read once: the provenance digests, set here and
+    only here, are those of the bytes parsed.
 
     Raises:
         InputError subclasses on bad data; OSError on unreadable files.
@@ -366,7 +362,7 @@ def analyze(config: AnalysisConfig) -> AnalysisReport:
     if config.dw_critical_path is not None:
         dw_table = load_critical_values(config.dw_critical_path)
     try:
-        return analyze_data(
+        report = analyze_data(
             raw,
             distances,
             apply_log=config.log_transform,
@@ -375,11 +371,12 @@ def analyze(config: AnalysisConfig) -> AnalysisReport:
             alpha=config.alpha,
             symmetrize=config.symmetrize,
             dw_table=dw_table,
-            sizes_sha256=sizes_sha256,
-            dist_sha256=dist_sha256,
         )
     except NonPositiveValue as exc:
         raise exc.in_file(config.sizes_path) from None
+    provenance = dataclasses.replace(report.provenance, sizes_sha256=sizes_sha256,
+                                     dist_sha256=dist_sha256)
+    return dataclasses.replace(report, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +393,9 @@ def _json_float(value: float) -> float | str:
 
     Strict JSON has no Infinity or NaN literal.
     """
-    if np.isfinite(value):
+    if math.isfinite(value):
         return value
-    if np.isnan(value):
+    if math.isnan(value):
         return "NaN"
     return "Infinity" if value > 0.0 else "-Infinity"
 
@@ -481,11 +478,8 @@ def emit_report(
 
     if "csv" in formats:
         path = out_dir / "summary.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["measure", "parameter", "coefficient", "p_value",
-                             "r_squared"])
-            writer.writerows(summary_rows(report))
+        write_csv(path, ["measure", "parameter", "coefficient", "p_value", "r_squared"],
+                  summary_rows(report))
         written["csv"] = path
 
     if "svg" in formats:
