@@ -10,11 +10,15 @@ Each verb is a thin wrapper over the library. analyze turns its flags
 into an AnalysisConfig, which validates them, and runs pipeline.analyze
 and pipeline.emit_report; scatter, bounds and simulate read one
 spatial_data.prepare bundle.
+
+``run`` is the process entry of ``python -m moransar`` and of the
+``moransar`` console script; ``main`` is the in-process one.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -282,5 +286,22 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run(argv: list[str] | None = None) -> int:
+    """Run ``main`` as a whole process, then freeze the garbage collector.
+
+    ``gc.freeze()`` moves every object alive at that point (numpy's and
+    moransar's import-time objects most of all) into the permanent
+    generation, which the interpreter's exit-time collections skip.
+    Shutdown is otherwise ordinary: atexit handlers run and stdio is
+    flushed. ``main`` does not freeze: in a caller that goes on running
+    after it returns, a reference cycle among frozen objects would never
+    be collected.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import math
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +352,10 @@ def load_reference_values() -> dict:
     ``dataset_available`` flag is False and the values serve as the
     comparison target for user-supplied copies of the data.
     """
+    # imported here: no verb reads the bundled values, and without a site
+    # file that preloads it importlib.resources costs every import 5-12 ms
+    from importlib import resources
+
     text = (
         resources.files("moransar") / "data" / "reference_values.json"
     ).read_text()

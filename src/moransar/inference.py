@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +195,10 @@ def permutation_test(
     if workers == 1:
         exceed = sum(map(count_block, blocks))
     else:
+        # imported here: the pool's modules (logging and queue among them)
+        # cost every CLI process start-up, and only workers > 1 needs them
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             exceed = sum(pool.map(count_block, blocks))
 

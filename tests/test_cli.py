@@ -1,12 +1,15 @@
 """Command-line verbs, flag handling, exit codes, and console output."""
 
 import csv
+import gc
 import json
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moransar.cli as cli
@@ -387,6 +390,73 @@ class TestVersionAndEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
         assert (out / "scatter_autoregression.svg").exists()
+
+
+class TestProcessEntry:
+    """``cli.run``, the entry of ``python -m moransar`` and the console
+    script, freezes the collector at exit; ``cli.main`` never does."""
+
+    def test_main_leaves_the_collector_unfrozen(self, fixtures_dir, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(chain_analyze(fixtures_dir, tmp_path, "--permutations", "0")) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_returns_mains_code_and_freezes(self, fixtures_dir, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import gc, sys\n"
+             "from moransar import cli\n"
+             "code = cli.run(sys.argv[1:])\n"
+             "print(code, gc.get_freeze_count() > 0)\n",
+             *chain_analyze(fixtures_dir, tmp_path, "--permutations", "0")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
+
+    def test_module_entry_analyzes_the_chain(self, fixtures_dir, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "moransar",
+             *chain_analyze(fixtures_dir, tmp_path, "--permutations", "0")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "identities: 13/13 pass" in proc.stdout
+        assert json.loads((tmp_path / "report.json").read_text())["provenance"]["n"] == 3
+
+    def test_module_entry_malformed_sizes_exits_1_without_traceback(
+            self, fixtures_dir, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,value\na,1\nb,not-a-number\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "moransar", "analyze", "--sizes", str(bad),
+             "--dist", str(fixtures_dir / "chain_distances.csv"),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"moransar: input error: {bad}:3: "
+                               "size value is not a number: 'not-a-number'\n")
+
+    def test_site_less_import_skips_unused_modules(self):
+        # -S: no site file runs, so none can preload a module and hide an
+        # import that moransar.cli brings in; the directories holding
+        # moransar and numpy are put on sys.path by hand instead
+        paths = [str(Path(module.__file__).resolve().parents[1])
+                 for module in (cli, np)]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys\n"
+             "sys.path[:0] = sys.argv[1:]\n"
+             "import moransar.cli\n"
+             "unused = ('concurrent.futures', 'logging', 'importlib.resources')\n"
+             "print(' '.join(m for m in unused if m in sys.modules))\n",
+             *paths],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 def reject_constant(name):
