@@ -71,6 +71,7 @@ from .pipeline import (
     analyze,
     analyze_data,
     emit_report,
+    prepare_files,
     report_to_dict,
 )
 from .sar import (
@@ -127,7 +128,7 @@ __all__ = [
     "geary_pairwise", "dw_interpret", "critical_values_for",
     # pipeline and I/O
     "AnalysisConfig", "AnalysisReport", "IdentityCheck", "analyze", "analyze_data",
-    "emit_report", "report_to_dict", "load_sizes", "load_distances",
+    "prepare_files", "emit_report", "report_to_dict", "load_sizes", "load_distances",
     "align_to_ids", "load_critical_values", "load_reference_values",
     "write_scatter_csv", "render_svg",
     "simulate_sar",

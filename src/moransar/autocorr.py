@@ -51,6 +51,8 @@ class MoranResult:
 
 @dataclass(frozen=True)
 class TrendLine:
+    """A straight line y = intercept + slope * x drawn on a scatterplot."""
+
     slope: float
     intercept: float
     label: str

@@ -67,6 +67,8 @@ class RhoInterval:
 
 @dataclass(frozen=True)
 class MoranRangeVerdict:
+    """The first range, I/n between W's extreme eigenvalues, and its slope regions."""
+
     containment: Containment
     rho_theoretical: RhoInterval
     rho_empirical: RhoInterval
@@ -74,6 +76,8 @@ class MoranRangeVerdict:
 
 @dataclass(frozen=True)
 class QuadraticRangeVerdict:
+    """The second range: both lag-energy quotients against W'W's spectrum."""
+
     theoretical: Containment
     empirical: Containment
     rayleigh_gap: float  # |empirical LHS - z'W'Wz / n|, a pure float check
@@ -81,6 +85,8 @@ class QuadraticRangeVerdict:
 
 @dataclass(frozen=True)
 class OuterRangeVerdict:
+    """The third range, I^2/n in [0, (Wz)'(Wz)], and the rho^2 floor it implies."""
+
     containment: Containment
     lambda_outer_max: float  # (Wz)'(Wz), the one nonzero eigenvalue
     rho_sq_lower: float      # implied rho^2 >= n / (Wz)'(Wz)
@@ -88,6 +94,8 @@ class OuterRangeVerdict:
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """All three spectral ranges of one dataset."""
+
     range1: MoranRangeVerdict
     range2: QuadraticRangeVerdict
     range3: OuterRangeVerdict

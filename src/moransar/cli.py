@@ -8,8 +8,9 @@ MORANSAR_SEED environment variable, then 0.
 
 Each verb is a thin wrapper over the library. analyze turns its flags
 into an AnalysisConfig, which validates them, and runs pipeline.analyze
-and pipeline.emit_report; scatter, bounds and simulate read one
-spatial_data.prepare bundle.
+and pipeline.emit_report; scatter and bounds read their files through
+pipeline.prepare_files, as analyze does, and simulate checks its draw
+with spatial_data.prepare.
 
 ``run`` is the process entry of ``python -m moransar`` and of the
 ``moransar`` console script; ``main`` is the in-process one.
@@ -28,16 +29,9 @@ import numpy as np
 from ._version import __version__
 from .autocorr import MODE_AUTOCORRELATION, MODE_AUTOREGRESSION, scatter_dataset
 from .bounds import bounds_report
-from .dataio import (
-    align_to_ids,
-    load_distances,
-    load_sizes,
-    write_distance_matrix,
-    write_scatter_csv,
-    write_sizes,
-)
-from .errors import InputError, NonPositiveValue, NumericalError
-from .pipeline import AnalysisConfig, analyze, emit_report
+from .dataio import load_distances, write_distance_matrix, write_scatter_csv, write_sizes
+from .errors import InputError, NumericalError
+from .pipeline import AnalysisConfig, analyze, emit_report, prepare_files
 from .sar import fit_sar_ols
 from .simulate import random_distances, simulate_sar
 from .spatial_data import prepare
@@ -89,13 +83,9 @@ def _symmetrize_policy(args) -> str:
 
 
 def _prepared(args):
-    raw = load_sizes(args.sizes)
-    ids, distances = load_distances(args.dist, args.dist_format)
-    try:
-        return prepare(align_to_ids(raw, ids), distances, apply_log=args.log,
-                       symmetrize=_symmetrize_policy(args))
-    except NonPositiveValue as exc:
-        raise exc.in_file(args.sizes) from None
+    inputs, _, _ = prepare_files(args.sizes, args.dist, args.dist_format,
+                                 apply_log=args.log, symmetrize=_symmetrize_policy(args))
+    return inputs
 
 
 def cmd_analyze(args) -> int:

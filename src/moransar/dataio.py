@@ -300,12 +300,7 @@ def align_to_ids(raw: RawSizeVector, ids: tuple[str, ...]) -> RawSizeVector:
         IdMismatch: if the two id sets differ.
     """
     if set(raw.ids) != set(ids):
-        missing = sorted(set(ids) - set(raw.ids))
-        extra = sorted(set(raw.ids) - set(ids))
-        raise IdMismatch(
-            f"size ids do not match distance ids "
-            f"(missing from sizes: {missing}, unmatched in sizes: {extra})"
-        )
+        raise IdMismatch(sorted(set(ids) - set(raw.ids)), sorted(set(raw.ids) - set(ids)))
     if raw.ids == ids:
         return raw
     position = {ident: k for k, ident in enumerate(raw.ids)}

@@ -54,9 +54,13 @@ Three steps:
 With ``extremes=True`` the caller gets only the ends of the spectra of A
 and A^2 from the same reduction: one Sturm count at 0 per block finds the
 eigenvalues either side of 0, and only those and the block's least and
-greatest keep brackets. Newton's phase starts by the same rule as in a
-whole solve: once each unfinished tracked bracket holds one eigenvalue,
-the untracked ones counted too.
+greatest keep brackets. Newton's phase starts once each unfinished
+tracked bracket holds one eigenvalue, the untracked ones counted too,
+and, while the block tracks only some of its indices, not before three
+passes, when each bracket is 1/65^3 of the block's Gershgorin interval
+wide. Four tracked eigenvalues are often isolated after one split, and
+from brackets 1/65 of the interval wide Newton's steps can leave some
+unfinished, costing the selected solve more passes than the whole one.
 
 A stack of k matrices of one size, shape (k, n, n), is solved in one
 call, each member bit for bit as it would be alone. The reduction runs
@@ -82,6 +86,7 @@ from .errors import NoConvergence, NotSymmetric, NumericalError
 SYMMETRY_TOL = 1e-9
 SHIFTS_PER_BRACKET = 64
 MAX_PASSES = 32  # a 65-way split reaches 4 eps ||T|| in about 9 passes
+SELECTED_SPLITS = 3  # passes before a partially tracked block's Newton phase
 # final bracket width in units of eps * ||T||: absolute, because a target
 # relative to each eigenvalue is never met by eigenvalues near zero
 WIDTH_TOL_FACTOR = 4.0
@@ -433,11 +438,12 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
     equal ``lo``: each pass splits every distinct bracket wider than the
     target into 65 pieces, and each of its indices takes the piece that
     holds it. The counts at each bracket's ends tell how many eigenvalues
-    it holds, wanted or not; once every unfinished bracket holds one, one
-    Newton phase refines them all. Newton's phase only shrinks the
-    brackets it leaves unfinished, so they stay ordered and are split on
-    as before. Newton's steps and its certificate count against
-    ``MAX_PASSES`` like any other pass.
+    it holds, wanted or not; once every unfinished bracket holds one (and,
+    when ``want`` leaves some indices out, after at least
+    ``SELECTED_SPLITS`` passes), one Newton phase refines them all.
+    Newton's phase only shrinks the brackets it leaves unfinished, so they
+    stay ordered and are split on as before. Newton's steps and its
+    certificate count against ``MAX_PASSES`` like any other pass.
     """
     m = d.shape[0]
     radius = np.zeros(m)
@@ -449,6 +455,10 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
     target = WIDTH_TOL_FACTOR * np.finfo(float).eps * norm
 
     index = np.arange(m) if want is None else want
+    # a block that tracks only some of its indices often isolates them
+    # after one split, too wide for Newton's steps to finish: it enters
+    # Newton's phase only after SELECTED_SPLITS passes
+    entry = 0 if index.size == m else SELECTED_SPLITS
     lo = np.full(index.size, lower - target)
     hi = np.full(index.size, upper + target)
     # count(lo) and count(hi) of each bracket until Newton's phase
@@ -465,8 +475,9 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
         starts = np.empty(live.size, dtype=bool)
         starts[0] = True
         np.not_equal(left[1:], left[:-1], out=starts[1:])
-        if not refined and (above[live] - below[live] == 1).all():
-            # every unfinished bracket holds one eigenvalue
+        if not refined and passes >= entry and (above[live] - below[live] == 1).all():
+            # every unfinished bracket holds one eigenvalue and, in a
+            # partial block, has been split often enough
             budget = MAX_PASSES - passes
             passes += yield from _newton(lo, hi, live, index[live], target, budget)
             refined = True
@@ -607,7 +618,8 @@ def symmetric_eigenvalues(
     side of 0, and its brackets are kept for those and its two ends
     alone. Each value is certified as in a whole solve, but it need not
     equal that solve's bit for bit: Newton's phase starts once the
-    tracked brackets are isolated, which can be a different pass.
+    tracked brackets are isolated and, in a block that tracks only some
+    of its indices, split three times, which can be a different pass.
 
     A stack of k matrices of one size, shape (k, n, n), returns a tuple
     of k spectra, each bit for bit the one its matrix gets alone: one

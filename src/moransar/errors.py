@@ -25,6 +25,10 @@ class NumericalError(MoranSarError):
 # Input / validation errors
 # ---------------------------------------------------------------------------
 
+def _where(path: str | None) -> str:
+    return "" if path is None else f"{path}: "
+
+
 class NonPositiveValue(InputError):
     """A size is zero or negative, so its logarithm is undefined."""
 
@@ -33,8 +37,7 @@ class NonPositiveValue(InputError):
         self.value = value
         self.ident = ident
         self.path = path
-        where = "" if path is None else f"{path}: "
-        super().__init__(f"{where}size of id {ident!r} is not positive: {value!r}; "
+        super().__init__(f"{_where(path)}size of id {ident!r} is not positive: {value!r}; "
                          f"the log transform (--log) needs positive sizes")
 
     def in_file(self, path) -> NonPositiveValue:
@@ -46,30 +49,62 @@ class ZeroVariance(InputError):
     """All values are equal; standardization is undefined."""
 
 
-class ZeroDistance(InputError):
+class PairError(InputError):
+    """A distance error at elements i and j (0-based).
+
+    A subclass's ``message`` formats ``pair`` and its ``details``;
+    ``in_file`` rebuilds the error naming the distance file and the two
+    ids instead of the indices.
+    """
+
+    message = ""
+    indices = "elements {i} and {j}"
+    names = "ids {a!r} and {b!r}"
+
+    def __init__(self, i: int, j: int, *details, ids: tuple[str, ...] | None = None,
+                 path: str | None = None):
+        self.i = i
+        self.j = j
+        self.details = details
+        pair = (self.indices.format(i=i, j=j) if ids is None
+                else self.names.format(a=ids[i], b=ids[j]))
+        super().__init__(_where(path) + self.message.format(*details, pair=pair))
+
+    def in_file(self, path, ids) -> PairError:
+        """The same error, naming the distance file and the two ids."""
+        return type(self)(self.i, self.j, *self.details, ids=ids, path=str(path))
+
+
+class ZeroDistance(PairError):
     """An off-diagonal distance is zero; its reciprocal is undefined."""
 
-    def __init__(self, i: int, j: int):
-        self.i = i
-        self.j = j
-        super().__init__(f"distance between elements {i} and {j} is zero")
+    message = "distance between {pair} is zero"
 
 
-class AsymmetricInput(InputError):
+class AsymmetricInput(PairError):
     """A matrix required to be symmetric differs too much from its transpose."""
 
-    def __init__(self, i: int, j: int, rel_asym: float):
-        self.i = i
-        self.j = j
-        self.rel_asym = rel_asym
-        super().__init__(
-            f"entries ({i},{j}) and ({j},{i}) differ by relative {rel_asym:.3e} "
-            f"(strict symmetry requested)"
-        )
+    message = "{pair} differ by relative {0:.3e} (strict symmetry requested)"
+    indices = "entries ({i},{j}) and ({j},{i})"
+    names = "distances from {a!r} to {b!r} and back"
+
+    @property
+    def rel_asym(self) -> float:
+        return self.details[0]
 
 
 class DegenerateMatrix(InputError):
     """A proximity matrix with zero total weight cannot be normalized."""
+
+
+class NegativeDistance(PairError, DegenerateMatrix):
+    """An off-diagonal distance is negative."""
+
+    message = "distance between {pair} is negative: {0!r}"
+
+    @property
+    def value(self) -> float:
+        return self.details[0]
 
 
 class DimensionMismatch(InputError):
@@ -135,6 +170,16 @@ class DuplicateId(InputError):
 
 class IdMismatch(InputError):
     """Size-vector ids and distance-matrix ids do not match."""
+
+    def __init__(self, missing: list[str], extra: list[str],
+                 sizes_path: str | None = None, dist_path: str | None = None):
+        self.missing = missing
+        self.extra = extra
+        what = ("size ids do not match distance ids" if sizes_path is None
+                else f"ids in {sizes_path} do not match ids in {dist_path}")
+        super().__init__(
+            f"{what} (missing from sizes: {missing}, unmatched in sizes: {extra})"
+        )
 
 
 class MissingPair(ParseError):

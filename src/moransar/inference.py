@@ -29,10 +29,9 @@ from .errors import (
     DimensionMismatch,
     InputError,
     MissingCriticalValues,
-    ZeroVariance,
 )
 from .regression import two_tailed_t_p
-from .spatial_data import StandardizedVector, WeightMatrix
+from .spatial_data import StandardizedVector, WeightMatrix, zscore
 
 TIE_TOL = 1e-12
 
@@ -42,6 +41,8 @@ BLOCK = 256
 
 @dataclass(frozen=True)
 class SignificanceResult:
+    """One test's statistic and p-value, and how the p-value was obtained."""
+
     statistic: float
     p_value: float
     method: str                 # "t_test" or "permutation"
@@ -53,6 +54,8 @@ class SignificanceResult:
 
 @dataclass(frozen=True)
 class DwCriticalValues:
+    """The Durbin-Watson critical pair (d_l, d_u) for one (n, alpha)."""
+
     n: int
     alpha: float
     d_l: float
@@ -68,6 +71,8 @@ class DwCriticalValues:
 
 @dataclass(frozen=True)
 class DwResult:
+    """Spatial Durbin-Watson of the residuals, Geary's ratio and the residual index."""
+
     dw: float
     geary_c: float
     i_e: float                      # residual Moran index
@@ -220,10 +225,7 @@ def _standardize_residuals(residuals: np.ndarray, n_expected: int) -> np.ndarray
         )
     if not np.all(np.isfinite(e)):
         raise InputError("residuals contain non-finite values")
-    sigma = float(np.sqrt(np.mean((e - e.mean()) ** 2)))
-    if sigma == 0.0:
-        raise ZeroVariance("residuals are constant; diagnostics are undefined")
-    return (e - e.mean()) / sigma
+    return zscore(e, "residuals are constant; diagnostics are undefined")
 
 
 def spatial_durbin_watson(residuals: np.ndarray, weights: WeightMatrix) -> DwResult:

@@ -6,13 +6,15 @@ and diagnostics), builds every identity check with its slack, and
 serializes deterministically: same inputs and seed give byte-identical
 JSON except for the isolated timestamp field.
 
-``analyze`` (files) and ``analyze_data`` (arrays) are the only analysis
-path; the CLI's ``analyze`` verb wraps them, and ``moransar verify``
-calls ``analyze_prepared``, the body of ``analyze_data`` after
-``prepare``, with the spectrum of W it has solved. The first steps run
-once, in ``spatial_data.prepare``, and the report keeps the resulting
-inputs (outside the JSON) so that ``emit_report`` draws the scatterplot
-SVGs from the report itself. Later steps reuse the fits'
+``prepare_files`` is the one path from the two input files to the
+prepared bundle: ``analyze`` and the CLI's ``scatter`` and ``bounds``
+verbs read their inputs through it. ``analyze`` (files) and
+``analyze_data`` (arrays) are the only analysis path; both run
+``analyze_prepared``, the analysis after ``prepare``, which ``moransar
+verify`` calls too with the spectrum of W it has solved. The first steps
+run once, in ``spatial_data.prepare``, and the report keeps the
+resulting inputs (outside the JSON) so that ``emit_report`` draws the
+scatterplot SVGs from the report itself. Later steps reuse the fits'
 t-tests and one Durbin-Watson result instead of deriving them again.
 """
 
@@ -42,7 +44,14 @@ from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
 from .dataio import (align_to_ids, load_critical_values, load_distances, load_sizes,
                      write_csv)
 from .eigen import EigenSpectrum
-from .errors import InputError, MissingCriticalValues, NonPositiveValue, ZeroVariance
+from .errors import (
+    IdMismatch,
+    InputError,
+    MissingCriticalValues,
+    NonPositiveValue,
+    PairError,
+    ZeroVariance,
+)
 from .inference import (
     DwCriticalValues,
     DwResult,
@@ -73,6 +82,8 @@ CENTERED_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """The options of one file-to-report analysis, checked on construction."""
+
     sizes_path: str
     dist_path: str
     log_transform: bool = False
@@ -105,6 +116,8 @@ def _check_options(
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One exact relation of an analysis: its slack against its tolerance."""
+
     name: str
     slack: float       # measured signed or absolute discrepancy
     tolerance: float
@@ -120,6 +133,8 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class SignificanceResults:
+    """The coefficient t-tests and the index's permutation test."""
+
     i_t_test: SignificanceResult
     rho_t_test: SignificanceResult
     a_t_test: SignificanceResult
@@ -129,6 +144,8 @@ class SignificanceResults:
 
 @dataclass(frozen=True)
 class DwDiagnostics:
+    """The residual diagnostics of one analysis."""
+
     result: DwResult | None              # None when residuals are constant
     degenerate: bool                     # exact fit left nothing to diagnose
     critical: DwCriticalValues | None    # None when (n, alpha) has no table row
@@ -137,6 +154,8 @@ class DwDiagnostics:
 
 @dataclass(frozen=True)
 class Provenance:
+    """What produced a report: input digests, seed, version, n and the log flag."""
+
     sizes_sha256: str
     dist_sha256: str
     seed: int
@@ -148,6 +167,8 @@ class Provenance:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """Everything one analysis found; all but its inputs go to report.json."""
+
     moran: MoranResult
     sar: SarFit
     bounds: BoundsReport
@@ -184,7 +205,6 @@ def analyze_data(
     inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
     return analyze_prepared(
         inputs,
-        apply_log=apply_log,
         permutations=permutations,
         seed=seed,
         alpha=alpha,
@@ -196,7 +216,6 @@ def analyze_prepared(
     inputs: SpatialInputs,
     spectrum: EigenSpectrum | None = None,
     *,
-    apply_log: bool = False,
     permutations: int = 999,
     seed: int = 0,
     alpha: float = 0.05,
@@ -233,7 +252,7 @@ def analyze_prepared(
         seed=seed,
         version=__version__,
         n=z.n,
-        log_transformed=apply_log,
+        log_transformed=inputs.log_transformed,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
     return AnalysisReport(
@@ -338,42 +357,61 @@ def _diagnose(
                          residual_permutation=residual_perm)
 
 
-def _load_hashed(load, path, *args):
-    """``load`` on the file's bytes, read once, and the SHA-256 of them."""
-    data = Path(path).read_bytes()
-    return load(path, *args, data=data), hashlib.sha256(data).hexdigest()
+def prepare_files(
+    sizes_path: str | Path,
+    dist_path: str | Path,
+    dist_format: str,
+    *,
+    apply_log: bool,
+    symmetrize: str,
+) -> tuple[SpatialInputs, str, str]:
+    """The two input files to the prepared bundle, with each file's SHA-256.
 
-
-def analyze(config: AnalysisConfig) -> AnalysisReport:
-    """Load the configured files and run the analysis.
-
-    Each input file is read once: the provenance digests, set here and
-    only here, are those of the bytes parsed.
+    Each file is read once and its digest is that of the bytes parsed;
+    the sizes are aligned to the distance file's ids and ``prepare`` runs
+    with ``apply_log`` and ``symmetrize``. Data errors name their file: a
+    nonpositive size under ``apply_log`` the sizes file, mismatched ids
+    both files, and a zero, negative or (under ``symmetrize="strict"``)
+    asymmetric distance the distance file and the two ids.
 
     Raises:
         InputError subclasses on bad data; OSError on unreadable files.
     """
-    raw, sizes_sha256 = _load_hashed(load_sizes, config.sizes_path)
-    (ids, distances), dist_sha256 = _load_hashed(
-        load_distances, config.dist_path, config.dist_format
+    sizes_data = Path(sizes_path).read_bytes()
+    raw = load_sizes(sizes_path, data=sizes_data)
+    dist_data = Path(dist_path).read_bytes()
+    ids, distances = load_distances(dist_path, dist_format, data=dist_data)
+    try:
+        inputs = prepare(align_to_ids(raw, ids), distances, apply_log=apply_log,
+                         symmetrize=symmetrize)
+    except NonPositiveValue as exc:
+        raise exc.in_file(sizes_path) from None
+    except IdMismatch as exc:
+        raise IdMismatch(exc.missing, exc.extra, str(sizes_path), str(dist_path)) from None
+    except PairError as exc:
+        raise exc.in_file(dist_path, ids) from None
+    return (inputs, hashlib.sha256(sizes_data).hexdigest(),
+            hashlib.sha256(dist_data).hexdigest())
+
+
+def analyze(config: AnalysisConfig) -> AnalysisReport:
+    """Load the configured files (``prepare_files``) and run the analysis.
+
+    The provenance digests, set here and only here, are those of the
+    bytes parsed.
+
+    Raises:
+        InputError subclasses on bad data; OSError on unreadable files.
+    """
+    inputs, sizes_sha256, dist_sha256 = prepare_files(
+        config.sizes_path, config.dist_path, config.dist_format,
+        apply_log=config.log_transform, symmetrize=config.symmetrize,
     )
-    raw = align_to_ids(raw, ids)
     dw_table = None
     if config.dw_critical_path is not None:
         dw_table = load_critical_values(config.dw_critical_path)
-    try:
-        report = analyze_data(
-            raw,
-            distances,
-            apply_log=config.log_transform,
-            permutations=config.permutations,
-            seed=config.seed,
-            alpha=config.alpha,
-            symmetrize=config.symmetrize,
-            dw_table=dw_table,
-        )
-    except NonPositiveValue as exc:
-        raise exc.in_file(config.sizes_path) from None
+    report = analyze_prepared(inputs, permutations=config.permutations, seed=config.seed,
+                              alpha=config.alpha, dw_table=dw_table)
     provenance = dataclasses.replace(report.provenance, sizes_sha256=sizes_sha256,
                                      dist_sha256=dist_sha256)
     return dataclasses.replace(report, provenance=provenance)

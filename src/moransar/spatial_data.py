@@ -24,6 +24,7 @@ from .errors import (
     DegenerateMatrix,
     DimensionMismatch,
     InputError,
+    NegativeDistance,
     NonPositiveValue,
     ZeroDistance,
     ZeroVariance,
@@ -184,8 +185,9 @@ class SpatialInputs:
     """The prepared inputs of one analysis, built once by ``prepare``.
 
     Holds the standardized vector z, the proximity matrix V, the weights
-    W = V / sum(V), the lag Wz, and Moran's index I = z'Wz. Downstream
-    code reads these instead of deriving them again.
+    W = V / sum(V), the lag Wz, Moran's index I = z'Wz, and whether the
+    sizes were log-transformed first. Downstream code reads these instead
+    of deriving them again.
 
     Raises:
         DimensionMismatch: if z, W and the lag disagree on n.
@@ -196,6 +198,7 @@ class SpatialInputs:
     weights: WeightMatrix
     lag: SpatialLag
     i_value: float
+    log_transformed: bool = False
 
     def __post_init__(self):
         if not self.z.n == self.weights.n == self.lag.n:
@@ -233,16 +236,16 @@ def log_transform(raw: RawSizeVector) -> RawSizeVector:
     return RawSizeVector(ids=raw.ids, values=np.log(raw.values))
 
 
-def standardize(raw: RawSizeVector) -> StandardizedVector:
-    """z-score the size vector with the population standard deviation.
+def zscore(x: np.ndarray, if_constant: str) -> np.ndarray:
+    """z-score a finite 1-d array with the population standard deviation.
 
     Dividing by n (not n-1) is what makes z.z = n exactly, and every
-    downstream identity depends on that convention.
+    downstream identity depends on that convention. The size vector and
+    the residual diagnostics both standardize here.
 
     Raises:
-        ZeroVariance: if all values are equal.
+        ZeroVariance: with the message ``if_constant``, if all values are equal.
     """
-    x = raw.values
     # z is scale-free, and a power-of-two scale is exact: bringing max|x|
     # into [0.5, 1) keeps the squares below clear of overflow and underflow
     x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
@@ -253,8 +256,17 @@ def standardize(raw: RawSizeVector) -> StandardizedVector:
     centered = centered - centered.mean()
     sigma = math.sqrt(float(np.mean(centered**2)))
     if sigma == 0.0:
-        raise ZeroVariance("all size values are equal")
-    return StandardizedVector(values=centered / sigma)
+        raise ZeroVariance(if_constant)
+    return centered / sigma
+
+
+def standardize(raw: RawSizeVector) -> StandardizedVector:
+    """z-score the size vector (``zscore``).
+
+    Raises:
+        ZeroVariance: if all values are equal.
+    """
+    return StandardizedVector(values=zscore(raw.values, "all size values are equal"))
 
 
 def inverse_distance_proximity(
@@ -275,6 +287,7 @@ def inverse_distance_proximity(
     Raises:
         InputError: on a policy other than "auto" or "strict".
         ZeroDistance: if any off-diagonal distance is zero.
+        NegativeDistance: if any off-diagonal distance is negative.
         AsymmetricInput: in strict mode, if the input is asymmetric
             beyond tolerance.
     """
@@ -292,8 +305,10 @@ def inverse_distance_proximity(
     zeros = np.argwhere((d == 0.0) & off)
     if zeros.size:
         raise ZeroDistance(int(zeros[0, 0]), int(zeros[0, 1]))
-    if np.any(d[off] < 0.0):
-        raise DegenerateMatrix("distances must be positive")
+    negative = np.argwhere((d < 0.0) & off)
+    if negative.size:
+        i, j = negative[0].tolist()
+        raise NegativeDistance(i, j, float(d[i, j]))
 
     asym = np.abs(d - d.T)
     denom = np.maximum(np.abs(d), np.abs(d.T))
@@ -397,4 +412,5 @@ def prepare(
         weights=weights,
         lag=lag,
         i_value=float(z.values @ lag.values),
+        log_transformed=apply_log,
     )

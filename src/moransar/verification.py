@@ -152,6 +152,8 @@ def _fixture_checks() -> list[IdentityCheck]:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """The identity suite's outcome: checks run, those that failed, time taken."""
+
     total: int
     failures: tuple[IdentityCheck, ...]
     elapsed_seconds: float

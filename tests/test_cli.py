@@ -290,14 +290,15 @@ class TestSimulateVerb:
         assert not (tmp_path / "d" / "distances.csv").exists()
 
 
-    @pytest.mark.parametrize("verb", [["analyze", "--permutations", "0"], ["bounds"]])
+    @pytest.mark.parametrize("verb", [["analyze", "--permutations", "0"], ["bounds"],
+                                      ["scatter"]])
     def test_log_of_a_nonpositive_simulated_size_is_located(self, tmp_path, capsys, verb):
         # the default --a 1 --noise-sd 1 draws a negative size at id 16
         data = tmp_path / "data"
         assert main(["simulate", "--n", "35", "--seed", "7", "--out", str(data)]) == 0
         sizes = str(data / "sizes.csv")
         args = [*verb, "--sizes", sizes, "--dist", str(data / "distances.csv"), "--log"]
-        if verb[0] == "analyze":
+        if verb[0] != "bounds":
             args += ["--out", str(tmp_path / "report")]
         capsys.readouterr()
         assert main(args) == 1
@@ -305,6 +306,61 @@ class TestSimulateVerb:
         assert err.startswith(f"moransar: input error: {sizes}: size of id '16' is not positive")
         assert "(--log) needs positive sizes" in err
         assert "Traceback" not in err
+
+
+CHAIN_MATRIX_HEADER = "id,left,mid,right\n"
+
+# a data error each, with the stderr line that names its file(s) and ids
+LOCATED_ERRORS = {
+    "id_mismatch": (
+        "id,value\nleft,1\nmid,2\nrighty,3\n",
+        CHAIN_MATRIX_HEADER + "left,0,1,2\nmid,1,0,1\nright,2,1,0\n",
+        [],
+        "ids in {sizes} do not match ids in {dist} "
+        "(missing from sizes: ['right'], unmatched in sizes: ['righty'])",
+    ),
+    "zero_distance": (
+        None,
+        CHAIN_MATRIX_HEADER + "left,0,1,2\nmid,1,0,0\nright,2,0,0\n",
+        [],
+        "{dist}: distance between ids 'mid' and 'right' is zero",
+    ),
+    "negative_distance": (
+        None,
+        CHAIN_MATRIX_HEADER + "left,0,1,2\nmid,1,0,-1\nright,2,-1,0\n",
+        [],
+        "{dist}: distance between ids 'mid' and 'right' is negative: -1.0",
+    ),
+    "strict_asymmetry": (
+        None,
+        CHAIN_MATRIX_HEADER + "left,0,2,4\nmid,3,0,1\nright,4,1,0\n",
+        ["--strict-symmetry"],
+        "{dist}: distances from 'left' to 'mid' and back differ by relative "
+        "3.333e-01 (strict symmetry requested)",
+    ),
+}
+
+
+class TestLocatedDataErrors:
+    """Data errors found after parsing name their file(s) and the ids, in
+    every verb that reads the two input files."""
+
+    @pytest.mark.parametrize("error", sorted(LOCATED_ERRORS))
+    @pytest.mark.parametrize("verb", ["analyze", "scatter", "bounds"])
+    def test_one_located_line(self, fixtures_dir, tmp_path, capsys, verb, error):
+        sizes_text, dist_text, flags, message = LOCATED_ERRORS[error]
+        sizes, dist = tmp_path / "in_sizes.csv", tmp_path / "in_dist.csv"
+        sizes.write_text(sizes_text or (fixtures_dir / "chain_sizes.csv").read_text())
+        dist.write_text(dist_text)
+        args = [verb, "--sizes", str(sizes), "--dist", str(dist), *flags]
+        if verb != "bounds":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == ("moransar: input error: "
+                       + message.format(sizes=sizes, dist=dist) + "\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyVerb:

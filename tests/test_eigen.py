@@ -16,6 +16,7 @@ from moransar.errors import NoConvergence, NotSymmetric, NumericalError
 from moransar.pipeline import EIGEN_TOL
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import prepare, weights_from_distances
+from moransar.verification import random_instance
 
 
 def random_symmetric(seed, n, scale=1.0):
@@ -1099,6 +1100,43 @@ class TestSelectedEigenvalues:
             symmetric_eigenvalues(m, extremes=True)
             symmetric_eigenvalues(m)
         assert len(entries) >= len(matrices)
+
+    def test_selected_solves_take_no_more_passes_than_whole_ones(self):
+        # on every W of the 150-instance seed-0 deck, a selected solve
+        # takes at most the whole solve's passes plus its count at 0 (every
+        # one of these W is a single unreduced block)
+        selected = whole = 0
+        for k in range(150):
+            w = prepare(*random_instance(0, k)).weights.matrix
+            some, every = symmetric_eigenvalues(w, extremes=True), symmetric_eigenvalues(w)
+            assert some.sweeps <= every.sweeps + 1, f"instance {k}"
+            selected += some.sweeps
+            whole += every.sweeps
+        assert selected <= whole + 150
+
+    def test_selected_newton_starts_from_narrow_brackets(self, monkeypatch):
+        # on W of seed-0 instance 41 (n = 20) the four tracked eigenvalues
+        # are isolated after one split; Newton's phase waits for three
+        # splits, when every bracket is 1/65^3 of the Gershgorin interval
+        ratios = []
+
+        def spy(lo, hi, live, index, target, budget):
+            state = sys._getframe(1).f_locals
+            assert state["passes"] == eigen.SELECTED_SPLITS == 3
+            width = state["upper"] - state["lower"]
+            ratios.append(float(np.max(hi[live] - lo[live])) / width)
+            return real(lo, hi, live, index, target, budget)
+
+        real = eigen._newton
+        w = prepare(*random_instance(0, 41)).weights.matrix
+        assert w.shape == (20, 20)
+        every = symmetric_eigenvalues(w)
+        monkeypatch.setattr(eigen, "_newton", spy)
+        some = symmetric_eigenvalues(w, extremes=True)
+        assert ratios and max(ratios) <= 1.1 / 65**3
+        assert some.sweeps <= every.sweeps + 1
+        allowance = 0.5 * (some.max_offdiag_residual + every.max_offdiag_residual)
+        assert np.all(np.abs(some.values - every.values[some.indices]) <= allowance)
 
     def test_stacked_members_select_as_alone(self, deck):
         w = prepare(*deck[4]).weights.matrix

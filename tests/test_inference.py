@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,22 @@ class TestResidualDiagnostics:
         a = spatial_durbin_watson(fit.residuals, weights)
         b = spatial_durbin_watson(fit.residuals * 37.0, weights)
         assert a.dw == pytest.approx(b.dw, abs=1e-12)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_scale_changes_no_bit(self, deck, power):
+        # the residuals are z-scored by spatial_data.zscore, which brings
+        # them to a power-of-two scale first: squares of residuals near
+        # 2^600 would overflow, and near 2^-600 underflow to zero variance
+        raw, dist = deck[1]
+        p = prepare(raw, dist)
+        residuals = fit_sar_ols(p).residuals
+        scaled = np.ldexp(residuals, power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dw = spatial_durbin_watson(scaled, p.weights)
+            geary = geary_pairwise(scaled, p.weights)
+        assert dw == spatial_durbin_watson(residuals, p.weights)
+        assert geary == geary_pairwise(residuals, p.weights)
 
 
 class TestCriticalValues:

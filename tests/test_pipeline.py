@@ -13,15 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moransar import inference, pipeline
+from moransar import cli, inference, pipeline
 from moransar.dataio import write_distance_matrix, write_sizes
 from moransar.errors import InputError
 from moransar.pipeline import (
     AnalysisConfig,
     analyze,
     analyze_data,
+    analyze_prepared,
     emit_report,
     format_sig,
+    prepare_files,
     report_to_dict,
     summary_rows,
 )
@@ -114,6 +116,49 @@ class TestAnalyze:
         assert report.provenance.dist_sha256 == digest
         digest = hashlib.sha256(Path(sizes).read_bytes()).hexdigest()
         assert report.provenance.sizes_sha256 == digest
+
+
+class TestPrepareFiles:
+    """The one path from the two input files to the prepared bundle."""
+
+    @pytest.mark.parametrize("apply_log", [False, True])
+    def test_bundle_and_digests(self, noisy_files, apply_log):
+        raw, dist, sizes, matrix = noisy_files
+        inputs, sizes_sha256, dist_sha256 = prepare_files(sizes, matrix, "matrix",
+                                                          apply_log=apply_log,
+                                                          symmetrize="auto")
+        expected = prepare(raw, dist, apply_log=apply_log)
+        assert inputs.log_transformed is expected.log_transformed is apply_log
+        assert inputs.i_value == expected.i_value
+        assert inputs.z.values.tobytes() == expected.z.values.tobytes()
+        assert inputs.weights.matrix.tobytes() == expected.weights.matrix.tobytes()
+        assert sizes_sha256 == hashlib.sha256(Path(sizes).read_bytes()).hexdigest()
+        assert dist_sha256 == hashlib.sha256(Path(matrix).read_bytes()).hexdigest()
+
+    def test_provenance_reads_the_log_flag_from_the_bundle(self, noisy_files):
+        raw, dist, _, _ = noisy_files
+        for apply_log in (False, True):
+            report = analyze_prepared(prepare(raw, dist, apply_log=apply_log), permutations=0)
+            assert report.provenance.log_transformed is apply_log
+
+    @pytest.mark.parametrize("verb", ["analyze", "scatter", "bounds"])
+    def test_every_file_verb_prepares_through_it(self, noisy_files, tmp_path, monkeypatch,
+                                                 verb):
+        _, _, sizes, matrix = noisy_files
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return prepare_files(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "prepare_files", spy)
+        monkeypatch.setattr(cli, "prepare_files", spy)
+        args = [verb, "--sizes", sizes, "--dist", matrix, "--log"]
+        if verb != "bounds":
+            args += ["--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert calls == [((sizes, matrix, "matrix"),
+                          {"apply_log": True, "symmetrize": "auto"})]
 
 
 class TestDegenerateFixture:

@@ -12,6 +12,7 @@ from moransar.errors import (
     DegenerateMatrix,
     DimensionMismatch,
     InputError,
+    NegativeDistance,
     NonPositiveValue,
     ZeroDistance,
     ZeroVariance,
@@ -169,6 +170,16 @@ class TestProximity:
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateMatrix):
             inverse_distance_proximity(d)
+
+    def test_negative_distance_names_its_elements(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, -0.5], [2.0, -0.5, 0.0]])
+        with pytest.raises(NegativeDistance,
+                           match=r"^distance between elements 1 and 2 is negative: -0\.5$") as exc:
+            inverse_distance_proximity(d)
+        assert (exc.value.i, exc.value.j, exc.value.value) == (1, 2, -0.5)
+        located = exc.value.in_file("d.csv", ("a", "b", "c"))
+        assert str(located) == "d.csv: distance between ids 'b' and 'c' is negative: -0.5"
+        assert isinstance(located, DegenerateMatrix)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -59,8 +59,31 @@ class TestChecks:
     def test_instance_checks_replay_the_report_identities(self, deck):
         for raw, dist in deck[:10]:
             suite = {c.name: c for c in instance_checks(raw, dist)}
-            for check in analyze_data(raw, dist, permutations=0).identities:
+            inputs = analyze_data(raw, dist, permutations=0).inputs
+            whole = symmetric_eigenvalues(inputs.weights.matrix)
+            for check in analyze_prepared(inputs, whole, permutations=0).identities:
                 assert suite[check.name] == check
+
+    def test_selected_solve_report_agrees_with_the_suite(self, deck):
+        # the report's bounds read W's selected solve, the suite's W's whole
+        # one: both brackets hold the same eigenvalue, but the selected
+        # solve enters Newton's phase by its own rule, so the checks that
+        # read W's spectrum agree within the two brackets' widths; every
+        # other check is the same bit for bit
+        spectral = {"bounds_moran", "bounds_quadratic_empirical",
+                    "bounds_quadratic_theoretical_upper"}
+        for raw, dist in deck[:10]:
+            suite = {c.name: c for c in instance_checks(raw, dist)}
+            report = analyze_data(raw, dist, permutations=0)
+            whole = symmetric_eigenvalues(report.inputs.weights.matrix)
+            widths = whole.max_offdiag_residual + report.bounds.spectrum.max_offdiag_residual
+            for check in report.identities:
+                if check.name not in spectral:
+                    assert suite[check.name] == check
+                    continue
+                replayed = suite[check.name]
+                assert (replayed.tolerance, replayed.passed) == (check.tolerance, check.passed)
+                assert abs(replayed.slack - check.slack) <= widths
 
     def test_instance_checks_run_one_analysis(self, deck, monkeypatch):
         calls = []
