@@ -10,7 +10,8 @@ Each verb is a thin wrapper over the library. analyze turns its flags
 into an AnalysisConfig, which validates them, and runs pipeline.analyze
 and pipeline.emit_report; scatter and bounds read their files through
 pipeline.prepare_files, as analyze does, and simulate checks its draw
-with spatial_data.prepare.
+with spatial_data.prepare; a data error of an input file names that file
+(errors.located) in every verb that reads one.
 
 ``run`` is the process entry of ``python -m moransar`` and of the
 ``moransar`` console script; ``main`` is the in-process one.
@@ -30,7 +31,7 @@ from ._version import __version__
 from .autocorr import MODE_AUTOCORRELATION, MODE_AUTOREGRESSION, scatter_dataset
 from .bounds import bounds_report
 from .dataio import load_distances, write_distance_matrix, write_scatter_csv, write_sizes
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, located
 from .pipeline import AnalysisConfig, analyze, emit_report, prepare_files
 from .sar import fit_sar_ols
 from .simulate import random_distances, simulate_sar
@@ -177,10 +178,12 @@ def cmd_simulate(args) -> int:
     else:
         ids = tuple(str(i) for i in range(args.n))
         distances = random_distances(np.random.default_rng([seed, 0x51]), args.n)
-    raw = simulate_sar(distances, args.a, args.rho, args.noise_sd, seed=seed)
-    raw = type(raw)(ids=ids, values=raw.values)
-    # before writing, so a draw the analysis would reject leaves no files
-    i_value = prepare(raw, distances).i_value
+    # a data error of a --dist file names it, as in the verbs that read two files
+    with located(dist=args.dist, ids=ids):
+        raw = simulate_sar(distances, args.a, args.rho, args.noise_sd, seed=seed)
+        raw = type(raw)(ids=ids, values=raw.values)
+        # before writing, so a draw the analysis would reject leaves no files
+        i_value = prepare(raw, distances).i_value
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -162,7 +162,7 @@ def load_sizes(path: str | Path, *, data: bytes | None = None) -> RawSizeVector:
             raise ParseError(str(path), lineno, f"expected 2 fields, got {len(fields)}")
         ident, raw_value = fields
         if ident in seen:
-            raise DuplicateId(f"{path}:{lineno}: duplicate id {ident!r}")
+            raise DuplicateId(str(path), lineno, f"duplicate id {ident!r}")
         seen.add(ident)
         ids.append(ident)
         values.append(_parse_float(path, lineno, raw_value, "size value"))
@@ -191,7 +191,7 @@ def _load_distance_matrix(path: str | Path, text: str) -> tuple[tuple[str, ...],
         if len(ids) < 2:
             raise ParseError(str(path), rows[0][0], "header lists fewer than 2 ids")
         if len(set(ids)) != len(ids):
-            raise DuplicateId(f"{path}:{rows[0][0]}: repeated id in distance header")
+            raise DuplicateId(str(path), rows[0][0], "repeated id in distance header")
     else:
         ids = tuple(str(i) for i in range(len(first_fields)))
         body = rows
@@ -199,15 +199,14 @@ def _load_distance_matrix(path: str | Path, text: str) -> tuple[tuple[str, ...],
     n = len(ids)
     if len(body) != n:
         lineno = body[n][0] if len(body) > n else rows[-1][0]
-        raise NonSquare(f"{path}:{lineno}: {n} columns but {len(body)} data rows")
+        raise NonSquare(str(path), lineno, f"{n} columns but {len(body)} data rows")
     matrix = np.zeros((n, n))
     for i, (lineno, row) in enumerate(body):
         fields = fields_of(row)
         if has_header:
             if len(fields) != n + 1:
-                raise NonSquare(
-                    f"{path}:{lineno}: expected id plus {n} values, got {len(fields)} fields"
-                )
+                raise NonSquare(str(path), lineno,
+                                f"expected id plus {n} values, got {len(fields)} fields")
             ident = fields[0].strip()
             if ident != ids[i]:
                 raise ParseError(
@@ -217,9 +216,7 @@ def _load_distance_matrix(path: str | Path, text: str) -> tuple[tuple[str, ...],
             numbers = fields[1:]
         else:
             if len(fields) != n:
-                raise NonSquare(
-                    f"{path}:{lineno}: expected {n} values, got {len(fields)}"
-                )
+                raise NonSquare(str(path), lineno, f"expected {n} values, got {len(fields)}")
             numbers = fields
         try:
             matrix[i] = list(map(float, numbers))

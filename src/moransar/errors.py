@@ -8,13 +8,27 @@ non-convergence (exit 2), and I/O problems, which are plain OSError
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class MoranSarError(Exception):
     """Base class for all package-specific errors."""
 
 
 class InputError(MoranSarError):
-    """Invalid or degenerate input data or configuration."""
+    """Invalid or degenerate input data or configuration.
+
+    A data error found after parsing lists in ``concerns`` the input
+    files it is about, "sizes" and/or "dist"; ``located`` rewrites it to
+    name them.
+    """
+
+    concerns: tuple[str, ...] = ()
+
+    def in_files(self, paths: dict[str, str], ids: tuple[str, ...]) -> str:
+        """The message naming the file this error concerns; ``paths`` maps
+        "sizes" and "dist" to file names, ``ids`` names the elements."""
+        return f"{paths[self.concerns[0]]}: {self}"
 
 
 class NumericalError(MoranSarError):
@@ -25,54 +39,61 @@ class NumericalError(MoranSarError):
 # Input / validation errors
 # ---------------------------------------------------------------------------
 
-def _where(path: str | None) -> str:
-    return "" if path is None else f"{path}: "
+@contextmanager
+def located(*, ids: tuple[str, ...], sizes=None, dist=None):
+    """Run the body; an InputError it raises that concerns the sizes file
+    ``sizes`` or the distance file ``dist`` (elements named by ``ids``)
+    propagates naming them. An error that concerns no file, or a file not
+    given, propagates unchanged."""
+    try:
+        yield
+    except InputError as exc:
+        paths = {"sizes": sizes, "dist": dist}
+        if exc.concerns and all(paths[k] is not None for k in exc.concerns):
+            exc.args = (exc.in_files({k: str(v) for k, v in paths.items()}, ids),)
+        raise
 
 
 class NonPositiveValue(InputError):
     """A size is zero or negative, so its logarithm is undefined."""
 
-    def __init__(self, index: int, value: float, ident: str, path: str | None = None):
+    concerns = ("sizes",)
+
+    def __init__(self, index: int, value: float, ident: str):
         self.index = index
         self.value = value
         self.ident = ident
-        self.path = path
-        super().__init__(f"{_where(path)}size of id {ident!r} is not positive: {value!r}; "
+        super().__init__(f"size of id {ident!r} is not positive: {value!r}; "
                          f"the log transform (--log) needs positive sizes")
-
-    def in_file(self, path) -> NonPositiveValue:
-        """The same error, naming the sizes file it came from."""
-        return NonPositiveValue(self.index, self.value, self.ident, str(path))
 
 
 class ZeroVariance(InputError):
     """All values are equal; standardization is undefined."""
 
+    concerns = ("sizes",)
+
 
 class PairError(InputError):
     """A distance error at elements i and j (0-based).
 
-    A subclass's ``message`` formats ``pair`` and its ``details``;
-    ``in_file`` rebuilds the error naming the distance file and the two
-    ids instead of the indices.
+    A subclass's ``message`` formats ``pair`` and its ``details``; the
+    located message names the two ids instead of the indices.
     """
 
+    concerns = ("dist",)
     message = ""
     indices = "elements {i} and {j}"
     names = "ids {a!r} and {b!r}"
 
-    def __init__(self, i: int, j: int, *details, ids: tuple[str, ...] | None = None,
-                 path: str | None = None):
+    def __init__(self, i: int, j: int, *details):
         self.i = i
         self.j = j
         self.details = details
-        pair = (self.indices.format(i=i, j=j) if ids is None
-                else self.names.format(a=ids[i], b=ids[j]))
-        super().__init__(_where(path) + self.message.format(*details, pair=pair))
+        super().__init__(self.message.format(*details, pair=self.indices.format(i=i, j=j)))
 
-    def in_file(self, path, ids) -> PairError:
-        """The same error, naming the distance file and the two ids."""
-        return type(self)(self.i, self.j, *self.details, ids=ids, path=str(path))
+    def in_files(self, paths, ids) -> str:
+        pair = self.names.format(a=ids[self.i], b=ids[self.j])
+        return f"{paths['dist']}: " + self.message.format(*self.details, pair=pair)
 
 
 class ZeroDistance(PairError):
@@ -84,7 +105,7 @@ class ZeroDistance(PairError):
 class AsymmetricInput(PairError):
     """A matrix required to be symmetric differs too much from its transpose."""
 
-    message = "{pair} differ by relative {0:.3e} (strict symmetry requested)"
+    message = "{pair} differ by relative {0:.3e}"
     indices = "entries ({i},{j}) and ({j},{i})"
     names = "distances from {a!r} to {b!r} and back"
 
@@ -93,8 +114,16 @@ class AsymmetricInput(PairError):
         return self.details[0]
 
 
+class StrictAsymmetry(AsymmetricInput):
+    """Asymmetric distances under the strict symmetry policy."""
+
+    message = AsymmetricInput.message + " (strict symmetry requested)"
+
+
 class DegenerateMatrix(InputError):
     """A proximity matrix with zero total weight cannot be normalized."""
+
+    concerns = ("dist",)
 
 
 class NegativeDistance(PairError, DegenerateMatrix):
@@ -105,6 +134,13 @@ class NegativeDistance(PairError, DegenerateMatrix):
     @property
     def value(self) -> float:
         return self.details[0]
+
+
+class TinyDistance(PairError):
+    """An off-diagonal distance is subnormal (below 2**-1022): its
+    reciprocal, or that plus its mirror's, overflows."""
+
+    message = "distance between {pair} is too small to invert: {0!r}"
 
 
 class DimensionMismatch(InputError):
@@ -164,22 +200,23 @@ class ParseError(InputError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-class DuplicateId(InputError):
+class DuplicateId(ParseError):
     """An element identifier occurs more than once."""
 
 
 class IdMismatch(InputError):
     """Size-vector ids and distance-matrix ids do not match."""
 
-    def __init__(self, missing: list[str], extra: list[str],
-                 sizes_path: str | None = None, dist_path: str | None = None):
+    concerns = ("sizes", "dist")
+
+    def __init__(self, missing: list[str], extra: list[str]):
         self.missing = missing
         self.extra = extra
-        what = ("size ids do not match distance ids" if sizes_path is None
-                else f"ids in {sizes_path} do not match ids in {dist_path}")
-        super().__init__(
-            f"{what} (missing from sizes: {missing}, unmatched in sizes: {extra})"
-        )
+        self._lists = f"(missing from sizes: {missing}, unmatched in sizes: {extra})"
+        super().__init__(f"size ids do not match distance ids {self._lists}")
+
+    def in_files(self, paths, ids) -> str:
+        return f"ids in {paths['sizes']} do not match ids in {paths['dist']} {self._lists}"
 
 
 class MissingPair(ParseError):
@@ -191,7 +228,7 @@ class MissingPair(ParseError):
         super().__init__(path, line, f"no distance given for pair ({id_a}, {id_b})")
 
 
-class NonSquare(InputError):
+class NonSquare(ParseError):
     """A matrix-format distance file is not square."""
 
 

@@ -44,14 +44,7 @@ from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
 from .dataio import (align_to_ids, load_critical_values, load_distances, load_sizes,
                      write_csv)
 from .eigen import EigenSpectrum
-from .errors import (
-    IdMismatch,
-    InputError,
-    MissingCriticalValues,
-    NonPositiveValue,
-    PairError,
-    ZeroVariance,
-)
+from .errors import InputError, MissingCriticalValues, ZeroVariance, located
 from .inference import (
     DwCriticalValues,
     DwResult,
@@ -369,10 +362,11 @@ def prepare_files(
 
     Each file is read once and its digest is that of the bytes parsed;
     the sizes are aligned to the distance file's ids and ``prepare`` runs
-    with ``apply_log`` and ``symmetrize``. Data errors name their file: a
-    nonpositive size under ``apply_log`` the sizes file, mismatched ids
-    both files, and a zero, negative or (under ``symmetrize="strict"``)
-    asymmetric distance the distance file and the two ids.
+    with ``apply_log`` and ``symmetrize``. Data errors name their file
+    (``errors.located``): a nonpositive size under ``apply_log`` or equal
+    sizes the sizes file, mismatched ids both files, and a zero, negative,
+    subnormal or (under ``symmetrize="strict"``) asymmetric distance the
+    distance file and the two ids.
 
     Raises:
         InputError subclasses on bad data; OSError on unreadable files.
@@ -381,15 +375,9 @@ def prepare_files(
     raw = load_sizes(sizes_path, data=sizes_data)
     dist_data = Path(dist_path).read_bytes()
     ids, distances = load_distances(dist_path, dist_format, data=dist_data)
-    try:
+    with located(sizes=sizes_path, dist=dist_path, ids=ids):
         inputs = prepare(align_to_ids(raw, ids), distances, apply_log=apply_log,
                          symmetrize=symmetrize)
-    except NonPositiveValue as exc:
-        raise exc.in_file(sizes_path) from None
-    except IdMismatch as exc:
-        raise IdMismatch(exc.missing, exc.extra, str(sizes_path), str(dist_path)) from None
-    except PairError as exc:
-        raise exc.in_file(dist_path, ids) from None
     return (inputs, hashlib.sha256(sizes_data).hexdigest(),
             hashlib.sha256(dist_data).hexdigest())
 

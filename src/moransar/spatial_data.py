@@ -26,6 +26,8 @@ from .errors import (
     InputError,
     NegativeDistance,
     NonPositiveValue,
+    StrictAsymmetry,
+    TinyDistance,
     ZeroDistance,
     ZeroVariance,
 )
@@ -130,11 +132,6 @@ class ProximityMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def total(self) -> float:
-        """Sum of all entries (the normalizing constant)."""
-        return float(self.matrix.sum())
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,9 @@ def inverse_distance_proximity(
         InputError: on a policy other than "auto" or "strict".
         ZeroDistance: if any off-diagonal distance is zero.
         NegativeDistance: if any off-diagonal distance is negative.
-        AsymmetricInput: in strict mode, if the input is asymmetric
+        TinyDistance: if any off-diagonal distance is positive but
+            subnormal (below 2**-1022).
+        StrictAsymmetry: in strict mode, if the input is asymmetric
             beyond tolerance.
     """
     if symmetrize_policy not in SYMMETRIZE_POLICIES:
@@ -309,6 +308,12 @@ def inverse_distance_proximity(
     if negative.size:
         i, j = negative[0].tolist()
         raise NegativeDistance(i, j, float(d[i, j]))
+    # a subnormal distance's reciprocal overflows, or the sum of it and its
+    # mirror in ``symmetrize`` does; a normal one's is at most 2**1022
+    tiny = (d < np.finfo(float).tiny) & off
+    if tiny.any():
+        i, j = np.argwhere(tiny)[0].tolist()
+        raise TinyDistance(i, j, float(d[i, j]))
 
     asym = np.abs(d - d.T)
     denom = np.maximum(np.abs(d), np.abs(d.T))
@@ -319,7 +324,7 @@ def inverse_distance_proximity(
     if worst > ASYMMETRY_TOL:
         if symmetrize_policy == "strict":
             i, j = np.unravel_index(np.argmax(rel), rel.shape)
-            raise AsymmetricInput(int(i), int(j), worst)
+            raise StrictAsymmetry(int(i), int(j), worst)
         warnings.warn(
             f"distance matrix asymmetric (max relative asymmetry "
             f"{worst:.3e}); symmetrizing",
@@ -352,13 +357,19 @@ def global_normalize(proximity: ProximityMatrix) -> WeightMatrix:
     Raises:
         DegenerateMatrix: if the entries sum to zero.
     """
-    total = proximity.total
+    # W is scale-free, and a power-of-two scale is exact: bringing max V
+    # into [0.5, 1) keeps the sum clear of overflow and changes no bit of W
+    exponent = math.frexp(float(proximity.matrix.max()))[1]
+    w = np.ldexp(proximity.matrix, -exponent)
+    total = float(w.sum())
     if total <= 0.0:
         raise DegenerateMatrix("proximity entries sum to zero")
-    w = proximity.matrix / total
+    w /= total
     # One multiplicative correction so the sum is 1 to the last bit.
-    w = w / w.sum()
-    return WeightMatrix(matrix=w, total_proximity=total)
+    w /= w.sum()
+    with np.errstate(over="ignore"):  # a sum of V beyond the float range is inf
+        total_proximity = float(np.ldexp(total, exponent))
+    return WeightMatrix(matrix=w, total_proximity=total_proximity)
 
 
 def spatial_lag(weights: WeightMatrix, z: StandardizedVector) -> SpatialLag:

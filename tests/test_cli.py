@@ -17,6 +17,7 @@ from moransar._version import __version__
 from moransar.cli import main
 from moransar.dataio import write_distance_matrix, write_sizes
 from moransar.errors import NoConvergence
+from moransar.spatial_data import RawSizeVector
 from moransar.verification import IdentityCheck, SuiteResult
 
 
@@ -243,6 +244,20 @@ class TestUnderflowingWeights:
         assert "range 3" in capsys.readouterr().out
 
 
+class TestOverflowingProximities:
+    def test_every_distance_1e_minus_307_is_analyzed(self, tmp_path, capsys):
+        # W is scale-free: these 15 sites have the W of equal distances,
+        # though their 210 proximities 1e307 sum beyond the float range
+        raw = RawSizeVector.from_values(np.arange(1.0, 16.0) ** 2)
+        write_sizes(raw, tmp_path / "sizes.csv")
+        write_distance_matrix(raw.ids, np.full((15, 15), 1e-307) * (1 - np.eye(15)),
+                              tmp_path / "dist.csv")
+        assert main(["analyze", "--sizes", str(tmp_path / "sizes.csv"),
+                     "--dist", str(tmp_path / "dist.csv"), "--permutations", "99",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "identities: 13/13 pass" in capsys.readouterr().out
+
+
 class TestSimulateVerb:
     def test_simulate_then_analyze(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -307,6 +322,18 @@ class TestSimulateVerb:
         assert "(--log) needs positive sizes" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cell, message", [
+        ("0", "distance between ids 'mid' and 'right' is zero"),
+        ("1e-320", "distance between ids 'mid' and 'right' is too small to invert: 1e-320"),
+    ], ids=["zero", "tiny"])
+    def test_data_error_of_the_distance_file_is_located(self, tmp_path, capsys, cell, message):
+        dist = tmp_path / "in_dist.csv"
+        dist.write_text(CHAIN_MATRIX_HEADER + f"left,0,1,2\nmid,1,0,{cell}\nright,2,{cell},0\n")
+        assert main(["simulate", "--n", "3", "--dist", str(dist),
+                     "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"moransar: input error: {dist}: {message}\n"
+        assert not (tmp_path / "d").exists()
+
 
 CHAIN_MATRIX_HEADER = "id,left,mid,right\n"
 
@@ -337,6 +364,19 @@ LOCATED_ERRORS = {
         ["--strict-symmetry"],
         "{dist}: distances from 'left' to 'mid' and back differ by relative "
         "3.333e-01 (strict symmetry requested)",
+    ),
+    "zero_variance": (
+        "id,value\nleft,2\nmid,2\nright,2\n",
+        CHAIN_MATRIX_HEADER + "left,0,1,2\nmid,1,0,1\nright,2,1,0\n",
+        [],
+        "{sizes}: all size values are equal",
+    ),
+    # positive, but its reciprocal overflows
+    "tiny_distance": (
+        None,
+        CHAIN_MATRIX_HEADER + "left,0,1,2\nmid,1,0,1e-320\nright,2,1e-320,0\n",
+        [],
+        "{dist}: distance between ids 'mid' and 'right' is too small to invert: 1e-320",
     ),
 }
 

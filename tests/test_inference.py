@@ -179,6 +179,32 @@ class TestPermutationTest:
         sd = math.sqrt(exact.p_value * (1.0 - exact.p_value) / 499)
         assert abs(sampled.p_value - exact.p_value) <= 4.0 * sd + 1.0 / 500
 
+    def test_sampled_hit_count_is_binomial(self):
+        # Exact law: at fixed z and W each draw is a uniform permutation of
+        # all n!, so a sampled test's hit count (m + 1) p - 1 is
+        # Binomial(m, q), q the enumerated p. Over 400 fixed seeds, the mean
+        # and the sample variance of the count must lie within 4 standard
+        # errors of m q and m q (1 - q). m = 8 BLOCK spans eight blocks:
+        # blocks seeded alike would multiply the variance by about 8, which
+        # the mean does not see. n = 7 keeps n! = 5040 above m, so the draws
+        # are sampled. Both statistics are near normal at 400 seeds, so a
+        # correct sampler fails each gate with probability about 6.3e-5:
+        # the test's false-alarm rate, over choices of the seeds, is about
+        # 1.3e-4.
+        raw, dist = small_instance(7, seed=1)
+        p = prepare(raw, dist)
+        exact = permutation_test(p.z, p.weights, m=5040, seed=0)
+        assert exact.exhaustive
+        q, m, runs = exact.p_value, 8 * BLOCK, 400
+        tests = [permutation_test(p.z, p.weights, m=m, seed=s) for s in range(runs)]
+        assert not any(t.exhaustive for t in tests)
+        hits = np.array([round((m + 1) * t.p_value) - 1 for t in tests])
+        var = m * q * (1.0 - q)
+        mu4 = var * (1.0 + 3.0 * (m - 2) * q * (1.0 - q))  # 4th central moment
+        var_se = math.sqrt((mu4 - var**2 * (runs - 3) / (runs - 1)) / runs)
+        assert abs(hits.mean() - m * q) <= 4.0 * math.sqrt(var / runs)
+        assert abs(hits.var(ddof=1) - var) <= 4.0 * var_se
+
     def test_worker_count_independence(self, deck):
         raw, dist = next((r, d) for r, d in deck if r.n >= 8)
         p = prepare(raw, dist)

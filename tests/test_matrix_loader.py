@@ -70,21 +70,20 @@ def oracle_load(path):
         if len(ids) < 2:
             raise ParseError(str(path), rows[0][0], "header lists fewer than 2 ids")
         if len(set(ids)) != len(ids):
-            raise DuplicateId(f"{path}:{rows[0][0]}: repeated id in distance header")
+            raise DuplicateId(str(path), rows[0][0], "repeated id in distance header")
     else:
         ids = tuple(str(i) for i in range(len(first_fields)))
         body = rows
     n = len(ids)
     if len(body) != n:
         lineno = body[n][0] if len(body) > n else rows[-1][0]
-        raise NonSquare(f"{path}:{lineno}: {n} columns but {len(body)} data rows")
+        raise NonSquare(str(path), lineno, f"{n} columns but {len(body)} data rows")
     matrix = np.zeros((n, n))
     for i, (lineno, fields) in enumerate(body):
         if has_header:
             if len(fields) != n + 1:
-                raise NonSquare(
-                    f"{path}:{lineno}: expected id plus {n} values, got {len(fields)} fields"
-                )
+                raise NonSquare(str(path), lineno,
+                                f"expected id plus {n} values, got {len(fields)} fields")
             if fields[0] != ids[i]:
                 raise ParseError(
                     str(path), lineno,
@@ -93,7 +92,7 @@ def oracle_load(path):
             numbers = fields[1:]
         else:
             if len(fields) != n:
-                raise NonSquare(f"{path}:{lineno}: expected {n} values, got {len(fields)}")
+                raise NonSquare(str(path), lineno, f"expected {n} values, got {len(fields)}")
             numbers = fields
         matrix[i] = [oracle_float(path, lineno, text) for text in numbers]
     return ids, matrix

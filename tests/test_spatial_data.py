@@ -14,8 +14,10 @@ from moransar.errors import (
     InputError,
     NegativeDistance,
     NonPositiveValue,
+    TinyDistance,
     ZeroDistance,
     ZeroVariance,
+    located,
 )
 from moransar.autocorr import moran_index
 from moransar.pipeline import REL_TOL
@@ -177,9 +179,10 @@ class TestProximity:
                            match=r"^distance between elements 1 and 2 is negative: -0\.5$") as exc:
             inverse_distance_proximity(d)
         assert (exc.value.i, exc.value.j, exc.value.value) == (1, 2, -0.5)
-        located = exc.value.in_file("d.csv", ("a", "b", "c"))
-        assert str(located) == "d.csv: distance between ids 'b' and 'c' is negative: -0.5"
-        assert isinstance(located, DegenerateMatrix)
+        with pytest.raises(DegenerateMatrix) as exc:
+            with located(dist="d.csv", ids=("a", "b", "c")):
+                inverse_distance_proximity(d)
+        assert str(exc.value) == "d.csv: distance between ids 'b' and 'c' is negative: -0.5"
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -197,6 +200,24 @@ class TestProximity:
         d = np.array([[0.0, 2.0], [3.0, 0.0]])
         with pytest.raises(AsymmetricInput):
             inverse_distance_proximity(d, symmetrize_policy="strict")
+
+    def test_asymmetric_matrix_in_memory_names_no_policy(self):
+        # only the strict policy of inverse_distance_proximity is a request
+        with pytest.raises(AsymmetricInput) as exc:
+            ProximityMatrix(matrix=np.array([[0.0, 1.0], [2.0, 0.0]]))
+        assert str(exc.value) == "entries (0,1) and (1,0) differ by relative 5.000e-01"
+        with pytest.raises(AsymmetricInput, match=r"^entries \(0,1\) and \(1,0\) differ by "
+                                                  r"relative 3\.333e-01 \(strict symmetry requested\)$"):
+            inverse_distance_proximity(np.array([[0.0, 2.0], [3.0, 0.0]]), "strict")
+
+    def test_subnormal_distance_names_its_elements(self):
+        tiny = np.finfo(float).tiny  # the smallest normal double, 2**-1022
+        d = np.full((3, 3), tiny) * (1 - np.eye(3))
+        inverse_distance_proximity(d)
+        d[1, 2] = d[2, 1] = np.nextafter(tiny, 0.0)
+        with pytest.raises(TinyDistance, match=r"^distance between elements 1 and 2 is too "
+                                               r"small to invert: 2\.225073858507201e-308$"):
+            inverse_distance_proximity(d)
 
     @pytest.mark.parametrize("policy", ["Strict", "average", ""])
     def test_unknown_policy_rejected(self, policy):
@@ -237,6 +258,14 @@ class TestWeights:
         prox = inverse_distance_proximity(d)
         w = global_normalize(prox)
         assert w.total_proximity == pytest.approx(1.0)  # 2 * (1/2)
+
+    @pytest.mark.parametrize("power", [-1019, 1000])
+    def test_power_of_two_scale_changes_no_bit(self, deck, power):
+        # at 2**-1019 the proximities of the larger instances sum beyond the
+        # float range
+        for _, dist in deck[:20]:
+            w = weights_from_distances(dist).matrix
+            assert weights_from_distances(np.ldexp(dist, power)).matrix.tobytes() == w.tobytes()
 
     def test_zero_total_rejected(self):
         # ProximityMatrix cannot hold an all-zero matrix, so call the
