@@ -31,7 +31,7 @@ from ._version import __version__
 from .autocorr import MODE_AUTOCORRELATION, MODE_AUTOREGRESSION, scatter_dataset
 from .bounds import bounds_report
 from .dataio import load_distances, write_distance_matrix, write_scatter_csv, write_sizes
-from .errors import InputError, NumericalError, located
+from .errors import InputError, NumericalError, ParseError, located
 from .pipeline import AnalysisConfig, analyze, emit_report, prepare_files
 from .sar import fit_sar_ols
 from .simulate import random_distances, simulate_sar
@@ -172,9 +172,7 @@ def cmd_simulate(args) -> int:
     if args.dist is not None:
         ids, distances = load_distances(args.dist, args.dist_format)
         if len(ids) != args.n:
-            raise InputError(
-                f"--n {args.n} does not match the {len(ids)}-element distance file"
-            )
+            raise ParseError(str(args.dist), 0, f"{len(ids)} elements, but --n is {args.n}")
     else:
         ids = tuple(str(i) for i in range(args.n))
         distances = random_distances(np.random.default_rng([seed, 0x51]), args.n)

@@ -31,25 +31,27 @@ Three steps:
    & Wilkinson, "Calculation of the eigenvalues of a symmetric
    tridiagonal matrix by the method of bisection", Numer. Math. 9,
    1967). Eigenvalue k owns one bracket [lo, hi) with count(lo) <= k <
-   count(hi). Each pass splits every distinct bracket at many shifts at
-   once and runs the recurrence over all shifts together. The pivots
-   are not guarded: IEEE infinities carry a zero pivot, which counts as
-   nonnegative when it is +0 and passes the count to the next row's
-   -inf (Demmel, Dhillon & Ren, ETNA 3, 1995). A count needs only each
-   pivot's sign bit, so pivots are kept for a block of rows and counted
-   together: two numpy calls per row, in memory bounded by
-   ``PIVOT_BLOCK`` pivots. A bracket's counts at its ends tell how many
-   eigenvalues it holds. Once every unfinished bracket holds one,
-   bisection gains only 6 bits a pass, so one Newton phase takes over
-   (Barth, Martin & Wilkinson select indices the same way; so does
-   LAPACK's dstebz with RANGE='I'): the same recurrence, differentiated,
-   gives f'/f of f(x) = det(T - xI) at one point per eigenvalue, and
-   each step's count also tightens the bracket. A final Sturm pass
-   certifies every refined value by a window of 3/4 the target around
-   it; a value that fails keeps its tightened bracket and goes back to
-   multisection. Repeated eigenvalues share a bracket to the end, so
-   they never enter Newton's phase. Every bracket ends at most a few
-   ulps of the block's norm wide.
+   count(hi). One kernel, ``_sturm_counts``, runs the pivot recurrence
+   q_i = (d_i - x) - e_i^2 / q_{i-1} for every pass, over all its
+   shifts together. The pivots are not guarded: IEEE infinities carry a
+   zero pivot, which counts as nonnegative when it is +0 and passes the
+   count to the next row's -inf (Demmel, Dhillon & Ren, ETNA 3, 1995).
+   A count needs only each pivot's sign bit, so pivots are kept for a
+   block of rows and counted together: two numpy calls per row, in
+   memory bounded by ``PIVOT_BLOCK`` pivots. Each multisection pass
+   splits every distinct bracket at 64 shifts, and a bracket's counts at
+   its ends tell how many eigenvalues it holds. Once every unfinished
+   bracket holds one, bisection gains only 6 bits a pass, so one Newton
+   phase takes over (Barth, Martin & Wilkinson select indices the same
+   way; so does LAPACK's dstebz with RANGE='I'): asked for slopes, the
+   same kernel also runs the differentiated recurrence, which gives f'/f
+   of f(x) = det(T - xI) at one point per eigenvalue, and each step's
+   count also tightens the bracket. A final Sturm pass, through the same
+   call, certifies every refined value by a window of 3/4 the target
+   around it; a value that fails keeps its tightened bracket and goes
+   back to multisection. Repeated eigenvalues share a bracket to the
+   end, so they never enter Newton's phase. Every bracket ends at most a
+   few ulps of the block's norm wide.
 
 With ``extremes=True`` the caller gets only the ends of the spectra of A
 and A^2 from the same reduction: one Sturm count at 0 per block finds the
@@ -66,11 +68,12 @@ A stack of k matrices of one size, shape (k, n, n), is solved in one
 call, each member bit for bit as it would be alone. The reduction runs
 one sweep over every member, batching the copy and rank-2 update of
 their trailing blocks. The blocks of one length, across the stack, then
-advance in lockstep, each with its own brackets and phases:
-a round makes one kernel call for all their multisection passes and one
-for their Newton steps and certificates, so at the sizes of ``moransar
-verify`` (n <= 40, where a pass costs numpy calls per row more than
-arithmetic) W and W'W share most of their calls.
+advance in lockstep, each with its own brackets and phases: a round
+calls the one kernel once for all their multisection passes (rows of
+shifts, counts alone) and once for all their Newton steps and
+certificates (one vector of points, counts and slopes), so at the sizes
+of ``moransar verify`` (n <= 40, where a pass costs numpy calls per row
+more than arithmetic) W and W'W share most of their calls.
 """
 
 from __future__ import annotations
@@ -118,22 +121,21 @@ class EigenSpectrum:
     the first and the last, so ``smallest``, ``largest`` and ``n`` read as
     for a whole spectrum.
 
-    ``max_offdiag_residual`` is the width of the widest final bracket (0.0
-    when every block was 1x1 or 2x2): each value is its bracket's
-    midpoint. A bracket is at most 4 eps ||T|| wide, and one certified
-    after Newton's phase about 3/4 of that; a partial spectrum counts only
-    the brackets it kept. ``sweeps`` is the number of passes of the Sturm
-    recurrence (multisection passes, Newton steps, the certificate pass
-    and a partial solve's count at 0), summed over the tridiagonal's
-    blocks. ``dropped`` is the sum
-    of the 2-norms of every column tail and coupling discarded as below
-    rounding, in the input's scale (0.0 when none was). Up to the
+    ``widest_bracket`` is the width of the widest final bracket (0.0 when
+    every block was 1x1 or 2x2): each value is its bracket's midpoint. A
+    bracket is at most 4 eps ||T|| wide, and one certified after Newton's
+    phase about 3/4 of that; a partial spectrum counts only the brackets
+    it kept. ``sweeps`` is the number of passes of the Sturm recurrence
+    (multisection passes, Newton steps, the certificate pass and a partial
+    solve's count at 0), summed over the tridiagonal's blocks. ``dropped``
+    is the sum of the 2-norms of every column tail and coupling discarded
+    as below rounding, in the input's scale (0.0 when none was). Up to the
     rounding of the Householder reduction, each value lies within
     ``dropped`` plus half its bracket of an eigenvalue of the input.
     """
 
     values: np.ndarray = field(repr=False)
-    max_offdiag_residual: float
+    widest_bracket: float
     sweeps: int
     dropped: float
     indices: np.ndarray | None = field(default=None, repr=False)
@@ -282,29 +284,42 @@ def _broadcast_rows(
     return d[:, :, None], e2[:, :, None]
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Eigenvalues below each shift, for one tridiagonal or g of one length.
+def _sturm_counts(
+    d: np.ndarray, e2: np.ndarray, shifts: np.ndarray, slopes: bool = False,
+    lone: list[int] | None = None,
+):
+    """Eigenvalues below each shift, for one tridiagonal or g of one length,
+    and with ``slopes`` also f'/f at each shift, f(x) = det(T - xI).
 
     One tridiagonal comes as d and e2 of shape (m,), with e2[i] =
     e[i-1]**2, and shifts of shape (s,). For g of them, column j of ``d``
     and ``e2``, shape (m, g), holds tridiagonal j and row j of ``shifts``,
     shape (g, s), its shifts; with shifts of shape (g,), shift j alone.
-    The counts come back in the shifts' shape.
+    The counts (and slopes) come back in the shifts' shape.
 
     The pivots q_i = (d[i] - x) - e2[i] / q_{i-1} of the LDL'
     factorization of T - xI run one recurrence step per row for all
-    shifts at once, counting pivots whose sign bit is set. Each shift sees only its own tridiagonal's
-    entries, so its count is the one a lone call would give. No pivot is
-    guarded: a pivot of exactly +0 counts as nonnegative, and the next
-    one, -inf, counts the eigenvalue instead (Kahan 1966; Demmel, Dhillon
-    & Ren, ETNA 3, 1995). Every e2[i] past the first is nonzero, so no
-    step forms 0/0.
+    shifts at once, counting pivots whose sign bit is set. Each shift sees
+    only its own tridiagonal's entries, so its count is the one a lone
+    call would give. No pivot is guarded: a pivot of exactly +0 counts as
+    nonnegative, and the next one, -inf, counts the eigenvalue instead
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995). Every e2[i] past
+    the first is nonzero, so no step forms 0/0.
 
     A pivot's sign can be read after the recurrence has moved on, so the
     rows run in blocks of at most ``PIVOT_BLOCK`` pivots, held in one
     buffer: one call forms d[i] - x for the whole block, each row then
     costs a divide and a subtract in place, and one call counts the
     block's sign bits.
+
+    f is the product of the pivots, so f'/f is the sum of u_i = q_i'/q_i,
+    and differentiating the recurrence gives u_i = (r_i u_{i-1} - 1) / q_i
+    with r_i = e2[i] / q_{i-1}; at an exact zero pivot u turns inf or NaN,
+    and the caller's safeguard takes a bisection step instead. The terms
+    are kept for every row and summed at the end. numpy sums several
+    columns of them row by row but a lone column pairwise, so the slope at
+    each shift listed in ``lone`` (the one point of a tridiagonal that
+    asked for one) is summed alone, as it would be unstacked.
     """
     x = shifts
     m = d.shape[0]
@@ -314,58 +329,35 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarr
     # row 0 carries the last pivot of the block before, and 1 at first
     pivots = np.empty((rows + 1, *x.shape))
     pivots[0] = 1.0
+    # C order: the sum below runs row by row only when the rows are the
+    # outer axis in memory
+    terms = np.empty((m, *x.shape)) if slopes else None
+    u = 0.0  # the slope term before row 0
     d, e2 = _broadcast_rows(d, e2, x)
-    with np.errstate(divide="ignore", over="ignore"):
+    # a slope term past a zero pivot may be inf or NaN, which the caller
+    # handles; a count never forms a NaN
+    quiet = {"all": "ignore"} if slopes else {"divide": "ignore", "over": "ignore"}
+    with np.errstate(**quiet):
         for start in range(0, m, rows):
             block = pivots[1 : 1 + min(rows, m - start)]
             np.subtract(d[start : start + rows], x, out=block)
             q = pivots[0]
-            for row, coupling in zip(block, e2[start : start + rows]):
+            for i, (row, coupling) in enumerate(zip(block, e2[start : start + rows]), start):
                 np.divide(coupling, q, out=r)
                 q = np.subtract(row, r, out=row)
+                if slopes:
+                    r *= u
+                    r -= 1.0
+                    u = np.divide(r, q, out=terms[i])
             # a block holds at most PIVOT_BLOCK < 2**16 rows
             count += np.add.reduce(np.signbit(block), axis=0, dtype=np.uint16)
             pivots[0] = q
-    return count
-
-
-def _counts_and_slopes(
-    d: np.ndarray, e2: np.ndarray, x: np.ndarray, lone: list[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sturm counts at each point and f'/f there, f(x) = det(T - xI).
-
-    Shapes as in ``_sturm_counts``. The pivots q_i are its pivots, formed
-    by the same operations, so the counts are exactly its counts. f is the
-    product of the pivots, so f'/f is the sum of u_i = q_i'/q_i, and
-    differentiating the pivot recurrence gives u_i = (r_i u_{i-1} - 1) /
-    q_i with r_i = e2[i] / q_{i-1}. At an exact zero pivot u turns inf or
-    NaN; the caller's safeguard takes a bisection step instead.
-
-    numpy sums several columns of terms row by row but a lone column
-    pairwise, so the slope at each shift listed in ``lone`` (the one point
-    of a tridiagonal that asked for one) is summed alone, as it would be
-    unstacked.
-    """
-    d, e2 = _broadcast_rows(d, e2, x)
-    # C order, as numpy.subtract.outer gives: the sum below runs row by
-    # row only when the rows are the outer axis in memory
-    pivots = np.empty((d.shape[0], *x.shape))
-    np.subtract(d, x, out=pivots)
-    terms = np.empty_like(pivots)
-    q = np.ones(x.shape)
-    u = np.zeros(x.shape)
-    with np.errstate(all="ignore"):
-        for row, coupling, term in zip(pivots, e2, terms):
-            r = coupling / q
-            q = np.subtract(row, r, out=row)
-            r *= u
-            r -= 1.0
-            u = np.divide(r, q, out=term)
-        counts = np.add.reduce(np.signbit(pivots), axis=0, dtype=np.int32)
-        slopes = terms.sum(axis=0)
+        if not slopes:
+            return count
+        total = terms.sum(axis=0)
         for j in lone or ():
-            slopes[j] = terms[:, j].sum(axis=0)
-    return counts, slopes
+            total[j] = terms[:, j].sum(axis=0)
+    return count, total
 
 
 def _newton(
@@ -374,12 +366,12 @@ def _newton(
 ):
     """Refine isolated brackets by Newton's method; returns passes used.
 
-    A generator, like ``_multisection``: it yields each set of points it
-    needs counts and slopes at. ``live`` lists the brackets to refine and
-    ``index`` the eigenvalue each of them holds, alone. Each step's Sturm
-    count tightens the bracket, and the
-    step x - f/f' is taken only when it lands strictly inside; otherwise
-    the point moves to the bracket's midpoint. An index stops once its
+    A generator, like ``_multisection``: it yields each vector of points
+    it needs counts at, and takes back the counts and the slopes.
+    ``live`` lists the brackets to refine and ``index`` the eigenvalue
+    each of them holds, alone. Each step's Sturm count tightens the
+    bracket, and the step x - f/f' is taken only when it lands strictly
+    inside; otherwise the point moves to the bracket's midpoint. An index stops once its
     Newton correction is at most target/4. One certificate pass then
     counts at x -+ 3/8 target: where count(x - h) <= k < count(x + h) the
     index takes that window as its bracket, at most the target wide
@@ -393,7 +385,7 @@ def _newton(
     while active.size and passes < min(NEWTON_STEPS, budget):
         k = live[active]
         point = x[active]
-        counts, slopes = yield point, True
+        counts, slopes = yield point
         passes += 1
         below = counts <= index[active]
         left = np.where(below, point, lo[k])
@@ -412,7 +404,7 @@ def _newton(
     if passes < budget:
         h = CERTIFICATE_WINDOW * target
         window = np.concatenate([x - h, x + h])
-        counts = yield window, False
+        counts, _ = yield window
         passes += 1
         sure = (counts[: live.size] <= index) & (index < counts[live.size :])
         lo[live[sure]] = window[: live.size][sure]
@@ -421,14 +413,14 @@ def _newton(
 
 
 def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
-    """Eigenvalues of an unreduced tridiagonal, the widest bracket, passes.
+    """The indices solved, their eigenvalues, the widest bracket and the
+    passes, for an unreduced tridiagonal.
 
-    A generator: each pass yields ``(points, slopes)``, the points it
-    needs Sturm counts at (a row of shifts per bracket it splits, or a
-    vector from Newton's phase) and whether it needs f'/f there too, and
-    takes back the counts, or the counts and the slopes, in the points'
-    shape. It returns its result through StopIteration, or raises
-    NoConvergence. ``_lockstep`` runs many of them side by side.
+    A generator: each pass yields the points it needs Sturm counts at, a
+    row of shifts per bracket it splits, and takes back the counts in
+    their shape; Newton's phase yields a vector and takes back the counts
+    and f'/f there. It returns its result through StopIteration, or
+    raises NoConvergence. ``_lockstep`` runs many of them side by side.
 
     ``want`` lists the indices to solve, ascending; None means all of
     them. Eigenvalue k (ascending) owns the bracket [lo[k], hi[k]) with
@@ -489,7 +481,7 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
         shifts = left[:, None] + (right - left)[:, None] * fractions
         # rounding may break the count's monotonicity; restore it so
         # every index falls in exactly one piece
-        counts = np.maximum.accumulate((yield shifts, False), axis=1)
+        counts = np.maximum.accumulate((yield shifts), axis=1)
         piece = (counts[owner] <= index[live, None]).sum(axis=1)
         edges = np.concatenate([left[:, None], shifts, right[:, None]], axis=1)
         lo[live] = edges[owner, piece]
@@ -502,31 +494,37 @@ def _multisection(d: np.ndarray, e: np.ndarray, want: np.ndarray | None = None):
 
     widest = float(np.max(hi - lo))
     if widest > target:
-        raise NoConvergence(residual=widest, sweeps=passes)
-    return 0.5 * (lo + hi), widest, passes
+        raise NoConvergence(widest=widest, sweeps=passes)
+    return index, 0.5 * (lo + hi), widest, passes
 
 
-def _lockstep(d: np.ndarray, e: np.ndarray, wants: list | None = None) -> list:
+def _lockstep(d: np.ndarray, e: np.ndarray, extremes: bool = False) -> tuple[list, list]:
     """``_multisection`` on g unreduced tridiagonals of one length m at once.
 
-    Column j of ``d`` (m, g) and ``e`` (m-1, g) is tridiagonal j, and
-    ``wants[j]`` the indices it solves (all when ``wants`` is None). Each
-    keeps its own multisection, Newton, certificate and fallback state,
-    and runs the passes it would run alone. They advance in rounds, and
-    each round makes at most two kernel calls: one ``_sturm_counts`` call
-    for the multisection passes, whose rows are the brackets they split
-    (64 shifts each), and one for the Newton steps and certificates,
-    whose points form one vector: ``_counts_and_slopes`` if any of them
-    needs slopes (a certificate reads only its counts), else
-    ``_sturm_counts``. Each row or point carries its own tridiagonal's
-    column of d and e2, so nothing is padded. A tridiagonal alone in a call runs the
-    one-tridiagonal form of the kernel, as a solve of one matrix always
-    did. Returns (values, widest, passes), or the NoConvergence it ended
-    in, for each.
+    Column j of ``d`` (m, g) and ``e`` (m-1, g) is tridiagonal j. Each
+    solves every index or, with ``extremes``, its least and greatest and
+    the two either side of 0, which one Sturm count at 0 over all g finds
+    first. Each keeps its own multisection, Newton, certificate and
+    fallback state, and runs the passes it would run alone. They advance
+    in rounds, and each round makes at most two calls of the one kernel,
+    ``_sturm_counts``: one for the multisection passes, whose rows are the
+    brackets they split (64 shifts each), and one with slopes for the
+    Newton steps and certificates, whose points form one vector. Each row
+    or point carries its own tridiagonal's column of d and e2, so nothing
+    is padded. A tridiagonal alone in a call runs the one-tridiagonal form
+    of the kernel, as a solve of one matrix always did.
+
+    Returns the counts at 0 (None each without ``extremes``) and, for
+    each tridiagonal, (indices, values, widest, passes) or the
+    NoConvergence it ended in.
     """
-    g = d.shape[1]
+    m, g = d.shape
     e2 = np.concatenate([np.zeros((1, g)), e * e])
-    wants = wants or [None] * g
+    below = [None] * g
+    wants = [None] * g
+    if extremes:
+        below = _sturm_counts(d, e2, np.zeros(g)).tolist()
+        wants = [np.array(sorted({0, max(c - 1, 0), min(c, m - 1), m - 1})) for c in below]
     runs = [_multisection(d[:, j], e[:, j], wants[j]) for j in range(g)]
     outcomes: list = [None] * g
     asked: list = [None] * g
@@ -541,35 +539,28 @@ def _lockstep(d: np.ndarray, e: np.ndarray, wants: list | None = None) -> list:
             except NoConvergence as failure:
                 outcomes[j], asked[j] = failure, None
         waiting = [j for j in waiting if asked[j] is not None]
-        for bracketed in (True, False):
-            kin = [j for j in waiting if (asked[j][0].ndim == 2) is bracketed]
+        for slopes in (False, True):
+            kin = [j for j in waiting if (asked[j].ndim == 1) is slopes]
             if not kin:
                 continue
-            slopes = any(asked[j][1] for j in kin)
-            kernel = _counts_and_slopes if slopes else _sturm_counts
             if len(kin) == 1:
                 [j] = kin
-                points = asked[j][0]
-                reply = kernel(d[:, j], e2[:, j], points.ravel())
+                points = asked[j]
+                reply = _sturm_counts(d[:, j], e2[:, j], points.ravel(), slopes)
                 replies[j] = reply if slopes else reply.reshape(points.shape)
                 continue
-            rows = [asked[j][0] for j in kin]
+            rows = [asked[j] for j in kin]
             sizes = [len(r) for r in rows]
             ends = list(accumulate(sizes))
             owner = np.repeat(kin, sizes)
-            args = (d[:, owner], e2[:, owner], np.concatenate(rows))
-            if slopes:
-                lone = [end - 1 for j, end in zip(kin, ends)
-                        if asked[j][1] and asked[j][0].size == 1]
-                counts, slope = kernel(*args, lone)
-            else:
-                counts = kernel(*args)
+            lone = [end - 1 for end, size in zip(ends, sizes) if size == 1]
+            reply = _sturm_counts(d[:, owner], e2[:, owner], np.concatenate(rows), slopes, lone)
             for j, start, end in zip(kin, [0, *ends], ends):
-                if slopes and asked[j][1]:
-                    replies[j] = counts[start:end], slope[start:end]
+                if slopes:
+                    replies[j] = reply[0][start:end], reply[1][start:end]
                 else:
-                    replies[j] = counts[start:end]
-    return outcomes
+                    replies[j] = reply[start:end]
+    return below, outcomes
 
 
 def _ends_and_zero_sides(values: np.ndarray, negative: np.ndarray):
@@ -690,29 +681,19 @@ def symmetric_eigenvalues(
     for size, places in lengths.items():
         blocks_d = np.stack([d[j, start : start + size] for j, start in places], axis=1)
         blocks_e = np.stack([e[j, start : start + size - 1] for j, start in places], axis=1)
-        wants = None
-        if extremes:
-            g = len(places)
-            blocks_e2 = np.concatenate([np.zeros((1, g)), blocks_e * blocks_e])
-            below = _sturm_counts(blocks_d, blocks_e2, np.zeros(g)).tolist()
-            wants = [np.array(sorted({0, max(c - 1, 0), min(c, size - 1), size - 1}))
-                     for c in below]
-            for (j, start), c in zip(places, below):
+        below, outcomes = _lockstep(blocks_d, blocks_e, extremes)
+        for (j, start), c, outcome in zip(places, below, outcomes):
+            if extremes:
                 negative[j, start : start + size] = np.arange(size) < c
                 values[j, start : start + size] = np.nan
                 passes[j] += 1
-        outcomes = _lockstep(blocks_d, blocks_e, wants)
-        for p, ((j, start), outcome) in enumerate(zip(places, outcomes)):
             if isinstance(outcome, NoConvergence):
                 # a solve of one matrix stops at its first such block
                 if j not in failures or start < failures[j][0]:
                     failures[j] = (start, outcome)
                 continue
-            solved, width, count = outcome
-            if wants is None:
-                values[j, start : start + size] = solved
-            else:
-                values[j, start + wants[p]] = solved
+            index, solved, width, count = outcome
+            values[j, start + index] = solved
             widest[j] = max(widest[j], width)
             passes[j] += count
 
@@ -720,7 +701,7 @@ def symmetric_eigenvalues(
     for j in range(k):
         if j in failures:
             failure = failures[j][1]
-            raise NoConvergence(failure.residual, failure.sweeps, member=j if stacked else None)
+            raise NoConvergence(failure.widest, failure.sweeps, member=j if stacked else None)
         indices = None
         if extremes and n:
             values_j, indices = _ends_and_zero_sides(values[j], negative[j])
@@ -740,7 +721,7 @@ def symmetric_eigenvalues(
         values_j.flags.writeable = False
         spectra.append(EigenSpectrum(
             values=values_j,
-            max_offdiag_residual=float(np.ldexp(widest[j], exponent)),
+            widest_bracket=float(np.ldexp(widest[j], exponent)),
             sweeps=int(passes[j]),
             dropped=float(np.ldexp(dropped[j], exponent)),
             indices=indices,

@@ -239,12 +239,12 @@ class NonSquare(ParseError):
 class NoConvergence(NumericalError):
     """A Sturm bracket was still wider than its target after the pass budget."""
 
-    def __init__(self, residual: float, sweeps: int, member: int | None = None):
-        self.residual = residual
+    def __init__(self, widest: float, sweeps: int, member: int | None = None):
+        self.widest = widest
         self.sweeps = sweeps
         self.member = member  # the matrix's index when it was one of a stack
         prefix = "" if member is None else f"stack matrix {member}: "
         super().__init__(
             f"{prefix}eigenvalue brackets did not converge after {sweeps} "
-            f"multisection passes (widest bracket {residual:.3e})"
+            f"multisection passes (widest bracket {widest:.3e})"
         )

@@ -143,7 +143,6 @@ class WeightMatrix:
     """
 
     matrix: np.ndarray = field(repr=False)
-    total_proximity: float
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
@@ -367,9 +366,7 @@ def global_normalize(proximity: ProximityMatrix) -> WeightMatrix:
     w /= total
     # One multiplicative correction so the sum is 1 to the last bit.
     w /= w.sum()
-    with np.errstate(over="ignore"):  # a sum of V beyond the float range is inf
-        total_proximity = float(np.ldexp(total, exponent))
-    return WeightMatrix(matrix=w, total_proximity=total_proximity)
+    return WeightMatrix(matrix=w)
 
 
 def spatial_lag(weights: WeightMatrix, z: StandardizedVector) -> SpatialLag:

@@ -39,7 +39,7 @@ def zero_index_pair():
     """
     z = standardize(RawSizeVector.from_values([1.0, 2.0, 3.0]))
     w = np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.1], [0.0, 0.1, 0.0]])
-    weights = WeightMatrix(matrix=w, total_proximity=1.0)
+    weights = WeightMatrix(matrix=w)
     wz = w @ z.values
     inputs = SpatialInputs(
         z=z, proximity=None, weights=weights,

@@ -205,8 +205,8 @@ class TestSelectedSpectrum:
             for got, want in pairs:
                 assert got.contained == want.contained
                 assert got.value == want.value
-            allowance = 0.5 * (report.spectrum.max_offdiag_residual
-                               + whole.max_offdiag_residual)
+            allowance = 0.5 * (report.spectrum.widest_bracket
+                               + whole.widest_bracket)
             r1, w1 = report.range1.containment, reference.range1.containment
             assert abs(r1.lower - w1.lower) <= allowance
             assert abs(r1.upper - w1.upper) <= allowance

@@ -158,7 +158,7 @@ class TestAnalyzeVerb:
     def test_numerical_failure_exits_2(self, fixtures_dir, tmp_path, monkeypatch,
                                        capsys):
         def explode(*a, **k):
-            raise NoConvergence(residual=1.0, sweeps=100)
+            raise NoConvergence(widest=1.0, sweeps=100)
 
         monkeypatch.setattr(cli, "analyze", explode)
         rc = main(chain_analyze(fixtures_dir, tmp_path))
@@ -289,6 +289,13 @@ class TestSimulateVerb:
             "--out", str(tmp_path),
         ])
         assert rc == 1
+
+    def test_n_that_does_not_match_names_the_distance_file(self, fixtures_dir, tmp_path, capsys):
+        dist = str(fixtures_dir / "chain_distances.csv")
+        rc = main(["simulate", "--n", "5", "--dist", dist, "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"moransar: input error: {dist}:0: 3 elements, but --n is 5\n"
+        assert not (tmp_path / "d").exists()
 
     def test_negative_seed_exits_1_without_files(self, tmp_path, capsys):
         rc = main(["simulate", "--n", "5", "--seed", "-3", "--out", str(tmp_path / "d")])

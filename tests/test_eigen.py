@@ -149,8 +149,8 @@ class TestAgainstNumpyOracle:
         for raw, dist in deck:
             w = prepare(raw, dist).weights.matrix
             spectrum = symmetric_eigenvalues(w)
-            allowance = spectrum.max_offdiag_residual + w.shape[0] * eps * np.linalg.norm(w)
-            assert spectrum.max_offdiag_residual > 0.0
+            allowance = spectrum.widest_bracket + w.shape[0] * eps * np.linalg.norm(w)
+            assert spectrum.widest_bracket > 0.0
             assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(w))) <= allowance
 
     def test_underflowing_householder_column(self, far_clusters):
@@ -254,7 +254,7 @@ class TestInvariants:
     def test_convergence_metadata(self):
         spectrum = symmetric_eigenvalues(random_symmetric(7, 30))
         assert spectrum.sweeps <= MAX_PASSES
-        assert spectrum.max_offdiag_residual >= 0.0
+        assert spectrum.widest_bracket >= 0.0
 
     def test_pass_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(eigen, "MAX_PASSES", 2)
@@ -267,7 +267,7 @@ def assert_certified(m, expected=None):
     (and of ``expected``, which carries the multiplicities, when given)."""
     m = np.asarray(m, dtype=float)
     spectrum = symmetric_eigenvalues(m)
-    allowance = spectrum.max_offdiag_residual + m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
+    allowance = spectrum.widest_bracket + m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
     assert np.all(np.diff(spectrum.values) >= 0.0)
     for reference in (np.linalg.eigvalsh(m), expected):
         if reference is not None:
@@ -307,7 +307,7 @@ class TestUnguardedSturmCount:
         spectrum = assert_certified(m, [1.0, 2.5 - np.hypot(0.5, 1.0), 2.5 + np.hypot(0.5, 1.0)])
         assert sizes == []
         assert spectrum.values[0] == 1.0
-        assert spectrum.max_offdiag_residual == 0.0
+        assert spectrum.widest_bracket == 0.0
 
     def test_coupling_above_drop_tolerance_keeps_one_block(self, monkeypatch):
         sizes = multisection_sizes(monkeypatch)
@@ -330,7 +330,7 @@ class TestUnguardedSturmCount:
         # e**2 ~ 1e-320 is subnormal but not zero; the solver would split
         # there, so the recurrence sees it only through _multisection
         d, e = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([1.0, 1e-160, 1.0, 1.0])
-        [(values, width, _)] = eigen._lockstep(d[:, None], e[:, None])
+        _, [(_, values, width, _)] = eigen._lockstep(d[:, None], e[:, None])
         # to within 1e-160 the 2x2 block [[1, 1], [1, 2]] and the 3x3
         # block with d = 3, 4, 5 and unit couplings: 4 and 4 -+ sqrt(3)
         root5, root3 = np.sqrt(5.0), np.sqrt(3.0)
@@ -391,6 +391,42 @@ def spy_on(monkeypatch, name, log=None):
     return log
 
 
+def kernel_calls(monkeypatch, slope=None):
+    """Record each call of the Sturm kernel as (slopes, points): slopes is
+    set for a Newton step or certificate and clear for a multisection pass
+    or a count at 0. With ``slope``, every slope the kernel returns is
+    replaced by that value."""
+    log = []
+    real = eigen._sturm_counts
+
+    def spy(d, e2, shifts, slopes=False, lone=None):
+        log.append((slopes, shifts.size))
+        reply = real(d, e2, shifts, slopes, lone)
+        if slopes and slope is not None:
+            return reply[0], np.full(shifts.shape, slope)
+        return reply
+
+    monkeypatch.setattr(eigen, "_sturm_counts", spy)
+    return log
+
+
+def row_by_row_kernel(monkeypatch):
+    """Put the row-by-row recurrence in the kernel's place: every count
+    comes from it, and the slopes from the kernel, whose counts must agree
+    with it."""
+    real = eigen._sturm_counts
+
+    def oracle(d, e2, shifts, slopes=False, lone=None):
+        counts = row_by_row_sturm_counts(d, e2, shifts)
+        if not slopes:
+            return counts
+        kernel_counts, kernel_slopes = real(d, e2, shifts, True, lone)
+        np.testing.assert_array_equal(kernel_counts, counts)
+        return counts, kernel_slopes
+
+    monkeypatch.setattr(eigen, "_sturm_counts", oracle)
+
+
 class TestNewtonPhase:
     def test_counts_match_sturm_and_slopes_are_log_derivative(self):
         m = random_symmetric(21, 9)
@@ -398,7 +434,7 @@ class TestNewtonPhase:
         values = np.linalg.eigvalsh(tridiagonal(d, e))
         d, e2 = column(d, np.concatenate([[0.0], e * e]))
         x = np.linspace(values[0] - 1.0, values[-1] + 1.0, 257)
-        counts, slopes = eigen._counts_and_slopes(d, e2, x[None])
+        counts, slopes = eigen._sturm_counts(d, e2, x[None], slopes=True)
         np.testing.assert_array_equal(counts, eigen._sturm_counts(d, e2, x[None]))
         slopes = slopes[0]
         # f'/f of det(T - xI) = prod(lambda - x) is sum 1 / (x - lambda)
@@ -406,9 +442,13 @@ class TestNewtonPhase:
         np.testing.assert_allclose(slopes, expected, rtol=1e-9)
 
     def test_generic_matrix_is_refined(self, monkeypatch):
-        calls = spy_on(monkeypatch, "_counts_and_slopes")
+        # at least one Newton step and at most NEWTON_STEPS, then the
+        # certificate, the only other call that asks for slopes
+        calls = kernel_calls(monkeypatch)
         assert_certified(random_symmetric(12, 40))
-        assert 1 <= len(calls) <= eigen.NEWTON_STEPS
+        newton = [size for slopes, size in calls if slopes]
+        assert 2 <= len(newton) <= eigen.NEWTON_STEPS + 1
+        assert newton[-1] == 2 * newton[0]
 
     @pytest.mark.parametrize("slope", [0.0, 1e300, np.nan])
     def test_certificate_rejects_a_false_convergence(self, monkeypatch, slope):
@@ -416,31 +456,25 @@ class TestNewtonPhase:
         # claims convergence at once, at the midpoint of an isolated
         # bracket and so off the eigenvalue; NaN is what a zero pivot
         # leaves. The certificate must turn them back to multisection.
-        def wrong_slopes(*args):
-            counts, slopes = real(*args)
-            return counts, np.full_like(slopes, slope)
-
-        real = eigen._counts_and_slopes
-        monkeypatch.setattr(eigen, "_counts_and_slopes", wrong_slopes)
-        log = spy_on(monkeypatch, "_counts_and_slopes")
-        spy_on(monkeypatch, "_sturm_counts", log)
+        log = kernel_calls(monkeypatch, slope)
         m = random_symmetric(13, 30)
         spectrum = assert_certified(m)
         assert spectrum.sweeps == len(log) <= MAX_PASSES
-        # the certificate pass, then multisection on what it rejected
-        last_step = len(log) - 1 - log[::-1].index("_counts_and_slopes")
-        assert log[last_step + 1 :].count("_sturm_counts") >= 2
+        # the certificate pass, at x -+ h of every refined index, then
+        # multisection on what it rejected
+        newton = [i for i, (slopes, _) in enumerate(log) if slopes]
+        assert log[newton[-1]][1] == 2 * log[newton[0]][1]
+        assert newton[-1] + 1 < len(log)
 
     def test_budget_counts_newton_steps(self, monkeypatch):
         # 30 random eigenvalues are isolated within two passes, so Newton
         # starts with two passes left and cannot reach its certificate
         monkeypatch.setattr(eigen, "MAX_PASSES", 4)
-        newton = spy_on(monkeypatch, "_counts_and_slopes")
-        multisection = spy_on(monkeypatch, "_sturm_counts")
+        calls = kernel_calls(monkeypatch)
         with pytest.raises(NoConvergence) as err:
             symmetric_eigenvalues(random_symmetric(7, 30))
-        assert newton
-        assert err.value.sweeps == len(newton) + len(multisection) == 4
+        assert any(slopes for slopes, _ in calls)
+        assert err.value.sweeps == len(calls) == 4
 
     @pytest.mark.parametrize(
         "m",
@@ -502,7 +536,7 @@ def clustered_weights(n=150, seed=150):
 
 def assert_same_spectrum(a, b):
     assert a.values.tobytes() == b.values.tobytes()
-    assert a.max_offdiag_residual == b.max_offdiag_residual
+    assert a.widest_bracket == b.widest_bracket
     assert a.sweeps == b.sweeps
     assert a.dropped == b.dropped
 
@@ -531,7 +565,7 @@ class TestBlockedSturmKernel:
         counts = eigen._sturm_counts(d, e2, shifts)
         np.testing.assert_array_equal(counts, row_by_row_sturm_counts(d, e2, shifts))
         assert counts[0, 0] == 0 and 255 < counts[0, 1] < 600 and counts[0, 2] == 600
-        np.testing.assert_array_equal(eigen._counts_and_slopes(d, e2, shifts)[0], counts)
+        np.testing.assert_array_equal(eigen._sturm_counts(d, e2, shifts, slopes=True)[0], counts)
 
     def test_pivot_block_fits_the_block_count_type(self):
         assert eigen.PIVOT_BLOCK < 2**16
@@ -582,7 +616,7 @@ class TestBlockedSturmKernel:
     def test_row_by_row_oracle_gives_the_same_spectra(self, deck, monkeypatch):
         matrices = list(deck_matrices(deck))
         expected = [symmetric_eigenvalues(m) for m in matrices]
-        monkeypatch.setattr(eigen, "_sturm_counts", row_by_row_sturm_counts)
+        row_by_row_kernel(monkeypatch)
         for m, spectrum in zip(matrices, expected):
             assert_same_spectrum(symmetric_eigenvalues(m), spectrum)
 
@@ -613,12 +647,7 @@ class TestBlockedSturmKernel:
 
         real = eigen._multisection
         monkeypatch.setattr(eigen, "_multisection", spy)
-        if slope is not None:
-            counts_and_slopes = eigen._counts_and_slopes
-            monkeypatch.setattr(
-                eigen, "_counts_and_slopes",
-                lambda *args: (counts_and_slopes(*args)[0], np.full(args[2].shape, slope)),
-            )
+        kernel_calls(monkeypatch, slope)
         matrices = [
             *deck_matrices(deck[:6]),
             clustered_weights(),
@@ -652,11 +681,32 @@ class TestBlockedSturmKernel:
             eigen._sturm_counts(d[:, owner], e2[:, owner], points),
             np.concatenate([eigen._sturm_counts(d[:, j], e2[:, j], x) for j, x in enumerate(shifts)]),
         )
-        counts, slopes = eigen._counts_and_slopes(d[:, owner], e2[:, owner], points, [69])
+        counts, slopes = eigen._sturm_counts(d[:, owner], e2[:, owner], points, True, [69])
         for j, x in enumerate(shifts):
-            lone_counts, lone_slopes = eigen._counts_and_slopes(d[:, j], e2[:, j], x)
+            lone_counts, lone_slopes = eigen._sturm_counts(d[:, j], e2[:, j], x, True)
             np.testing.assert_array_equal(counts[owner == j], lone_counts)
             assert slopes[owner == j].tobytes() == lone_slopes.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 24])
+    def test_slopes_across_pivot_blocks(self, monkeypatch, block):
+        # a call with slopes whose rows run in several pivot blocks: the
+        # counts are the row-by-row recurrence's, and the slopes, carried
+        # from block to block, those of a call that holds every row at once
+        rng = np.random.default_rng(29)
+        m = 40
+        d = rng.normal(size=(m, 3))
+        e2 = np.vstack([np.zeros((1, 3)), rng.normal(size=(m - 1, 3)) ** 2])
+        shifts = [rng.uniform(-3.0, 3.0, size=s) for s in (5, 1, 2)]
+        owner = np.repeat([0, 1, 2], [x.size for x in shifts])
+        cases = [(d[:, j], e2[:, j], x, None) for j, x in enumerate(shifts)]
+        cases.append((d[:, owner], e2[:, owner], np.concatenate(shifts), [5]))
+        whole = [eigen._sturm_counts(*case[:3], True, case[3]) for case in cases]
+        monkeypatch.setattr(eigen, "PIVOT_BLOCK", block)
+        for (dd, ee, x, lone), (_, slopes) in zip(cases, whole):
+            assert eigen.PIVOT_BLOCK // x.size < m
+            counts, blocked = eigen._sturm_counts(dd, ee, x, True, lone)
+            np.testing.assert_array_equal(counts, row_by_row_sturm_counts(dd, ee, x))
+            assert blocked.tobytes() == slopes.tobytes()
 
     def test_memory_of_the_large_solve_is_bounded(self):
         # the n = 150 isolating pass counts at 9024 shifts; holding all of
@@ -724,7 +774,7 @@ class TestDropBelowRounding:
         assert np.all(np.isfinite(d)) and np.all(np.isfinite(e))
         assert e[0] == -np.hypot(m[1, 0], m[2, 0]) and dropped == 0.0
         spectrum = symmetric_eigenvalues(m)
-        allowance = (spectrum.dropped + 0.5 * spectrum.max_offdiag_residual
+        allowance = (spectrum.dropped + 0.5 * spectrum.widest_bracket
                      + n * np.finfo(float).eps * np.linalg.norm(m))
         assert np.max(np.abs(spectrum.values - np.linalg.eigvalsh(m))) <= allowance
 
@@ -802,7 +852,7 @@ class TestDeterminism:
         first = symmetric_eigenvalues(weights.matrix)
         second = symmetric_eigenvalues(weights.matrix)
         assert first.values.tobytes() == second.values.tobytes()
-        assert first.max_offdiag_residual == second.max_offdiag_residual
+        assert first.widest_bracket == second.widest_bracket
         assert first.sweeps == second.sweeps
 
 
@@ -964,15 +1014,14 @@ class TestStackedSolve:
     def test_row_by_row_oracle_gives_the_same_members(self, deck, monkeypatch):
         stacks = [np.stack([w, w.T @ w]) for w in (prepare(*pair).weights.matrix for pair in deck[:6])]
         expected = [[symmetric_eigenvalues(m) for m in stack] for stack in stacks]
-        monkeypatch.setattr(eigen, "_sturm_counts", row_by_row_sturm_counts)
+        row_by_row_kernel(monkeypatch)
         for stack, lone in zip(stacks, expected):
             for a, b in zip(lone, symmetric_eigenvalues(stack)):
                 assert_same_spectrum(a, b)
 
     def test_members_share_kernel_calls(self, deck, monkeypatch):
         w = prepare(*deck[5]).weights.matrix
-        calls = spy_on(monkeypatch, "_sturm_counts")
-        spy_on(monkeypatch, "_counts_and_slopes", calls)
+        calls = kernel_calls(monkeypatch)
         lone = [symmetric_eigenvalues(m) for m in (w, w.T @ w)]
         alone = len(calls)
         calls.clear()
@@ -1013,7 +1062,7 @@ class TestStackedSolve:
         with pytest.raises(NoConvergence, match="^stack matrix 1: ") as stacked:
             symmetric_eigenvalues(np.stack([np.diag(np.arange(30.0)), m]))
         assert stacked.value.member == 1 and lone.value.member is None
-        assert (stacked.value.residual, stacked.value.sweeps) == (lone.value.residual, lone.value.sweeps)
+        assert (stacked.value.widest, stacked.value.sweeps) == (lone.value.widest, lone.value.sweeps)
 
 
 def equal_distance_weights(n):
@@ -1049,7 +1098,7 @@ class TestSelectedEigenvalues:
             assert whole.indices is None
             assert some.dropped == whole.dropped
             # both brackets hold the same eigenvalue of the same T
-            allowance = 0.5 * (some.max_offdiag_residual + whole.max_offdiag_residual)
+            allowance = 0.5 * (some.widest_bracket + whole.widest_bracket)
             gap = np.abs(some.values - whole.values[some.indices])
             assert np.all(gap <= allowance)
 
@@ -1061,7 +1110,7 @@ class TestSelectedEigenvalues:
         some = symmetric_eigenvalues(w, extremes=True)
         assert sizes == [4, 4]
         assert some.dropped > 0.0
-        allowance = 0.5 * (some.max_offdiag_residual + whole.max_offdiag_residual)
+        allowance = 0.5 * (some.widest_bracket + whole.widest_bracket)
         assert np.all(np.abs(some.values - whole.values[some.indices]) <= allowance)
 
     def test_multiple_eigenvalue_never_enters_newton(self, monkeypatch):
@@ -1135,7 +1184,7 @@ class TestSelectedEigenvalues:
         some = symmetric_eigenvalues(w, extremes=True)
         assert ratios and max(ratios) <= 1.1 / 65**3
         assert some.sweeps <= every.sweeps + 1
-        allowance = 0.5 * (some.max_offdiag_residual + every.max_offdiag_residual)
+        allowance = 0.5 * (some.widest_bracket + every.widest_bracket)
         assert np.all(np.abs(some.values - every.values[some.indices]) <= allowance)
 
     def test_stacked_members_select_as_alone(self, deck):

@@ -25,7 +25,6 @@ from moransar.spatial_data import (
     ProximityMatrix,
     RawSizeVector,
     StandardizedVector,
-    global_normalize,
     inverse_distance_proximity,
     log_transform,
     prepare,
@@ -252,12 +251,6 @@ class TestWeights:
             assert abs(w.matrix.sum() - 1.0) <= 1e-15
             assert np.abs(w.matrix - w.matrix.T).max() == 0.0
             assert np.all(np.diag(w.matrix) == 0.0)
-
-    def test_total_proximity_recorded(self):
-        d = np.array([[0.0, 2.0], [2.0, 0.0]])
-        prox = inverse_distance_proximity(d)
-        w = global_normalize(prox)
-        assert w.total_proximity == pytest.approx(1.0)  # 2 * (1/2)
 
     @pytest.mark.parametrize("power", [-1019, 1000])
     def test_power_of_two_scale_changes_no_bit(self, deck, power):

@@ -76,7 +76,7 @@ class TestChecks:
             suite = {c.name: c for c in instance_checks(raw, dist)}
             report = analyze_data(raw, dist, permutations=0)
             whole = symmetric_eigenvalues(report.inputs.weights.matrix)
-            widths = whole.max_offdiag_residual + report.bounds.spectrum.max_offdiag_residual
+            widths = whole.widest_bracket + report.bounds.spectrum.widest_bracket
             for check in report.identities:
                 if check.name not in spectral:
                     assert suite[check.name] == check
