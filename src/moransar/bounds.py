@@ -16,6 +16,11 @@ Three containments, each a Rayleigh-quotient consequence:
 3. I^2/n lies in [0, (Wz)'(Wz)], the analytic spectrum of the rank-1
    outer product of the lag.
 
+Each containment forgives a value up to ``CONTAINMENT_TOL`` times
+max(1, |lower|, |upper|) outside its interval. That rule lives here
+alone: ``Containment`` keeps the forgiveness it applied, and the
+report's containment checks record it as their tolerance.
+
 The solver behind the spectra is the built-in Householder and Sturm
 multisection routine, with Newton steps once every eigenvalue has its
 own bracket and a Sturm certificate for each refined value; external
@@ -40,7 +45,8 @@ class Containment:
     """One interval check: is value inside [lower, upper]?
 
     slack is the signed distance to the nearer endpoint; negative means
-    the value sits outside the interval by that amount.
+    the value sits outside the interval by that amount. contained means
+    slack >= -tolerance, the forgiveness ``_contain`` applies at the ends.
     """
 
     lower: float
@@ -48,6 +54,7 @@ class Containment:
     value: float
     contained: bool
     slack: float
+    tolerance: float = field(repr=False, metadata={"json": False})
 
 
 @dataclass(frozen=True)
@@ -108,12 +115,10 @@ class BoundsReport:
 
 def _contain(lower: float, upper: float, value: float) -> Containment:
     lower, upper, value = float(lower), float(upper), float(value)
-    tol = CONTAINMENT_TOL * max(1.0, abs(lower), abs(upper))
-    contained = (lower - tol) <= value <= (upper + tol)
+    tolerance = CONTAINMENT_TOL * max(1.0, abs(lower), abs(upper))
     slack = min(value - lower, upper - value)
-    return Containment(
-        lower=lower, upper=upper, value=value, contained=contained, slack=slack
-    )
+    return Containment(lower=lower, upper=upper, value=value,
+                       contained=slack >= -tolerance, slack=slack, tolerance=tolerance)
 
 
 def reciprocal_interval(lower: float, upper: float, scale: float = 1.0) -> RhoInterval:
@@ -180,7 +185,7 @@ def range_quadratic(
     lhs_empirical = mean_sq + i_value**2 / (r_squared * n**2)
     theoretical = _contain(squares.min(), squares.max(), lhs_theoretical)
     empirical = _contain(squares.min(), squares.max(), lhs_empirical)
-    quotient = float(wz.values @ wz.values) / n
+    quotient = wz.energy / n
     return QuadraticRangeVerdict(
         theoretical=theoretical,
         empirical=empirical,
@@ -195,7 +200,7 @@ def range_outer(inputs: SpatialInputs) -> OuterRangeVerdict:
     spectrum is known analytically, so no eigensolve is needed.
     """
     wz, n = inputs.lag, inputs.n
-    lam_max = float(wz.values @ wz.values)
+    lam_max = wz.energy
     containment = _contain(0.0, lam_max, inputs.i_value**2 / n)
     rho_sq_lower = n / lam_max if lam_max > 0.0 else math.inf
     return OuterRangeVerdict(

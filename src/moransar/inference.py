@@ -14,13 +14,15 @@ spawned up front, so the worker count cannot change the answer.
 Residual diagnostics standardize the residuals by their population
 standard deviation and report the residual index alongside the spatial
 Durbin-Watson statistic, which equals twice Geary's contiguity ratio.
+The Durbin-Watson result keeps the standardized residuals, which the
+residual permutation test reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +78,10 @@ class DwResult:
     dw: float
     geary_c: float
     i_e: float                      # residual Moran index
+    # the standardized residuals the statistics read, for the residual
+    # permutation test; not serialized
+    standardized: StandardizedVector = field(repr=False, compare=False,
+                                             metadata={"json": False})
     classification: str | None = None
 
 
@@ -233,18 +239,20 @@ def spatial_durbin_watson(residuals: np.ndarray, weights: WeightMatrix) -> DwRes
 
     With e standardized by its population sigma,
     DW = 2(n-1)/n * (o'W(e*e) - e'We), where e*e squares elementwise.
-    Half of it is exactly Geary's contiguity ratio for symmetric W.
+    Half of it is exactly Geary's contiguity ratio for symmetric W. The
+    result keeps e.
 
     Raises:
         ZeroVariance: if the residuals are constant.
     """
     n = weights.n
-    e = _standardize_residuals(residuals, n)
+    standardized = StandardizedVector(values=_standardize_residuals(residuals, n))
+    e = standardized.values
     w = weights.matrix
     i_e = float(e @ (w @ e))
     weighted_square_sum = float(np.sum(w @ (e * e)))
     dw = (2.0 * (n - 1) / n) * (weighted_square_sum - i_e)
-    return DwResult(dw=dw, geary_c=dw / 2.0, i_e=i_e)
+    return DwResult(dw=dw, geary_c=dw / 2.0, i_e=i_e, standardized=standardized)
 
 
 def geary_pairwise(residuals: np.ndarray, weights: WeightMatrix) -> float:

@@ -2,9 +2,12 @@
 
 The pipeline runs the five-step workflow (optional log transform,
 standardization, weight normalization, index + autoregression, bounds
-and diagnostics), builds every identity check with its slack, and
-serializes deterministically: same inputs and seed give byte-identical
-JSON except for the isolated timestamp field.
+and diagnostics), builds every identity check with its slack and the
+tolerance it passes by, and serializes deterministically: same inputs
+and seed give byte-identical JSON except for the isolated timestamp
+field. The containment checks are one-sided, and each records the
+forgiveness its ``Containment`` carries from ``bounds``, which owns
+that rule.
 
 ``prepare_files`` is the one path from the two input files to the
 prepared bundle: ``analyze`` and the CLI's ``scatter`` and ``bounds``
@@ -40,7 +43,7 @@ from .autocorr import (
     rank_one_identity_slack,
     scatter_dataset,
 )
-from .bounds import CONTAINMENT_TOL, BoundsReport, Containment, bounds_report
+from .bounds import BoundsReport, bounds_report
 from .dataio import (align_to_ids, load_critical_values, load_distances, load_sizes,
                      write_csv)
 from .eigen import EigenSpectrum
@@ -49,7 +52,6 @@ from .inference import (
     DwCriticalValues,
     DwResult,
     SignificanceResult,
-    _standardize_residuals,
     critical_values_for,
     dw_interpret,
     geary_pairwise,
@@ -57,13 +59,7 @@ from .inference import (
     spatial_durbin_watson,
 )
 from .sar import SarFit, fit_sar_ols, lag_energy_gap
-from .spatial_data import (
-    SYMMETRIZE_POLICIES,
-    RawSizeVector,
-    SpatialInputs,
-    StandardizedVector,
-    prepare,
-)
+from .spatial_data import SYMMETRIZE_POLICIES, RawSizeVector, SpatialInputs, prepare
 from .svgplot import render_svg
 
 REL_TOL = 1e-9
@@ -88,23 +84,21 @@ class AnalysisConfig:
     dw_critical_path: str | None = None
 
     def __post_init__(self) -> None:
-        _check_options(self.alpha, self.permutations, self.symmetrize, self.seed)
+        _check_options(self.alpha, self.permutations, self.seed)
+        if self.symmetrize not in SYMMETRIZE_POLICIES:
+            raise InputError(f"symmetrize must be 'auto' or 'strict', got {self.symmetrize!r}")
         if self.dist_format not in ("matrix", "long"):
             raise InputError(f"dist_format must be 'matrix' or 'long', got {self.dist_format!r}")
 
 
-def _check_options(
-    alpha: float, permutations: int, symmetrize: str, seed: int | None
-) -> None:
-    """The option checks shared by AnalysisConfig and analyze_data."""
+def _check_options(alpha: float, permutations: int, seed: int | None) -> None:
+    """The option checks shared by AnalysisConfig and analyze_prepared."""
     if not (0.0 < alpha < 1.0):
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     if permutations < 0:
         raise InputError(f"permutations must be nonnegative, got {permutations}")
     if seed is not None and seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    if symmetrize not in SYMMETRIZE_POLICIES:
-        raise InputError(f"symmetrize must be 'auto' or 'strict', got {symmetrize!r}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +116,13 @@ class IdentityCheck:
         slack = float(slack)
         return cls(name=name, slack=slack, tolerance=tolerance,
                    passed=abs(slack) <= tolerance)
+
+    @classmethod
+    def at_least(cls, name: str, slack: float, tolerance: float) -> IdentityCheck:
+        """The one-sided check that passes when slack >= -tolerance."""
+        slack = float(slack)
+        return cls(name=name, slack=slack, tolerance=tolerance,
+                   passed=slack >= -tolerance)
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,6 @@ def analyze_data(
     Raises:
         InputError: on an out-of-range option or bad data.
     """
-    _check_options(alpha, permutations, symmetrize, seed)
     inputs = prepare(raw, distances, apply_log=apply_log, symmetrize=symmetrize)
     return analyze_prepared(
         inputs,
@@ -218,8 +218,12 @@ def analyze_prepared(
 
     ``spectrum`` is W's when the caller has solved it already, as
     ``moransar verify`` does together with its oracle matrices; the
-    options are ``analyze_data``'s and are taken as checked.
+    options are ``analyze_data``'s.
+
+    Raises:
+        InputError: on an out-of-range option.
     """
+    _check_options(alpha, permutations, seed)
     z, weights = inputs.z, inputs.weights
     moran = inner_regression(inputs)
     fit = fit_sar_ols(inputs)
@@ -260,13 +264,6 @@ def analyze_prepared(
     )
 
 
-def _containment_check(name: str, containment: Containment) -> IdentityCheck:
-    # slack is the signed distance to the nearer endpoint; passing means
-    # the containment verdict itself, so boundary-attained cases count
-    return IdentityCheck(name=name, slack=float(containment.slack), tolerance=0.0,
-                         passed=containment.contained)
-
-
 def _identity_checks(
     inputs: SpatialInputs,
     moran: MoranResult,
@@ -276,8 +273,10 @@ def _identity_checks(
 ) -> tuple[IdentityCheck, ...]:
     """The exact relations of one analysis, then the bounds containments.
 
-    dw is None for an exact fit. The lower end of the theoretical
-    quadratic range holds only at R2 = 1, so only its upper end is checked.
+    dw is None for an exact fit. Each containment check is one-sided, on
+    the slack and the forgiveness its ``Containment`` carries from
+    ``bounds``. The lower end of the theoretical quadratic range holds
+    only at R2 = 1, so only its upper end is checked.
     """
     check = IdentityCheck.within
     lag, n = inputs.lag, inputs.n
@@ -290,7 +289,7 @@ def _identity_checks(
               REL_TOL * n),
         check("lag_energy",  # n(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2
               lag_energy_gap(inputs, moran.i_value, fit.r_squared),
-              REL_TOL * max(1e-30, n * float(lag.values @ lag.values))),
+              REL_TOL * max(1e-30, n * lag.energy)),
         check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
         check("residual_orthogonality_ones", float(fit.residuals.sum()), REL_TOL),
         check("paired_p", moran.slope_p_value - fit.p_slope, REL_TOL),
@@ -301,15 +300,15 @@ def _identity_checks(
         checks.append(check("dw_geary",
                             dw.dw - 2.0 * geary_pairwise(fit.residuals, inputs.weights),
                             DW_TOL))
-    r2 = bounds.range2
-    upper_slack = r2.theoretical.upper - r2.theoretical.value
-    upper_ok = upper_slack >= -CONTAINMENT_TOL * max(1.0, abs(r2.theoretical.upper))
+    r2, theoretical = bounds.range2, bounds.range2.theoretical
+    moran_range, outer = bounds.range1.containment, bounds.range3.containment
+    at_least = IdentityCheck.at_least
     checks += [
-        _containment_check("bounds_moran", bounds.range1.containment),
-        _containment_check("bounds_quadratic_empirical", r2.empirical),
-        IdentityCheck("bounds_quadratic_theoretical_upper", float(upper_slack), 0.0,
-                      upper_ok),
-        _containment_check("bounds_outer", bounds.range3.containment),
+        at_least("bounds_moran", moran_range.slack, moran_range.tolerance),
+        at_least("bounds_quadratic_empirical", r2.empirical.slack, r2.empirical.tolerance),
+        at_least("bounds_quadratic_theoretical_upper",
+                 theoretical.upper - theoretical.value, theoretical.tolerance),
+        at_least("bounds_outer", outer.slack, outer.tolerance),
         check("rayleigh_quotient", r2.rayleigh_gap,
               REL_TOL * max(1.0, r2.empirical.value)),
     ]
@@ -340,11 +339,10 @@ def _diagnose(
 
     residual_perm = None
     if permutations >= 1:
-        z_e = StandardizedVector(values=_standardize_residuals(fit.residuals, weights.n))
         # distinct child seed so this test never shares draws with the
         # size-vector permutation test
         residual_perm = permutation_test(
-            z_e, weights, m=permutations, seed=None if seed is None else seed + 1
+            dw.standardized, weights, m=permutations, seed=None if seed is None else seed + 1
         )
     return DwDiagnostics(result=dw, degenerate=False, critical=critical,
                          residual_permutation=residual_perm)

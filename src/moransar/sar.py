@@ -115,8 +115,7 @@ def lag_energy_gap(inputs: SpatialInputs, i_value: float, r_squared: float) -> f
     """
     if r_squared < ZERO_R_SQUARED_TOL:
         raise ZeroRSquared("R2 is zero; lag-energy identity degenerates")
-    energy = inputs.n * float(inputs.lag.values @ inputs.lag.values)
-    return energy - inputs.lag.total**2 - i_value**2 / r_squared
+    return inputs.n * inputs.lag.energy - inputs.lag.total**2 - i_value**2 / r_squared
 
 
 def centered_fit(inputs: SpatialInputs) -> SarFit:

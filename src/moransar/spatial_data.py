@@ -163,13 +163,18 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class SpatialLag:
-    """The lag vector Wz together with its entry sum."""
+    """The lag vector Wz together with its entry sum and its energy (Wz)'(Wz).
+
+    The energy is derived from the values on construction.
+    """
 
     values: np.ndarray = field(repr=False)
     total: float
+    energy: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "energy", float(self.values @ self.values))
 
     @property
     def n(self) -> int:

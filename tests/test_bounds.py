@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from moransar.autocorr import moran_index
-from moransar.bounds import bounds_report, reciprocal_interval
+from moransar.bounds import CONTAINMENT_TOL, _contain, bounds_report, reciprocal_interval
 from moransar.eigen import symmetric_eigenvalues
 from moransar.errors import ZeroRSquared
+from moransar.pipeline import IdentityCheck
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import RawSizeVector, prepare
 from moransar.verification import random_instance
@@ -89,6 +90,28 @@ class TestBoundaryAttainment:
         assert c.value == c.lower == -0.5
         assert c.contained
         assert c.slack == 0.0
+
+
+class TestContainmentForgiveness:
+    # the forgiveness scales with the larger end, here |lower| = 4, and the
+    # report's check passes by exactly the tolerance the containment records
+    LOWER, UPPER = -4.0, 2.0
+    TOL = CONTAINMENT_TOL * 4.0
+
+    def test_half_a_tolerance_outside_passes_and_records_it(self):
+        c = _contain(self.LOWER, self.UPPER, self.UPPER + 0.5 * self.TOL)
+        assert c.tolerance == self.TOL
+        assert c.slack < 0.0
+        assert c.contained
+        check = IdentityCheck.at_least("outside", c.slack, c.tolerance)
+        assert check.passed
+        assert check.tolerance == self.TOL
+
+    def test_twice_the_tolerance_outside_fails(self):
+        c = _contain(self.LOWER, self.UPPER, self.LOWER - 2.0 * self.TOL)
+        assert c.tolerance == self.TOL
+        assert not c.contained
+        assert not IdentityCheck.at_least("outside", c.slack, c.tolerance).passed
 
 
 class TestRhoIntervals:

@@ -395,6 +395,17 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             analyze_data(raw, dist, **option)
 
+    @pytest.mark.parametrize(
+        "option",
+        [{"alpha": 7.0}, {"permutations": -5}, {"seed": -1, "permutations": 0}],
+    )
+    def test_prepared_analysis_rejects_what_the_config_rejects(self, option):
+        # analyze_prepared is the public body behind analyze and analyze_data;
+        # a negative seed must fail even when no permutation test would read it
+        inputs = prepare(*random_instance(0, 3))
+        with pytest.raises(InputError):
+            analyze_prepared(inputs, **option)
+
     def test_negative_permutations(self, noisy_files):
         with pytest.raises(InputError):
             config_for(noisy_files, permutations=-1)

@@ -138,7 +138,7 @@ class TestChecks:
         for check in instance_checks(raw, dist):
             assert isinstance(check.slack, float)
             assert np.isfinite(check.slack)
-            assert check.tolerance >= 0.0
+            assert check.tolerance > 0.0, check.name
 
     def test_verdicts_are_plain_bools(self, deck):
         checks = list(_fixture_checks())
