@@ -4,10 +4,12 @@ Three containments, each a Rayleigh-quotient consequence:
 
 1. I/n lies between the extreme eigenvalues of W.
 2. (sum(Wz)/n)^2 plus a squared-index term lies between the extreme
-   eigenvalues of W'W. The empirical form divides I^2 by R2 and is the
-   Rayleigh quotient of W'W itself, so it always holds; the theoretical
-   form drops the R2 factor and is only guaranteed from above (it equals
-   the empirical form exactly when R2 = 1). W is symmetric, so W'W = W^2
+   eigenvalues of W'W. The empirical side is the Rayleigh quotient of
+   W'W at z, (Wz)'(Wz)/n, so it always holds; the paper's form, which
+   divides I^2 by R2, equals it by the lag-energy identity, and the
+   report checks that identity. The theoretical form drops the R2 factor
+   and is only guaranteed from above (it equals the empirical form
+   exactly when R2 = 1). W is symmetric, so W'W = W^2
    and its spectrum is the squared spectrum of W: the first two ranges
    read four eigenvalues of W, the least and the greatest and the two
    either side of 0, whose squares hold the least and greatest of W'W.
@@ -33,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 from .eigen import EigenSpectrum, symmetric_eigenvalues
-from .errors import ZeroRSquared
-from .sar import ZERO_R_SQUARED_TOL
 from .spatial_data import SpatialInputs
 
 CONTAINMENT_TOL = 1e-10  # relative forgiveness at interval endpoints
@@ -87,7 +87,6 @@ class QuadraticRangeVerdict:
 
     theoretical: Containment
     empirical: Containment
-    rayleigh_gap: float  # |empirical LHS - z'W'Wz / n|, a pure float check
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,7 @@ def range_moran(
     )
 
 
-def range_quadratic(
-    inputs: SpatialInputs, spectrum: EigenSpectrum, r_squared: float
-) -> QuadraticRangeVerdict:
+def range_quadratic(inputs: SpatialInputs, spectrum: EigenSpectrum) -> QuadraticRangeVerdict:
     """Second range: eigenvalues of W'W bracket the lag-energy quotient.
 
     The lag Wz, I and n come from ``inputs``. ``spectrum`` is that of W,
@@ -168,28 +165,18 @@ def range_quadratic(
     side of 0: W is symmetric, so W'W = W^2 is bracketed by the least and
     greatest squared eigenvalue of W, and is never solved.
 
-    The empirical left-hand side equals the Rayleigh quotient of W'W at z
-    and is always contained. The theoretical side is smaller by
-    I^2 (1/R2 - 1)/n^2, so only its upper end is guaranteed on noisy
-    data; its verdict is reported honestly either way.
-
-    Raises:
-        ZeroRSquared: if r_squared < 1e-15.
+    The empirical side is the Rayleigh quotient of W'W at z, (Wz)'(Wz)/n,
+    and is always contained. The paper's form, (sum(Wz)/n)^2 + I^2/(R2 n^2),
+    equals it by the lag-energy identity, which the report checks. The
+    theoretical side is smaller by I^2 (1/R2 - 1)/n^2, so only its upper
+    end is guaranteed on noisy data; its verdict is reported honestly
+    either way.
     """
-    if r_squared < ZERO_R_SQUARED_TOL:
-        raise ZeroRSquared("R2 is zero; the empirical range divides by it")
-    wz, i_value, n = inputs.lag, inputs.i_value, inputs.n
-    squares = spectrum.values**2
-    mean_sq = (wz.total / n) ** 2
-    lhs_theoretical = mean_sq + i_value**2 / n**2
-    lhs_empirical = mean_sq + i_value**2 / (r_squared * n**2)
-    theoretical = _contain(squares.min(), squares.max(), lhs_theoretical)
-    empirical = _contain(squares.min(), squares.max(), lhs_empirical)
-    quotient = wz.energy / n
+    wz, n, squares = inputs.lag, inputs.n, spectrum.values**2
+    lhs_theoretical = (wz.total / n) ** 2 + inputs.i_value**2 / n**2
     return QuadraticRangeVerdict(
-        theoretical=theoretical,
-        empirical=empirical,
-        rayleigh_gap=abs(lhs_empirical - quotient),
+        theoretical=_contain(squares.min(), squares.max(), lhs_theoretical),
+        empirical=_contain(squares.min(), squares.max(), wz.energy / n),
     )
 
 
@@ -219,7 +206,8 @@ def bounds_report(
     solved here: the least, the greatest and the two either side of 0.
     The report keeps that spectrum, so ``report.spectrum`` is W's whole
     spectrum only when the caller passed one. The second range reads its
-    squares, so no eigensolve of W'W runs.
+    squares, so no eigensolve of W'W runs. ``r_squared`` only scales the
+    first range's empirical slope region.
 
     The magnitude |I| is reported alongside as a correlation-style
     reading; it is informational and never enforced, since the spectral
@@ -230,7 +218,7 @@ def bounds_report(
         spectrum = symmetric_eigenvalues(inputs.weights.matrix, extremes=True)
     return BoundsReport(
         range1=range_moran(inputs, spectrum, r_squared),
-        range2=range_quadratic(inputs, spectrum, r_squared),
+        range2=range_quadratic(inputs, spectrum),
         range3=range_outer(inputs),
         abs_index=abs(i_value),
         pearson_analogy_ok=abs(i_value) <= 1.0 + 1e-12,

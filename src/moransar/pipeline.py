@@ -58,7 +58,7 @@ from .inference import (
     permutation_test,
     spatial_durbin_watson,
 )
-from .sar import SarFit, fit_sar_ols, lag_energy_gap
+from .sar import ZERO_R_SQUARED_TOL, SarFit, fit_sar_ols, lag_energy_gap
 from .spatial_data import SYMMETRIZE_POLICIES, RawSizeVector, SpatialInputs, prepare
 from .svgplot import render_svg
 
@@ -225,8 +225,8 @@ def analyze_prepared(
     """
     _check_options(alpha, permutations, seed)
     z, weights = inputs.z, inputs.weights
-    moran = inner_regression(inputs)
     fit = fit_sar_ols(inputs)
+    moran = inner_regression(inputs)
     bounds = bounds_report(inputs, fit.r_squared, spectrum)
 
     i_perm = None
@@ -273,13 +273,16 @@ def _identity_checks(
 ) -> tuple[IdentityCheck, ...]:
     """The exact relations of one analysis, then the bounds containments.
 
-    dw is None for an exact fit. Each containment check is one-sided, on
-    the slack and the forgiveness its ``Containment`` carries from
-    ``bounds``. The lower end of the theoretical quadratic range holds
-    only at R2 = 1, so only its upper end is checked.
+    dw is None for an exact fit, and an uncorrelated fit (R2 below
+    ``sar.ZERO_R_SQUARED_TOL``) leaves out the two identities that divide
+    I^2 by R2, lag_energy and rayleigh_quotient. Each containment check is
+    one-sided, on the slack and the forgiveness its ``Containment``
+    carries from ``bounds``. The lower end of the theoretical quadratic
+    range holds only at R2 = 1, so only its upper end is checked.
     """
     check = IdentityCheck.within
     lag, n = inputs.lag, inputs.n
+    correlated = fit.r_squared >= ZERO_R_SQUARED_TOL
     checks = [
         check("slope_product",  # rho_hat * I - n * R2
               fit.rho_hat * moran.i_value - n * fit.r_squared,
@@ -287,9 +290,11 @@ def _identity_checks(
         check("residual_inner",  # delta - n(1 - R2)
               fit.delta - n * (1.0 - fit.r_squared),
               REL_TOL * n),
-        check("lag_energy",  # n(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2
-              lag_energy_gap(inputs, moran.i_value, fit.r_squared),
-              REL_TOL * max(1e-30, n * lag.energy)),
+    ]
+    if correlated:  # n(Wz)'(Wz) - ((Wz)'o)^2 - I^2/R2
+        checks.append(check("lag_energy", lag_energy_gap(inputs, moran.i_value, fit.r_squared),
+                            REL_TOL * max(1e-30, n * lag.energy)))
+    checks += [
         check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
         check("residual_orthogonality_ones", float(fit.residuals.sum()), REL_TOL),
         check("paired_p", moran.slope_p_value - fit.p_slope, REL_TOL),
@@ -309,9 +314,11 @@ def _identity_checks(
         at_least("bounds_quadratic_theoretical_upper",
                  theoretical.upper - theoretical.value, theoretical.tolerance),
         at_least("bounds_outer", outer.slack, outer.tolerance),
-        check("rayleigh_quotient", r2.rayleigh_gap,
-              REL_TOL * max(1.0, r2.empirical.value)),
     ]
+    if correlated:  # the paper's form of range 2 against the quotient it equals
+        paper_form = (lag.total / n) ** 2 + inputs.i_value**2 / (fit.r_squared * n**2)
+        checks.append(check("rayleigh_quotient", abs(paper_form - r2.empirical.value),
+                            REL_TOL * max(1.0, r2.empirical.value)))
     return tuple(checks)
 
 

@@ -62,8 +62,8 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> OlsLine:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
-    xbar = x.mean()
-    ybar = y.mean()
+    xbar = float(x.mean())
+    ybar = float(y.mean())
     xc = x - xbar
     yc = y - ybar
     sxx = float(xc @ xc)

@@ -8,7 +8,6 @@ import pytest
 from moransar.autocorr import moran_index
 from moransar.bounds import CONTAINMENT_TOL, _contain, bounds_report, reciprocal_interval
 from moransar.eigen import symmetric_eigenvalues
-from moransar.errors import ZeroRSquared
 from moransar.pipeline import IdentityCheck
 from moransar.sar import fit_sar_ols
 from moransar.spatial_data import RawSizeVector, prepare
@@ -28,13 +27,17 @@ class TestGuaranteedContainments:
             assert report.range1.containment.contained
 
     def test_range2_empirical_on_deck(self, deck):
-        # the empirical middle value is the Rayleigh quotient of W'W
+        # the empirical middle value is the Rayleigh quotient of W'W, and
+        # the paper's form equals it by the lag-energy identity
         for raw, dist in deck:
-            _, _, _, _, report = report_for(raw, dist)
-            assert report.range2.empirical.contained
-            assert report.range2.rayleigh_gap <= 1e-9 * max(
-                1.0, report.range2.empirical.value
+            z, weights, lag, fit, report = report_for(raw, dist)
+            empirical = report.range2.empirical
+            assert empirical.contained
+            assert empirical.value == lag.energy / z.n
+            paper_form = (lag.total / z.n) ** 2 + moran_index(z, weights) ** 2 / (
+                fit.r_squared * z.n**2
             )
+            assert abs(paper_form - empirical.value) <= 1e-9 * max(1.0, empirical.value)
 
     def test_range2_theoretical_upper_on_deck(self, deck):
         for raw, dist in deck:
@@ -242,5 +245,7 @@ class TestSelectedSpectrum:
 
 class TestValidation:
     def test_zero_r_squared_rejected(self, chain):
-        with pytest.raises(ZeroRSquared):
-            bounds_report(prepare(*chain), 0.0)
+        # R2 only scales range 1's empirical slope region, so R2 = 0
+        # leaves range 2 as it is at R2 = 1
+        p = prepare(*chain)
+        assert bounds_report(p, 0.0).range2 == bounds_report(p, 1.0).range2

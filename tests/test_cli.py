@@ -410,6 +410,28 @@ class TestLocatedDataErrors:
         assert not (tmp_path / "out").exists()
 
 
+def fixture_args(fixtures_dir, name):
+    return [
+        "--sizes", str(fixtures_dir / f"{name}_sizes.csv"),
+        "--dist", str(fixtures_dir / f"{name}_distances.csv"),
+    ]
+
+
+class TestDegenerateLag:
+    @pytest.mark.parametrize("verb", ["analyze", "bounds"])
+    def test_uncorrelated_data_exits_0(self, fixtures_dir, tmp_path, verb):
+        # I = 0 and R2 = 0 exactly; every range is still defined
+        out = ["--out", str(tmp_path)] if verb == "analyze" else []
+        assert main([verb, *fixture_args(fixtures_dir, "uncorrelated"), *out]) == 0
+
+    @pytest.mark.parametrize("verb", ["analyze", "scatter", "bounds"])
+    def test_constant_lag_is_one_line(self, fixtures_dir, tmp_path, capsys, verb):
+        out = ["--out", str(tmp_path / "out")] if verb != "bounds" else []
+        assert main([verb, *fixture_args(fixtures_dir, "null_lag"), *out]) == 1
+        assert capsys.readouterr().err == (
+            "moransar: input error: spatial lag is constant; slope is undefined\n")
+
+
 class TestVerifyVerb:
     def test_small_suite_passes(self, capsys):
         rc = main(["verify", "--instances", "3"])
@@ -600,3 +622,26 @@ class TestWrittenArtifacts:
             else:
                 assert path.suffix == ".svg", path
                 ET.fromstring(data)
+
+    def test_trend_line_numbers_read_back(self, fixtures_dir, tmp_path):
+        # every trend line's slope and intercept, in the SVG attributes and
+        # in the CSV's "# line" comments, is a number float() reads
+        assert main(chain_analyze(fixtures_dir, tmp_path / "report",
+                                  "--permutations", "0", "--svg")) == 0
+        for mode in ("autocorr", "sar"):
+            assert main(["scatter", *input_args(fixtures_dir), "--mode", mode, "--svg",
+                         "--out", str(tmp_path / "plots")]) == 0
+        svgs = sorted(tmp_path.rglob("scatter_*.svg"))
+        csvs = sorted(tmp_path.rglob("scatter_*.csv"))
+        assert len(svgs) == 4 and len(csvs) == 2
+        for path in svgs:
+            trends = [el for el in ET.parse(path).getroot().iter() if "data-slope" in el.attrib]
+            assert trends, path
+            for trend in trends:
+                float(trend.attrib["data-slope"]), float(trend.attrib["data-intercept"])
+        for path in csvs:
+            lines = [line.split() for line in path.read_text().splitlines()
+                     if line.startswith("# line ")]
+            assert lines, path
+            for _, _, slope, intercept, _ in lines:
+                float(slope), float(intercept)

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from moransar import cli, inference, pipeline
-from moransar.dataio import write_distance_matrix, write_sizes
-from moransar.errors import InputError
+from moransar.dataio import (align_to_ids, load_distances, load_sizes, write_distance_matrix,
+                             write_sizes)
+from moransar.errors import DegenerateLag, InputError
 from moransar.pipeline import (
     AnalysisConfig,
     analyze,
@@ -41,6 +42,12 @@ def noisy_files(tmp_path_factory):
     write_sizes(raw, sizes)
     write_distance_matrix(raw.ids, dist, matrix)
     return raw, dist, str(sizes), str(matrix)
+
+
+def fixture_data(fixtures_dir, name):
+    """The sizes and distance matrix of the ``name`` fixture files, aligned."""
+    ids, dist = load_distances(fixtures_dir / f"{name}_distances.csv")
+    return align_to_ids(load_sizes(fixtures_dir / f"{name}_sizes.csv"), ids), dist
 
 
 def config_for(noisy_files, **kw):
@@ -189,6 +196,24 @@ class TestDegenerateFixture:
             )
         )
         assert from_matrix.moran.i_value == from_long.moran.i_value
+
+    def test_uncorrelated_data_analyzes(self, fixtures_dir):
+        # W = V/32 exactly, so I = 0 and R2 = 0 exactly: the fit and all three
+        # ranges are defined, and only the two identities that divide I^2 by
+        # R2 are left out
+        report = analyze_data(*fixture_data(fixtures_dir, "uncorrelated"), permutations=0)
+        names = [check.name for check in report.identities]
+        assert len(names) == 12
+        assert report.all_identities_pass
+        assert "lag_energy" not in names and "rayleigh_quotient" not in names
+        assert report.bounds.range2.empirical.value == 10 / 4096
+        assert report.sar.zero_moran
+
+    def test_constant_lag_is_reported_as_such(self, fixtures_dir):
+        # W's entries are exactly 1/16 and 1/8, so Wz = 0: analyze names the
+        # lag, as scatter and bounds do, not the inner regression's n Wz
+        with pytest.raises(DegenerateLag, match="^spatial lag is constant; slope is undefined$"):
+            analyze_data(*fixture_data(fixtures_dir, "null_lag"), permutations=0)
 
 
 class TestSelfAgreement:
