@@ -31,12 +31,11 @@ from .bounds import (
     MoranRangeVerdict,
     OuterRangeVerdict,
     QuadraticRangeVerdict,
-    RhoInterval,
+    RhoRays,
     bounds_report,
     range_moran,
     range_outer,
     range_quadratic,
-    reciprocal_interval,
 )
 from .dataio import (
     align_to_ids,
@@ -118,10 +117,10 @@ __all__ = [
     "SarFit", "fit_sar_ols", "closed_form_from_moran", "lag_energy_gap",
     "centered_fit", "inverse_slope_relation",
     # eigensolver and bounds
-    "EigenSpectrum", "symmetric_eigenvalues", "Containment", "RhoInterval",
+    "EigenSpectrum", "symmetric_eigenvalues", "Containment", "RhoRays",
     "MoranRangeVerdict", "QuadraticRangeVerdict",
     "OuterRangeVerdict", "BoundsReport", "range_moran", "range_quadratic",
-    "range_outer", "bounds_report", "reciprocal_interval",
+    "range_outer", "bounds_report",
     # inference and diagnostics
     "SignificanceResult", "DwResult", "DwCriticalValues", "BUNDLED_DW_CRITICAL",
     "slope_t_test", "permutation_test", "spatial_durbin_watson",

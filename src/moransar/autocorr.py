@@ -38,14 +38,11 @@ class MoranResult:
     intercept: float           # entry sum of Wz, the fitted constant
     r_squared: float           # squared Pearson correlation of z and Wz
     residuals_e: np.ndarray = field(repr=False)
-    slope_p_value: float
     se_slope: float
-    intercept_p_value: float
     se_intercept: float
     n: int
-    # the t-tests behind the two p-values; not serialized
-    slope_test: SignificanceResult = field(repr=False, metadata={"json": False})
-    intercept_test: SignificanceResult = field(repr=False, metadata={"json": False})
+    slope_test: SignificanceResult       # the index's t-test
+    intercept_test: SignificanceResult   # the lag sum's t-test
     degenerate: bool = False
 
 
@@ -130,20 +127,16 @@ def inner_regression(inputs: SpatialInputs) -> MoranResult:
     """
     z, n = inputs.z, inputs.n
     line = fit_line(z.values, n * inputs.lag.values)
-    slope_test = slope_t_test(line.slope, line.se_slope, n)
-    intercept_test = slope_t_test(line.intercept, line.se_intercept, n)
     return MoranResult(
         i_value=line.slope,
         intercept=line.intercept,
         r_squared=line.r_squared,
         residuals_e=line.residuals,
-        slope_p_value=slope_test.p_value,
         se_slope=line.se_slope,
-        intercept_p_value=intercept_test.p_value,
         se_intercept=line.se_intercept,
         n=n,
-        slope_test=slope_test,
-        intercept_test=intercept_test,
+        slope_test=slope_t_test(line.slope, line.se_slope, n),
+        intercept_test=slope_t_test(line.intercept, line.se_intercept, n),
         degenerate=line.degenerate,
     )
 

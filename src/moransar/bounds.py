@@ -2,7 +2,9 @@
 
 Three containments, each a Rayleigh-quotient consequence:
 
-1. I/n lies between the extreme eigenvalues of W.
+1. I/n lies between the extreme eigenvalues of W. Their reciprocals
+   confine the slope to two rays, rho <= 1/lambda_min or
+   rho >= 1/lambda_max: W's eigenvalues straddle 0 (``RhoRays``).
 2. (sum(Wz)/n)^2 plus a squared-index term lies between the extreme
    eigenvalues of W'W. The empirical side is the Rayleigh quotient of
    W'W at z, (Wz)'(Wz)/n, so it always holds; the paper's form, which
@@ -58,18 +60,17 @@ class Containment:
 
 
 @dataclass(frozen=True)
-class RhoInterval:
-    """Allowed region for the autoregressive slope, from reciprocal bounds.
+class RhoRays:
+    """Allowed region for the autoregressive slope: rho <= lower or rho >= upper.
 
-    kind "interval" means lower <= rho <= upper. kind "rays" means the
-    eigenvalue interval straddles zero, so rho escapes to two open rays:
-    rho <= lower or rho >= upper.
+    The reciprocals of W's extreme eigenvalues bound it. W has a zero
+    diagonal and positive weights, so by interlacing on the 2x2 block of
+    its largest weight w its eigenvalues reach -w and w: the eigenvalue
+    interval straddles 0 and its reciprocal image is always two rays.
     """
 
-    kind: str
     lower: float
     upper: float
-    scale: float  # 1.0 for the theoretical form, R2 for the empirical
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class MoranRangeVerdict:
     """The first range, I/n between W's extreme eigenvalues, and its slope regions."""
 
     containment: Containment
-    rho_theoretical: RhoInterval
-    rho_empirical: RhoInterval
+    rho_theoretical: RhoRays
+    rho_empirical: RhoRays
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,8 @@ class QuadraticRangeVerdict:
 class OuterRangeVerdict:
     """The third range, I^2/n in [0, (Wz)'(Wz)], and the rho^2 floor it implies."""
 
-    containment: Containment
-    lambda_outer_max: float  # (Wz)'(Wz), the one nonzero eigenvalue
-    rho_sq_lower: float      # implied rho^2 >= n / (Wz)'(Wz)
+    containment: Containment  # upper is (Wz)'(Wz), the one nonzero eigenvalue
+    rho_sq_lower: float       # implied rho^2 >= n / (Wz)'(Wz)
 
 
 @dataclass(frozen=True)
@@ -120,40 +120,20 @@ def _contain(lower: float, upper: float, value: float) -> Containment:
                        contained=slack >= -tolerance, slack=slack, tolerance=tolerance)
 
 
-def reciprocal_interval(lower: float, upper: float, scale: float = 1.0) -> RhoInterval:
-    """Image of the constraint lower <= scale/rho <= upper.
-
-    The reciprocal map flips and possibly splits the interval: when the
-    eigenvalue interval straddles zero the slope is only excluded from a
-    middle band, which is reported as two rays.
-    """
-    if lower > 0.0 or upper < 0.0:
-        return RhoInterval(
-            kind="interval", lower=scale / upper, upper=scale / lower, scale=scale
-        )
-    if lower == 0.0:
-        return RhoInterval(kind="interval", lower=scale / upper, upper=math.inf, scale=scale)
-    if upper == 0.0:
-        return RhoInterval(kind="interval", lower=-math.inf, upper=scale / lower, scale=scale)
-    return RhoInterval(
-        kind="rays", lower=scale / lower, upper=scale / upper, scale=scale
-    )
-
-
 def range_moran(
     inputs: SpatialInputs, spectrum: EigenSpectrum, r_squared: float
 ) -> MoranRangeVerdict:
     """First range: extreme eigenvalues of W (``spectrum``) bracket I/n.
 
-    I and n come from ``inputs``. Also reports the implied slope regions:
-    reciprocals of the eigenvalue interval for the errorless model,
-    scaled by R2 for the fitted one.
+    I and n come from ``inputs``. Also reports the implied slope regions,
+    two rays each (``RhoRays``): the reciprocals of the eigenvalue ends for
+    the errorless model, scaled by R2 for the fitted one.
     """
     lower, upper = spectrum.smallest, spectrum.largest
     return MoranRangeVerdict(
         containment=_contain(lower, upper, inputs.i_value / inputs.n),
-        rho_theoretical=reciprocal_interval(lower, upper, 1.0),
-        rho_empirical=reciprocal_interval(lower, upper, r_squared),
+        rho_theoretical=RhoRays(lower=1.0 / lower, upper=1.0 / upper),
+        rho_empirical=RhoRays(lower=r_squared / lower, upper=r_squared / upper),
     )
 
 
@@ -188,10 +168,9 @@ def range_outer(inputs: SpatialInputs) -> OuterRangeVerdict:
     """
     wz, n = inputs.lag, inputs.n
     lam_max = wz.energy
-    containment = _contain(0.0, lam_max, inputs.i_value**2 / n)
-    rho_sq_lower = n / lam_max if lam_max > 0.0 else math.inf
     return OuterRangeVerdict(
-        containment=containment, lambda_outer_max=lam_max, rho_sq_lower=rho_sq_lower
+        containment=_contain(0.0, lam_max, inputs.i_value**2 / n),
+        rho_sq_lower=n / lam_max if lam_max > 0.0 else math.inf,
     )
 
 

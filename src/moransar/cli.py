@@ -147,19 +147,16 @@ def cmd_bounds(args) -> int:
         return (f"{c.lower:.6g} <= {c.value:.6g} <= {c.upper:.6g}  "
                 f"[{word}, slack {c.slack:.3e}]")
 
-    print(f"range 1 (eigenvalues of W vs I/n):      "
+    print(f"range 1 (eigenvalues of W vs I/n):       "
           f"{verdict(report.range1.containment)}")
     print(f"range 2 theoretical (W'W vs lag energy): "
           f"{verdict(report.range2.theoretical)}")
-    print(f"range 2 empirical (R2-corrected):        "
+    print(f"range 2 empirical ((Wz)'(Wz)/n):         "
           f"{verdict(report.range2.empirical)}")
     print(f"range 3 (outer product vs I^2/n):        "
           f"{verdict(report.range3.containment)}")
     rho = report.range1.rho_theoretical
-    if rho.kind == "rays":
-        print(f"implied rho region: rho <= {rho.lower:.6g} or rho >= {rho.upper:.6g}")
-    else:
-        print(f"implied rho interval: [{rho.lower:.6g}, {rho.upper:.6g}]")
+    print(f"implied rho region: rho <= {rho.lower:.6g} or rho >= {rho.upper:.6g}")
     print(f"|I| = {report.abs_index:.6g} "
           f"({'<= 1' if report.pearson_analogy_ok else '> 1'}, informational)")
     return 0

@@ -1,8 +1,9 @@
 """Significance tests and residual diagnostics.
 
 ``slope_t_test`` is the one coefficient t-test: the inner regression and
-both SAR fits keep its results, which fill their p-value fields and the
-report's significance block, so an analysis tests each coefficient once.
+both SAR fits keep its results, one per coefficient, and the report
+serializes them in each fit's block, so an analysis tests each
+coefficient once and reports it once.
 It reproduces the paired p-values of the two regression directions (the
 t statistic is direction-symmetric). The permutation test is two-sided
 randomization inference for the index itself: it enumerates all n!

@@ -126,22 +126,14 @@ class IdentityCheck:
 
 
 @dataclass(frozen=True)
-class SignificanceResults:
-    """The coefficient t-tests and the index's permutation test."""
-
-    i_t_test: SignificanceResult
-    rho_t_test: SignificanceResult
-    a_t_test: SignificanceResult
-    lag_sum_t_test: SignificanceResult   # intercept of the inner regression
-    i_permutation: SignificanceResult | None
-
-
-@dataclass(frozen=True)
 class DwDiagnostics:
-    """The residual diagnostics of one analysis."""
+    """The residual diagnostics of one analysis.
 
-    result: DwResult | None              # None when residuals are constant
-    degenerate: bool                     # exact fit left nothing to diagnose
+    ``result`` is None when an exact fit or constant residuals leave
+    nothing to diagnose; the other fields are then None too.
+    """
+
+    result: DwResult | None
     critical: DwCriticalValues | None    # None when (n, alpha) has no table row
     residual_permutation: SignificanceResult | None
 
@@ -161,12 +153,17 @@ class Provenance:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything one analysis found; all but its inputs go to report.json."""
+    """Everything one analysis found; all but its inputs go to report.json.
+
+    Each coefficient's t-test lives on its fit (``moran``, ``sar``);
+    ``i_permutation`` is the index's randomization test, None when no
+    permutations were asked for.
+    """
 
     moran: MoranResult
     sar: SarFit
     bounds: BoundsReport
-    inference: SignificanceResults
+    i_permutation: SignificanceResult | None
     diagnostics: DwDiagnostics
     identities: tuple[IdentityCheck, ...]
     provenance: Provenance
@@ -232,13 +229,6 @@ def analyze_prepared(
     i_perm = None
     if permutations >= 1:
         i_perm = permutation_test(z, weights, m=permutations, seed=seed)
-    inference = SignificanceResults(
-        i_t_test=moran.slope_test,
-        rho_t_test=fit.slope_test,
-        a_t_test=fit.intercept_test,
-        lag_sum_t_test=moran.intercept_test,
-        i_permutation=i_perm,
-    )
 
     diagnostics = _diagnose(fit, weights, alpha, permutations, seed, dw_table)
     identities = _identity_checks(inputs, moran, fit, diagnostics.result, bounds)
@@ -256,7 +246,7 @@ def analyze_prepared(
         moran=moran,
         sar=fit,
         bounds=bounds,
-        inference=inference,
+        i_permutation=i_perm,
         diagnostics=diagnostics,
         identities=identities,
         provenance=provenance,
@@ -297,7 +287,7 @@ def _identity_checks(
     checks += [
         check("residual_orthogonality_lag", float(lag.values @ fit.residuals), REL_TOL),
         check("residual_orthogonality_ones", float(fit.residuals.sum()), REL_TOL),
-        check("paired_p", moran.slope_p_value - fit.p_slope, REL_TOL),
+        check("paired_p", moran.slope_test.p_value - fit.slope_test.p_value, REL_TOL),
         check("eigen_relation", eigen_check(inputs), EIGEN_TOL),
         check("rank_one_scalar", rank_one_identity_slack(inputs), EIGEN_TOL),
     ]
@@ -335,8 +325,7 @@ def _diagnose(
     except ZeroVariance:
         dw = None
     if dw is None:
-        return DwDiagnostics(result=None, degenerate=True, critical=None,
-                             residual_permutation=None)
+        return DwDiagnostics(result=None, critical=None, residual_permutation=None)
     critical = None
     try:
         critical = critical_values_for(weights.n, alpha, dw_table)
@@ -351,8 +340,7 @@ def _diagnose(
         residual_perm = permutation_test(
             dw.standardized, weights, m=permutations, seed=None if seed is None else seed + 1
         )
-    return DwDiagnostics(result=dw, degenerate=False, critical=critical,
-                         residual_permutation=residual_perm)
+    return DwDiagnostics(result=dw, critical=critical, residual_permutation=residual_perm)
 
 
 def prepare_files(
@@ -456,17 +444,17 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def summary_rows(report: AnalysisReport) -> list[list[str]]:
     """Coefficient table: one row per model parameter, then diagnostics."""
-    r2 = format_sig(report.sar.r_squared)
-    inf = report.inference
+    moran, fit = report.moran, report.sar
+    r2 = format_sig(fit.r_squared)
     rows = [
-        ["autocorrelation", "lag_sum", format_sig(report.moran.intercept),
-         format_sig(inf.lag_sum_t_test.p_value), r2],
-        ["autocorrelation", "moran_index", format_sig(report.moran.i_value),
-         format_sig(inf.i_t_test.p_value), r2],
-        ["autoregression", "intercept", format_sig(report.sar.a_hat),
-         format_sig(inf.a_t_test.p_value), r2],
-        ["autoregression", "rho", format_sig(report.sar.rho_hat),
-         format_sig(inf.rho_t_test.p_value), r2],
+        ["autocorrelation", "lag_sum", format_sig(moran.intercept),
+         format_sig(moran.intercept_test.p_value), r2],
+        ["autocorrelation", "moran_index", format_sig(moran.i_value),
+         format_sig(moran.slope_test.p_value), r2],
+        ["autoregression", "intercept", format_sig(fit.a_hat),
+         format_sig(fit.intercept_test.p_value), r2],
+        ["autoregression", "rho", format_sig(fit.rho_hat),
+         format_sig(fit.slope_test.p_value), r2],
     ]
     diag = report.diagnostics
     if diag.result is not None:

@@ -33,12 +33,9 @@ class SarFit:
     r_squared: float
     se_slope: float
     se_intercept: float
-    p_slope: float
-    p_intercept: float
     n: int
-    # the t-tests behind p_slope and p_intercept; not serialized
-    slope_test: SignificanceResult = field(repr=False, metadata={"json": False})
-    intercept_test: SignificanceResult = field(repr=False, metadata={"json": False})
+    slope_test: SignificanceResult       # rho's t-test
+    intercept_test: SignificanceResult   # a's t-test
     degenerate: bool = False   # exact collinear fit; standard errors are 0
     zero_moran: bool = False   # |I| below 1e-12; Moran cross-checks skipped
 
@@ -62,8 +59,6 @@ def _fit_on(inputs: SpatialInputs, x: np.ndarray) -> SarFit:
         raise DegenerateLag("spatial lag is constant; slope is undefined")
     z, n = inputs.z, inputs.n
     line = fit_line(x, z.values)
-    slope_test = slope_t_test(line.slope, line.se_slope, n)
-    intercept_test = slope_t_test(line.intercept, line.se_intercept, n)
     return SarFit(
         a_hat=line.intercept,
         rho_hat=line.slope,
@@ -72,11 +67,9 @@ def _fit_on(inputs: SpatialInputs, x: np.ndarray) -> SarFit:
         r_squared=line.r_squared,
         se_slope=line.se_slope,
         se_intercept=line.se_intercept,
-        p_slope=slope_test.p_value,
-        p_intercept=intercept_test.p_value,
         n=n,
-        slope_test=slope_test,
-        intercept_test=intercept_test,
+        slope_test=slope_t_test(line.slope, line.se_slope, n),
+        intercept_test=slope_t_test(line.intercept, line.se_intercept, n),
         degenerate=line.degenerate,
         zero_moran=abs(inputs.i_value) < ZERO_MORAN_TOL,
     )

@@ -94,7 +94,7 @@ def instance_checks(
     checks.append(
         _check(
             "outer_lambda_analytic",
-            spec_outer.largest - report.bounds.range3.lambda_outer_max,
+            spec_outer.largest - report.bounds.range3.containment.upper,
             EIGEN_TOL,
         )
     )

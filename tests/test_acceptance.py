@@ -125,7 +125,7 @@ def test_criterion_3_identity_deck(deck1000):
         note("lag_energy",
              lag_energy_gap(p, moran.i_value, fit.r_squared)
              / max(1e-30, n * float(lag.values @ lag.values)))
-        note("paired_p", moran.slope_p_value - fit.p_slope)
+        note("paired_p", moran.slope_test.p_value - fit.slope_test.p_value)
         note("orthogonality_lag", float(lag.values @ fit.residuals))
         note("orthogonality_ones", float(fit.residuals.sum()))
     elapsed = time.perf_counter() - start
@@ -168,7 +168,7 @@ def test_criterion_5_spectral_suite(prepared1000):
         if not report.range2.theoretical.contained:
             theoretical_low_misses += 1
         wtw = float(lag.values @ lag.values)
-        worst_outer = max(worst_outer, abs(report.range3.lambda_outer_max - wtw))
+        worst_outer = max(worst_outer, abs(report.range3.containment.upper - wtw))
         # the report solves only the eigenvalues its ranges read; W's whole
         # spectrum comes from one stacked solve with W'W, as in verify
         spec_w, spec_gram = symmetric_eigenvalues(

@@ -1,12 +1,10 @@
 """The three spectral value ranges and the reciprocal slope regions."""
 
-import math
-
 import numpy as np
 import pytest
 
 from moransar.autocorr import moran_index
-from moransar.bounds import CONTAINMENT_TOL, _contain, bounds_report, reciprocal_interval
+from moransar.bounds import CONTAINMENT_TOL, _contain, bounds_report
 from moransar.eigen import symmetric_eigenvalues
 from moransar.pipeline import IdentityCheck
 from moransar.sar import fit_sar_ols
@@ -51,9 +49,7 @@ class TestGuaranteedContainments:
             c = report.range3.containment
             assert c.contained
             assert c.lower == 0.0
-            assert report.range3.lambda_outer_max == pytest.approx(
-                float(lag.values @ lag.values), abs=0.0
-            )
+            assert c.upper == pytest.approx(float(lag.values @ lag.values), abs=0.0)
 
 
 class TestTheoreticalLowerEdgeIsNotATheorem:
@@ -124,41 +120,37 @@ class TestRhoIntervals:
         raw, dist = deck[0]
         _, _, _, _, report = report_for(raw, dist)
         rho = report.range1.rho_theoretical
-        assert rho.kind == "rays"
         assert rho.lower < 0.0 < rho.upper
+
+    def test_extreme_eigenvalues_reach_the_largest_weight(self, two_site, chain):
+        # W has a zero diagonal and positive weights, so interlacing on the
+        # 2x2 block [[0, w], [w, 0]] of its largest weight w puts
+        # lambda_min <= -w < 0 < w <= lambda_max: the slope region is
+        # always two rays, whatever the scale of the distances
+        deck = [random_instance(0, k) for k in range(150)]
+        n = 40
+        equal = (RawSizeVector.from_values(np.arange(1.0, n + 1.0)),
+                 np.ones((n, n)) - np.eye(n))
+        # the deck's distances reach down to 0.2, which 1e-307 makes subnormal
+        scaled = [(chain[0], chain[1] * 1e-307), (two_site[0], two_site[1] * 1e-307),
+                  (chain[0], chain[1] * 1e300), (deck[0][0], deck[0][1] * 1e300)]
+        cases = [*deck, two_site, chain, equal, *scaled]
+        for raw, dist in cases:
+            w = prepare(raw, dist).weights.matrix
+            w_max = float(w.max())
+            spectrum = symmetric_eigenvalues(w, extremes=True)
+            assert spectrum.indices is not None
+            assert spectrum.smallest < 0.0 < spectrum.largest
+            assert spectrum.smallest <= -w_max * (1.0 - 1e-12)
+            assert spectrum.largest >= w_max * (1.0 - 1e-12)
 
     def test_empirical_scales_by_r_squared(self, deck):
         raw, dist = deck[1]
         _, _, _, fit, report = report_for(raw, dist)
         theo = report.range1.rho_theoretical
         emp = report.range1.rho_empirical
-        assert emp.scale == fit.r_squared
         assert emp.lower == pytest.approx(theo.lower * fit.r_squared, rel=1e-14)
         assert emp.upper == pytest.approx(theo.upper * fit.r_squared, rel=1e-14)
-
-    def test_reciprocal_of_positive_interval(self):
-        out = reciprocal_interval(0.2, 0.5)
-        assert out.kind == "interval"
-        assert out.lower == pytest.approx(2.0)
-        assert out.upper == pytest.approx(5.0)
-
-    def test_reciprocal_of_negative_interval(self):
-        out = reciprocal_interval(-0.5, -0.2)
-        assert out.kind == "interval"
-        assert out.lower == pytest.approx(-5.0)
-        assert out.upper == pytest.approx(-2.0)
-
-    def test_reciprocal_with_zero_endpoint(self):
-        out = reciprocal_interval(0.0, 0.25)
-        assert out.kind == "interval"
-        assert out.lower == pytest.approx(4.0)
-        assert out.upper == math.inf
-
-    def test_reciprocal_straddling(self):
-        out = reciprocal_interval(-0.25, 0.5)
-        assert out.kind == "rays"
-        assert out.lower == pytest.approx(-4.0)
-        assert out.upper == pytest.approx(2.0)
 
 
 class TestOuterRange:
@@ -166,7 +158,7 @@ class TestOuterRange:
         raw, dist = deck[2]
         z, weights, lag, fit, report = report_for(raw, dist)
         r3 = report.range3
-        assert r3.rho_sq_lower == pytest.approx(z.n / r3.lambda_outer_max, rel=1e-14)
+        assert r3.rho_sq_lower == pytest.approx(z.n / r3.containment.upper, rel=1e-14)
         # the floor binds the errorless slope n/I; the fitted slope is
         # smaller by R^2, so it only clears the R^4-scaled floor
         i_value = moran_index(z, weights)
@@ -180,7 +172,7 @@ class TestOuterRange:
         z, weights, lag, _, report = report_for(raw, dist)
         solved = symmetric_eigenvalues(np.outer(lag.values, lag.values))
         assert solved.largest == pytest.approx(
-            report.range3.lambda_outer_max, abs=1e-10
+            report.range3.containment.upper, abs=1e-10
         )
 
 
@@ -240,7 +232,6 @@ class TestSelectedSpectrum:
             for got, want in pairs[1:3]:
                 assert abs(got.lower - want.lower) <= 2.0 * top * allowance
                 assert abs(got.upper - want.upper) <= 2.0 * top * allowance
-            assert report.range1.rho_theoretical.kind == reference.range1.rho_theoretical.kind
 
 
 class TestValidation:

@@ -62,9 +62,8 @@ class TestAnalyze:
         report = analyze(config_for(noisy_files))
         assert report.moran.n == report.sar.n == report.provenance.n
         assert report.all_identities_pass
-        assert report.inference.i_permutation is not None
+        assert report.i_permutation is not None
         assert report.diagnostics.result is not None
-        assert not report.diagnostics.degenerate
 
     def test_file_and_memory_paths_agree(self, noisy_files):
         raw, dist, _, _ = noisy_files
@@ -84,7 +83,7 @@ class TestAnalyze:
         a = analyze(config_for(noisy_files, seed=5))
         b = analyze(config_for(noisy_files, seed=6))
         assert a.moran.i_value == b.moran.i_value
-        assert a.inference.i_permutation.seed != b.inference.i_permutation.seed
+        assert a.i_permutation.seed != b.i_permutation.seed
 
     def test_log_transform_path(self, noisy_files):
         raw, dist, _, _ = noisy_files
@@ -95,7 +94,7 @@ class TestAnalyze:
 
     def test_permutations_zero_skips_the_test(self, noisy_files):
         report = analyze(config_for(noisy_files, permutations=0))
-        assert report.inference.i_permutation is None
+        assert report.i_permutation is None
         assert report.diagnostics.residual_permutation is None
 
     def test_provenance_hashes(self, noisy_files):
@@ -178,7 +177,6 @@ class TestDegenerateFixture:
             )
         )
         assert report.sar.degenerate
-        assert report.diagnostics.degenerate
         assert report.diagnostics.result is None
         assert report.moran.i_value == -1.0
         assert report.all_identities_pass
@@ -217,7 +215,8 @@ class TestDegenerateFixture:
 
 
 class TestSelfAgreement:
-    """Each coefficient has one p-value, wherever the report shows it."""
+    """The two regression directions share the slope's p-value, and an
+    exact fit's zero intercepts test at p = 1."""
 
     @pytest.mark.parametrize("fixture", ["two_site", "chain", "noisy"])
     def test_model_p_values_equal_the_t_tests(self, fixture, fixtures_dir, noisy_files):
@@ -230,11 +229,7 @@ class TestSelfAgreement:
                 permutations=0,
             )
         report = analyze(config)
-        inf = report.inference
-        assert report.moran.slope_p_value == inf.i_t_test.p_value
-        assert report.moran.intercept_p_value == inf.lag_sum_t_test.p_value
-        assert report.sar.p_slope == inf.rho_t_test.p_value
-        assert report.sar.p_intercept == inf.a_t_test.p_value
+        assert report.moran.slope_test.p_value == report.sar.slope_test.p_value
 
     def test_exact_fit_zero_intercepts_have_p_one(self, fixtures_dir):
         report = analyze(
@@ -247,9 +242,9 @@ class TestSelfAgreement:
         )
         assert report.sar.degenerate
         assert report.sar.a_hat == 0.0
-        assert report.sar.p_intercept == 1.0
+        assert report.sar.intercept_test.p_value == 1.0
         assert report.moran.intercept == 0.0
-        assert report.moran.intercept_p_value == 1.0
+        assert report.moran.intercept_test.p_value == 1.0
 
 
 class TestComputeOnce:
@@ -335,14 +330,31 @@ class TestEmit:
         report = analyze(config_for(noisy_files))
         written = emit_report(report, {"json"}, tmp_path)
         blob = json.loads(written["json"].read_text())
+        assert list(blob) == ["moran", "sar", "bounds", "i_permutation", "diagnostics",
+                              "identities", "provenance"]
         sar = blob["sar"]
-        for key in (
-            "a_hat", "rho_hat", "r_squared", "delta", "se_slope",
-            "se_intercept", "p_slope", "p_intercept", "residuals",
-        ):
+        for key in ("a_hat", "rho_hat", "r_squared", "delta", "se_slope", "se_intercept",
+                    "residuals"):
             assert key in sar
         assert isinstance(sar["residuals"], list)
         assert len(sar["residuals"]) == blob["provenance"]["n"]
+        for fit in (blob["moran"], sar):
+            for key in ("slope_test", "intercept_test"):
+                assert set(fit[key]) >= {"statistic", "p_value", "method"}
+
+        def keys(obj):
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(obj, list):
+                for value in obj:
+                    yield from keys(value)
+
+        removed = [key for key in keys(blob)
+                   if (key.startswith("p_") and key != "p_value") or key.endswith("_p_value")
+                   or key in ("lambda_outer_max", "kind", "scale")]
+        assert removed == []
 
     def test_byte_identical_json_apart_from_timestamp(self, noisy_files, tmp_path):
         report_a = analyze(config_for(noisy_files))
@@ -369,9 +381,9 @@ class TestEmit:
             raise ValueError(f"non-strict JSON constant {token}")
 
         blob = json.loads(written["json"].read_text(), parse_constant=reject)
-        statistic = blob["inference"]["i_t_test"]["statistic"]
+        statistic = blob["moran"]["slope_test"]["statistic"]
         assert statistic == "-Infinity"
-        assert float(statistic) == report.inference.i_t_test.statistic
+        assert float(statistic) == report.moran.slope_test.statistic
 
     def test_svg_output(self, noisy_files, tmp_path):
         report = analyze(config_for(noisy_files))

@@ -116,7 +116,7 @@ class TestIdentities:
             p = prepare(raw, dist)
             moran = inner_regression(p)
             fit = fit_sar_ols(p)
-            assert moran.slope_p_value == pytest.approx(fit.p_slope, abs=1e-12)
+            assert moran.slope_test.p_value == pytest.approx(fit.slope_test.p_value, abs=1e-12)
 
     @given(scale=st.floats(min_value=1e-4, max_value=1e4))
     @settings(max_examples=25, deadline=None)
