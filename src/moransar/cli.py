@@ -13,6 +13,10 @@ pipeline.prepare_files, as analyze does, and simulate checks its draw
 with spatial_data.prepare; a data error of an input file names that file
 (errors.located) in every verb that reads one.
 
+Each verb imports the library modules it runs when it runs, so this
+module loads no numpy: ``--help``, ``--version`` and a usage error pay
+for the argument parser alone.
+
 ``run`` is the process entry of ``python -m moransar`` and of the
 ``moransar`` console script; ``main`` is the in-process one.
 """
@@ -25,21 +29,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
-from .autocorr import MODE_AUTOCORRELATION, MODE_AUTOREGRESSION, scatter_dataset
-from .bounds import bounds_report
-from .dataio import load_distances, write_distance_matrix, write_scatter_csv, write_sizes
 from .errors import InputError, NumericalError, ParseError, located
-from .pipeline import AnalysisConfig, analyze, emit_report, prepare_files
-from .sar import fit_sar_ols
-from .simulate import random_distances, simulate_sar
-from .spatial_data import prepare
-from .svgplot import render_svg
-from .verification import run_suite
 
-MODE_NAMES = {"autocorr": MODE_AUTOCORRELATION, "sar": MODE_AUTOREGRESSION}
+# the scatter verb's --mode choices, naming MODE_AUTOCORRELATION and
+# MODE_AUTOREGRESSION in that order
+MODE_NAMES = ("autocorr", "sar")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,12 +79,16 @@ def _symmetrize_policy(args) -> str:
 
 
 def _prepared(args):
+    from .pipeline import prepare_files
+
     inputs, _, _ = prepare_files(args.sizes, args.dist, args.dist_format,
                                  apply_log=args.log, symmetrize=_symmetrize_policy(args))
     return inputs
 
 
 def cmd_analyze(args) -> int:
+    from .pipeline import AnalysisConfig, analyze, emit_report
+
     config = AnalysisConfig(
         sizes_path=args.sizes,
         dist_path=args.dist,
@@ -122,7 +121,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    mode = MODE_NAMES[args.mode]
+    from .autocorr import MODE_AUTOCORRELATION, MODE_AUTOREGRESSION, scatter_dataset
+    from .dataio import write_scatter_csv
+    from .sar import fit_sar_ols
+    from .svgplot import render_svg
+
+    mode = dict(zip(MODE_NAMES, (MODE_AUTOCORRELATION, MODE_AUTOREGRESSION)))[args.mode]
     inputs = _prepared(args)
     dataset = scatter_dataset(inputs, fit_sar_ols(inputs), mode)
     out_dir = Path(args.out)
@@ -138,6 +142,9 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bounds_report
+    from .sar import fit_sar_ols
+
     inputs = _prepared(args)
     fit = fit_sar_ols(inputs)
     report = bounds_report(inputs, fit.r_squared)
@@ -163,6 +170,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .dataio import load_distances, write_distance_matrix, write_sizes
+    from .simulate import random_distances, simulate_sar
+    from .spatial_data import prepare
+
     if args.n < 2:
         raise InputError(f"--n must be at least 2, got {args.n}")
     seed = _resolve_seed(args.seed)
@@ -196,6 +209,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_suite
+
     seed = _resolve_seed(args.seed)
     result = run_suite(master_seed=seed, instances=args.instances)
     for failure in result.failures:
@@ -228,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scatter = sub.add_parser("scatter", help="scatterplot dataset and SVG")
     _add_input_flags(p_scatter)
-    p_scatter.add_argument("--mode", choices=tuple(MODE_NAMES), default="autocorr")
+    p_scatter.add_argument("--mode", choices=MODE_NAMES, default=MODE_NAMES[0])
     p_scatter.add_argument("--out", default=".", help="output directory")
     p_scatter.add_argument("--svg", action="store_true")
     p_scatter.set_defaults(func=cmd_scatter)

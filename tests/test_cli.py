@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -160,7 +161,7 @@ class TestAnalyzeVerb:
         def explode(*a, **k):
             raise NoConvergence(widest=1.0, sweeps=100)
 
-        monkeypatch.setattr(cli, "analyze", explode)
+        monkeypatch.setattr("moransar.pipeline.analyze", explode)
         rc = main(chain_analyze(fixtures_dir, tmp_path))
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
@@ -456,7 +457,7 @@ class TestVerifyVerb:
             failures=(IdentityCheck("fake", 1.0, 0.0, False),),
             elapsed_seconds=0.0,
         )
-        monkeypatch.setattr(cli, "run_suite", lambda **k: broken)
+        monkeypatch.setattr("moransar.verification.run_suite", lambda **k: broken)
         rc = main(["verify", "--instances", "1"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -480,15 +481,18 @@ class TestVersionAndEntryPoint:
         assert __version__ in proc.stdout
 
     def test_import_loads_no_scipy(self):
-        # the runtime needs numpy alone; scipy is a test-only oracle
+        # the runtime needs numpy alone; scipy is a test-only oracle. Every
+        # submodule is imported, as moransar and moransar.cli load none of
+        # the library
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys\n"
+             "import importlib, pkgutil, sys\n"
              "def scipy_modules():\n"
              "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
              "import moransar\n"
              "print(scipy_modules())\n"
-             "import moransar.cli\n"
+             "for info in pkgutil.iter_modules(moransar.__path__):\n"
+             "    importlib.import_module(f'moransar.{info.name}')\n"
              "print(scipy_modules())\n"],
             capture_output=True, text=True,
         )
@@ -566,8 +570,10 @@ class TestProcessEntry:
 
     def test_site_less_import_skips_unused_modules(self):
         # -S: no site file runs, so none can preload a module and hide an
-        # import that moransar.cli brings in; the directories holding
-        # moransar and numpy are put on sys.path by hand instead
+        # import that moransar brings in; the directories holding moransar
+        # and numpy are put on sys.path by hand instead. A bare import of
+        # the CLI loads neither numpy nor the library; the unused modules
+        # stay unloaded once everything a verb runs is imported
         paths = [str(Path(module.__file__).resolve().parents[1])
                  for module in (cli, np)]
         proc = subprocess.run(
@@ -575,13 +581,42 @@ class TestProcessEntry:
              "import sys\n"
              "sys.path[:0] = sys.argv[1:]\n"
              "import moransar.cli\n"
+             "print(' '.join(sorted(m for m in sys.modules\n"
+             "                      if m.split('.')[0] in ('numpy', 'moransar'))))\n"
+             "import moransar.pipeline, moransar.simulate, moransar.verification\n"
              "unused = ('concurrent.futures', 'logging', 'importlib.resources')\n"
              "print(' '.join(m for m in unused if m in sys.modules))\n",
              *paths],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
+        assert proc.stdout.split("\n") == [
+            "moransar moransar._version moransar.cli moransar.errors", "", ""]
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0),
+                                            (["analyze", "--bogus"], 1)])
+    def test_parser_exits_leave_numpy_unloaded(self, argv, code, monkeypatch, capsys):
+        # the exit code and output of a child interpreter are those of main
+        # in this process; the help text is wrapped to COLUMNS in both
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        expected = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from moransar import cli\n"
+             "try:\n"
+             "    cli.main(sys.argv[1:])\n"
+             "finally:\n"
+             "    print('numpy' in sys.modules)\n",
+             *argv],
+            capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
+        )
+        assert proc.returncode == code
+        assert proc.stdout == expected.out + "False\n"
+        assert proc.stderr == expected.err
 
 
 def reject_constant(name):

@@ -158,7 +158,6 @@ class TestPrepareFiles:
             return prepare_files(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "prepare_files", spy)
-        monkeypatch.setattr(cli, "prepare_files", spy)
         args = [verb, "--sizes", sizes, "--dist", matrix, "--log"]
         if verb != "bounds":
             args += ["--out", str(tmp_path)]
@@ -260,7 +259,7 @@ class TestComputeOnce:
             return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "moransar" and getattr(module, fn.__name__, None) is fn:
+            if name.split(".")[0] == "moransar" and vars(module).get(fn.__name__) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)
         return calls
 
